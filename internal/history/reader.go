@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -18,16 +19,27 @@ const maxLineBytes = 4 << 20
 // non-empty, must be "bulksc-history". Histories with no header get
 // defaults (version 1, procs inferred), which is what lets traces authored
 // by other systems check without ceremony.
+//
+// Canonical chunk and access lines — what Writer emits — are decoded by a
+// byte-level scanner (codec.go); every other line goes through
+// encoding/json, whose result the scanner is held to (FuzzHistoryReader).
 func Read(r io.Reader) (*History, error) {
+	return read(r, true)
+}
+
+// read is Read with the byte-level scanner on or off; with fast false
+// every line goes through encoding/json, the reference behaviour.
+func read(r io.Reader, fast bool) (*History, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	h := &History{}
+	var dec lineDecoder
 	sawHeader := false
 	line := 0
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
+		if len(raw) == 0 || fast && dec.record(raw, h) {
 			continue
 		}
 		// Peek the record kind without committing to a shape.
@@ -75,6 +87,9 @@ func Read(r io.Reader) (*History, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("history: line %d: record exceeds %d MB", line+1, maxLineBytes>>20)
+		}
 		return nil, fmt.Errorf("history: %w", err)
 	}
 	if !sawHeader {

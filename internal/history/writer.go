@@ -19,41 +19,37 @@ import (
 // A Writer is not safe for concurrent use; the simulator is
 // single-goroutine per machine.
 //
-// The encode path deliberately carries no //sim:hotpath annotation:
-// JSON encoding allocates by nature, and tracing is opt-in observation
-// that is off for every golden, perf and sweep configuration — the
-// allocation discipline applies to the machine, not to its export taps.
-// TestTraceHashNeutral pins that the taps perturb nothing; perf-relevant
-// runs never construct a Writer at all.
+// Chunk and Access append their records into one reused buffer with the
+// byte-level encoder in codec.go, whose output is byte-identical to
+// json.Encoder's (TestWriterMatchesEncodingJSON); Header, written once,
+// keeps encoding/json. The encode path deliberately carries no
+// //sim:hotpath annotation: tracing is opt-in observation that is off for
+// every golden, perf and sweep configuration — the allocation discipline
+// applies to the machine, not to its export taps. TestTraceHashNeutral
+// pins that the taps perturb nothing; perf-relevant runs never construct
+// a Writer at all.
 //
 //sim:observer
 type Writer struct {
 	bw  *bufio.Writer
-	enc *json.Encoder
+	buf []byte // the record being encoded, reused across records
 	err error
 }
 
 // NewWriter returns a streaming NDJSON writer over w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// record encodes one record as a single NDJSON line (json.Encoder appends
-// the newline).
-func (t *Writer) record(v any) {
-	if t.err != nil {
-		return
-	}
-	t.err = t.enc.Encode(v)
+	return &Writer{bw: bufio.NewWriter(w)}
 }
 
 // Header writes the history header. Version and Format are filled in.
 func (t *Writer) Header(h Header) {
+	if t.err != nil {
+		return
+	}
 	h.Kind = KindHeader
 	h.Version = Version
 	h.Format = Format
-	t.record(&h)
+	t.err = json.NewEncoder(t.bw).Encode(&h)
 }
 
 // Chunk writes one committed chunk's record from the live chunk state.
@@ -62,26 +58,20 @@ func (t *Writer) Chunk(ch *chunk.Chunk) {
 	if t.err != nil {
 		return
 	}
-	rec := ChunkRec{
-		Kind:  KindChunk,
-		Proc:  ch.Proc,
-		Seq:   ch.Seq,
-		Order: ch.CommitOrder,
-		Ops:   make([]Op, len(ch.Log)),
-	}
-	for i, a := range ch.Log {
-		rec.Ops[i] = Op{Store: a.IsStore, Addr: uint64(a.Addr), Val: a.Value}
-	}
-	t.record(&rec)
+	t.buf = appendChunk(t.buf[:0], ch)
+	_, t.err = t.bw.Write(t.buf)
 }
 
 // Access writes one conventional architectural access record. Call at the
 // perform instant, in perform order.
 func (t *Writer) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, fwd bool) {
-	t.record(&AccessRec{
-		Kind: KindAccess, Proc: proc, PO: po, Store: store,
-		Addr: uint64(a), Val: v, Fwd: fwd,
+	if t.err != nil {
+		return
+	}
+	t.buf = appendAccess(t.buf[:0], &AccessRec{
+		Proc: proc, PO: po, Store: store, Addr: uint64(a), Val: v, Fwd: fwd,
 	})
+	_, t.err = t.bw.Write(t.buf)
 }
 
 // Close flushes buffered records and returns the first error encountered

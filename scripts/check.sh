@@ -1,9 +1,9 @@
 #!/bin/sh
 # The PR gate: formatting, static checks (go vet + the simlint invariant
-# passes), build, full tests, a fuzz-corpus smoke over the signature and
-# line-set differential targets, and the race detector over both the
-# parallel sweep fan-out in experiments/ and the litmus × model × fault
-# torture matrix. Run from the repository root (or via `make check`).
+# passes), build, full tests, a fuzz-corpus smoke over the signature,
+# line-set, sharer-set, engine and history-reader targets, and the race
+# detector over both the parallel sweep fan-out in experiments/ and the
+# litmus × model × fault torture matrix. Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
 #
@@ -64,7 +64,7 @@ echo "== go test =="
 go test ./...
 
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
-go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim
+go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history
 
 echo "== 256-proc scaling smoke =="
 go test -run 'TestBigMachineRadixSmoke' ./internal/core
