@@ -12,6 +12,7 @@ package arbiter
 import (
 	"fmt"
 
+	"bulksc/internal/chunk"
 	"bulksc/internal/fault"
 	"bulksc/internal/lineset"
 	"bulksc/internal/network"
@@ -52,13 +53,20 @@ type Request struct {
 	// decision instant as the chunk's logical commit point and model its
 	// own notification latency.
 	Reply func(granted bool, order uint64)
+	// Hold is the requesting chunk's claim on W and TrueW. Every W-list
+	// entry (a grant or a G-arbiter reservation) takes it before the Reply
+	// and releases it when the entry leaves the list (Done or Abort), so
+	// the chunk cannot be recycled while the arbiter or the directory flow
+	// behind it still reads them. The zero Hold is inert.
+	Hold chunk.Hold
 }
 
+// pendingEntry is one W-list slot, stored by value in Arbiter.pending: a
+// granted or tentatively reserved W and the Hold that keeps its chunk
+// alive while the entry stands.
 type pendingEntry struct {
-	w         sig.Signature
-	trueW     *lineset.Set
-	proc      int
-	tentative bool // reserved by an in-flight G-arbiter transaction
+	w    sig.Signature
+	hold chunk.Hold
 }
 
 // Arbiter is one arbitration module. With a single module it is the whole
@@ -78,7 +86,7 @@ type Arbiter struct {
 	// directory's Done(tok) is the removal that keeps commit bandwidth
 	// from leaking (wait-queue pairing proven by the waiterpair pass).
 	//sim:waitq wlist
-	pending map[Token]*pendingEntry
+	pending map[Token]pendingEntry
 	nextTok Token
 	//lint:poolsafe shared commit-order counter; the owning machine zeroes the pointee between runs
 	order    *uint64 // shared global commit-order counter
@@ -118,7 +126,7 @@ func New(id int, eng *sim.Engine, net *network.Network, st *stats.Stats, order *
 		eng:      eng,
 		net:      net,
 		st:       st,
-		pending:  make(map[Token]*pendingEntry),
+		pending:  make(map[Token]pendingEntry),
 		order:    order,
 		MaxSimul: DefaultMaxSimul,
 		lockProc: -1,
@@ -245,8 +253,8 @@ func (a *Arbiter) grant(req *Request) {
 	}
 	a.nextTok++
 	tok := a.nextTok
-	//lint:alloc one entry per granted commit; commit rate, not access rate
-	a.pending[tok] = &pendingEntry{w: req.W, trueW: req.TrueW, proc: req.Proc}
+	req.Hold.Take()
+	a.pending[tok] = pendingEntry{w: req.W, hold: req.Hold}
 	a.noteWList()
 	req.Reply(true, ord)
 	if a.ForwardW == nil {
@@ -255,16 +263,19 @@ func (a *Arbiter) grant(req *Request) {
 	a.ForwardW(tok, req.Proc, req.W, req.TrueW)
 }
 
-// Done removes a fully-committed W from the list; called by the directory
-// when all invalidation acknowledgements have been collected.
+// Done removes a fully-committed W from the list and releases the entry's
+// Hold on the chunk; called by the directory when all invalidation
+// acknowledgements have been collected.
 //
 //sim:waitq final wlist
 func (a *Arbiter) Done(tok Token) {
-	if _, ok := a.pending[tok]; !ok {
+	e, ok := a.pending[tok]
+	if !ok {
 		panic(fmt.Sprintf("arbiter %d: Done for unknown token %d", a.ID, tok))
 	}
 	delete(a.pending, tok)
 	a.noteWList()
+	e.hold.Release()
 }
 
 // PreArbitrate requests exclusive commit rights for proc (§3.3 forward

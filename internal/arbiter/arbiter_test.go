@@ -3,6 +3,7 @@ package arbiter
 import (
 	"testing"
 
+	"bulksc/internal/chunk"
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
@@ -513,4 +514,102 @@ func verdict(granted bool) string {
 		return "granted"
 	}
 	return "denied"
+}
+
+// TestWListEntriesHoldTheChunk: every W-list entry keeps its chunk held
+// from before the Reply until the entry leaves the list — a grant until
+// Done, a G-arbiter reservation until Abort or (confirmed) Done — while an
+// empty-W grant, which never enters the list, takes no hold.
+func TestWListEntriesHoldTheChunk(t *testing.T) {
+	h := newHarness()
+	ch := &chunk.Chunk{}
+	r := req(0, sigOf(1), sigOf(2), func(g bool, _ uint64) {
+		if !g || ch.Holds != 1 {
+			t.Fatalf("granted=%v with %d holds at the Reply, want a grant holding the chunk once", g, ch.Holds)
+		}
+	})
+	r.Hold = ch.Hold()
+	h.arb.Request(r)
+	h.eng.Run(nil)
+	h.arb.Done(h.fwd[0])
+	if ch.Holds != 0 {
+		t.Fatalf("Done left %d holds", ch.Holds)
+	}
+
+	empty := &chunk.Chunk{}
+	r = req(0, sigOf(), sigOf(), func(bool, uint64) {})
+	r.Hold = empty.Hold()
+	h.arb.Request(r)
+	h.eng.Run(nil)
+	if empty.Holds != 0 {
+		t.Fatalf("empty-W grant took %d holds", empty.Holds)
+	}
+
+	eng, _, arbs, g, fwd := newDistributed(4)
+	confirmed := &chunk.Chunk{}
+	r = req(0, sigOf(0, RangeGranule), sigOf(), func(bool, uint64) {})
+	r.Hold = confirmed.Hold()
+	g.Request(r, []int{0, 1})
+	eng.Run(nil)
+	if confirmed.Holds != 2 {
+		t.Fatalf("confirmed transaction holds the chunk %d times, want once per arbiter (2)", confirmed.Holds)
+	}
+	for i, tok := range *fwd {
+		arbs[i].Done(tok)
+	}
+	if confirmed.Holds != 0 {
+		t.Fatalf("Done left %d holds", confirmed.Holds)
+	}
+	// A conflicting transaction: arbiter 0 reserves, arbiter 1 (busy with
+	// line RangeGranule) denies, and the reservation's Abort releases.
+	arbs[1].Request(req(9, sigOf(RangeGranule), sigOf(), func(bool, uint64) {}))
+	eng.Run(nil)
+	denied := &chunk.Chunk{}
+	r = req(0, sigOf(0, RangeGranule), sigOf(), func(gr bool, _ uint64) {
+		if gr {
+			t.Fatal("conflicting transaction granted")
+		}
+	})
+	r.Hold = denied.Hold()
+	g.Request(r, []int{0, 1})
+	eng.Run(nil)
+	if denied.Holds != 0 || arbs[0].Pending() != 0 {
+		t.Fatalf("aborted reservation: %d holds, %d entries left at arbiter 0", denied.Holds, arbs[0].Pending())
+	}
+}
+
+// TestGArbShardQueueKeepsFIFOAcrossCompaction drives a shard queue through
+// interleaved pushes and pops long enough to wrap its storage many times:
+// entries leave in arrival order, and an emptied queue rewinds to length
+// zero (the emptiness test release relies on).
+func TestGArbShardQueueKeepsFIFOAcrossCompaction(t *testing.T) {
+	var sh garbShard
+	next, want := 0, 0
+	push := func() {
+		sh.push(garbTxn{since: sim.Time(next)})
+		next++
+	}
+	pop := func() {
+		if got := int(sh.pop().since); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+		want++
+	}
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 3+round%5; i++ {
+			push()
+		}
+		for i := 0; i < 2+round%4 && want < next; i++ {
+			pop()
+		}
+	}
+	for want < next {
+		pop()
+	}
+	if len(sh.queue) != 0 || sh.head != 0 {
+		t.Fatalf("drained queue has len %d, head %d", len(sh.queue), sh.head)
+	}
+	if cap(sh.queue) > 1024 {
+		t.Fatalf("queue storage grew to %d for a backlog of at most %d", cap(sh.queue), next)
+	}
 }

@@ -65,9 +65,10 @@ func RangesOfInto(out []int, sets []*lineset.Set, n int, seen []bool) []int {
 
 // Reserve is the first phase of a G-arbiter transaction: the arbiter checks
 // the request against its pending list and, on success, inserts a tentative
-// entry that blocks conflicting commits until Confirm or Abort. The request
-// must carry R (the RSig optimization does not apply to multi-range
-// commits in this model).
+// entry that blocks conflicting commits until Confirm or Abort. The entry
+// takes the request's Hold, released at Abort or (once confirmed) Done.
+// The request must carry R (the RSig optimization does not apply to
+// multi-range commits in this model).
 func (a *Arbiter) Reserve(req *Request) (Token, bool) {
 	if a.Faults.ArbDeny(req.Proc) {
 		return 0, false
@@ -83,7 +84,8 @@ func (a *Arbiter) Reserve(req *Request) (Token, bool) {
 	}
 	a.nextTok++
 	tok := a.nextTok
-	a.pending[tok] = &pendingEntry{w: req.W, trueW: req.TrueW, proc: req.Proc, tentative: true}
+	req.Hold.Take()
+	a.pending[tok] = pendingEntry{w: req.W, hold: req.Hold}
 	a.noteWList()
 	return tok, true
 }
@@ -91,18 +93,19 @@ func (a *Arbiter) Reserve(req *Request) (Token, bool) {
 // Confirm firms a reservation and launches the directory flow for this
 // arbiter's module. Empty-W requests never reach Reserve/Confirm.
 func (a *Arbiter) Confirm(tok Token, req *Request) {
-	p, ok := a.pending[tok]
-	if !ok {
+	if _, ok := a.pending[tok]; !ok {
 		panic("arbiter: Confirm of unknown token")
 	}
-	p.tentative = false
 	a.ForwardW(tok, req.Proc, req.W, req.TrueW)
 }
 
-// Abort drops a reservation after a partner arbiter denied.
+// Abort drops a reservation after a partner arbiter denied, releasing its
+// Hold.
 func (a *Arbiter) Abort(tok Token) {
+	e := a.pending[tok]
 	delete(a.pending, tok)
 	a.noteWList()
+	e.hold.Release()
 }
 
 // garbTxn is one multi-range transaction parked in a shard's FIFO queue
@@ -121,10 +124,42 @@ type garbTxn struct {
 // spot scales with the arbiter tier instead of serializing on one node.
 type garbShard struct {
 	inFlight int
-	// queue parks transactions past the in-flight cap; release launches or
-	// proves the queue empty (waiterpair's len()-guard refinement).
+	// queue parks transactions past the in-flight cap, oldest at
+	// queue[head]; release launches or proves the queue empty (waiterpair's
+	// len()-guard refinement). The queue is empty exactly when
+	// len(queue) == 0: pop rewinds it to the start of its storage when the
+	// last entry leaves.
 	//sim:waitq garbfifo
 	queue []garbTxn
+	head  int
+}
+
+// push parks t at the tail. When the storage is full and at least half of
+// it is dead space in front of head, the live entries slide down first, so
+// every entry is moved at most once per pop that made room for it.
+func (sh *garbShard) push(t garbTxn) {
+	if len(sh.queue) == cap(sh.queue) && sh.head > 0 && 2*sh.head >= len(sh.queue) {
+		n := copy(sh.queue, sh.queue[sh.head:])
+		clear(sh.queue[n:])
+		sh.queue = sh.queue[:n]
+		sh.head = 0
+	}
+	sh.queue = append(sh.queue, t)
+}
+
+// pop dequeues the oldest parked transaction in O(1); the queue must be
+// non-empty.
+//
+//sim:waitq deq garbfifo
+func (sh *garbShard) pop() garbTxn {
+	t := sh.queue[sh.head]
+	sh.queue[sh.head] = garbTxn{} // drop the request reference
+	sh.head++
+	if sh.head == len(sh.queue) {
+		sh.queue = sh.queue[:0]
+		sh.head = 0
+	}
+	return t
 }
 
 // GArbiter coordinates commits that span several arbiter ranges (§4.2.3,
@@ -178,7 +213,7 @@ func (g *GArbiter) Request(req *Request, ranges []int) {
 	sh := &g.shards[ranges[0]%len(g.shards)]
 	if sh.inFlight >= g.MaxInFlight {
 		g.st.GArbQueued++
-		sh.queue = append(sh.queue, garbTxn{req: req, ranges: ranges, since: g.eng.Now()})
+		sh.push(garbTxn{req: req, ranges: ranges, since: g.eng.Now()})
 		return
 	}
 	sh.inFlight++
@@ -241,10 +276,7 @@ func (g *GArbiter) combine(sh *garbShard, req *Request, reserved []reservation, 
 //sim:waitq final garbfifo
 func (g *GArbiter) release(sh *garbShard) {
 	if len(sh.queue) > 0 {
-		t := sh.queue[0]
-		copy(sh.queue, sh.queue[1:])
-		sh.queue[len(sh.queue)-1] = garbTxn{}
-		sh.queue = sh.queue[:len(sh.queue)-1]
+		t := sh.pop()
 		g.st.GArbQueueCycles += uint64(g.eng.Now() - t.since)
 		g.launch(sh, t.req, t.ranges)
 		return

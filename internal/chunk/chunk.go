@@ -14,8 +14,9 @@
 // maps, and chunks are recycled through a Pool across squash/re-execute
 // cycles: squash-heavy applications (radix, raytrace) churn chunk state
 // constantly, and pooling makes a re-executed chunk's bookkeeping
-// allocation-free. A generation counter (Gen) guards stale references —
-// any callback that may outlive a squash must capture Gen and compare.
+// allocation-free. Committed chunks are recycled too, once the last Hold
+// on them drops. A generation counter (Gen) guards stale references — any
+// callback or Hold that may outlive a squash must capture Gen and compare.
 package chunk
 
 import (
@@ -107,6 +108,12 @@ type Chunk struct {
 	// references to the chunk's signatures and exact sets.
 	ReqsOut int
 
+	// Holds counts the outstanding Holds on this incarnation (see Hold):
+	// arbiter W-list entries and stpvt Wpriv propagations that still read
+	// the chunk's signatures or exact sets. A committed chunk may be
+	// recycled only at zero.
+	Holds int
+
 	// CommitOrder is assigned by the arbiter at grant time.
 	CommitOrder uint64
 
@@ -123,6 +130,51 @@ type Chunk struct {
 	ReplyFn func(granted bool, order uint64)
 	//lint:poolsafe per-chunk-lifetime wiring; captures only stable pointers, intentionally survives recycling
 	FetchRFn func(cb func(sig.Signature))
+	// UnheldFn, when set, runs each time Holds drops back to zero. Like
+	// ReplyFn it is allocated once per chunk LIFETIME by the owning
+	// processor and captures only stable pointers; releases that outlive
+	// the incarnation they were taken on never reach it (see Hold).
+	//lint:poolsafe per-chunk-lifetime wiring; captures only stable pointers, intentionally survives recycling
+	UnheldFn func()
+}
+
+// Hold is one holder's claim on a chunk incarnation's signatures and
+// exact sets. The holder calls Take when it starts referencing them and
+// Release when it stops; both are no-ops once the chunk has been recycled
+// since the Hold was made (Gen mismatch), exactly like every other
+// Gen-guarded callback, so a claim that outlives a squash-and-Put can
+// neither pin nor free the chunk's next incarnation. The zero Hold is
+// inert: records that reference no chunk carry it.
+type Hold struct {
+	c   *Chunk
+	gen uint64
+}
+
+// Hold returns a claim on the chunk's current incarnation.
+func (c *Chunk) Hold() Hold { return Hold{c: c, gen: c.Gen} }
+
+// Take registers the claim.
+//
+//sim:hotpath
+func (h Hold) Take() {
+	if h.c != nil && h.c.Gen == h.gen {
+		h.c.Holds++
+	}
+}
+
+// Release drops the claim; the last release of an incarnation runs its
+// UnheldFn, which may recycle the chunk.
+//
+//sim:hotpath
+func (h Hold) Release() {
+	c := h.c
+	if c == nil || c.Gen != h.gen {
+		return
+	}
+	c.Holds--
+	if c.Holds == 0 && c.UnheldFn != nil {
+		c.UnheldFn()
+	}
 }
 
 // New returns a fresh chunk for proc at checkpoint pos using the given
@@ -156,6 +208,7 @@ func (c *Chunk) init(proc int, seq uint64, slot, pos, target int) {
 	c.Executed = 0
 	c.Pending = 0
 	c.ReqsOut = 0
+	c.Holds = 0
 	c.CommitOrder = 0
 }
 
@@ -278,33 +331,52 @@ func (c *Chunk) String() string {
 // ---------------------------------------------------------------------------
 
 // Pool recycles Chunk objects — including their signatures, exact sets,
-// write buffers and logs — across squash/re-execute cycles. It is owned by
-// one processor (the simulator is single-goroutine per machine; machines
-// running in parallel each have their own pools).
+// write buffers and logs. It is owned by one processor (the simulator is
+// single-goroutine per machine; machines running in parallel each have
+// their own pools).
 //
-// Only chunks with no live external references may be returned: in
-// practice the squash path, where the chunk's signatures were never handed
-// to the arbiter/directory pipeline (see proc's reqInFlight tracking).
-// Committed chunks are NOT pooled within a run — the replay checker and
-// timeline may retain them, and the directory may still be expanding
-// their W. Across runs, once the machine is quiescent, they re-enter the
-// pool through Adopt.
+// A chunk enters the pool only once nothing external can still read it,
+// through one of two doors:
+//
+//   - Put, the squash path: the chunk is cleared in place and keeps its
+//     grown tables on the free list, so re-execution is allocation-free.
+//   - Adopt, the retirement path: a committed chunk whose last Hold has
+//     dropped, or a squashed one whose posthumous grant has drained. It is
+//     stripped to the cold shape of a freshly constructed chunk and kept
+//     on the cold list. Drain does the same to every free chunk at a warm
+//     reset.
+//
+// Get pops free, then cold, then constructs. A cold chunk is
+// indistinguishable from a new one (same empty tables at zero capacity,
+// signatures rebuilt from the current factory), so retiring chunks within
+// a run or across runs cannot change what any later Get hands out.
 type Pool struct {
-	free []*Chunk
+	free []*Chunk // squashed: cleared in place, grown tables kept
+	cold []*Chunk // retired: cold shape, no signatures
+
+	// constructed counts the chunks Get had to build with New.
+	constructed uint64
 
 	// SigRecycler, when set, receives the signatures Adopt and Drain
 	// drop instead of leaving them to the garbage collector (typically
-	// sig.Recycler.Recycle, which parks standard Blooms for the next
-	// run's factory and ignores everything else). Pure storage wiring:
-	// a recycled signature is cleared and geometry-fixed, so reuse is
-	// invisible to the simulation.
+	// sig.Recycler.Recycle, which parks standard Blooms for the factory
+	// and ignores everything else). Pure storage wiring: a recycled
+	// signature is cleared and geometry-fixed, so reuse is invisible to
+	// the simulation.
 	//lint:poolsafe machine-lifetime recycler wiring; storage sink only, never simulated state
 	SigRecycler func(sig.Signature)
 }
 
-// dropSigs detaches c's signatures, routing them through the recycler
-// when one is wired.
-func (p *Pool) dropSigs(c *Chunk) {
+// Constructed reports how many chunks the pool has built with New over its
+// lifetime; every other Get was served by recycling.
+func (p *Pool) Constructed() uint64 { return p.constructed }
+
+// strip reduces c to the cold shape: its signatures are detached (routed
+// through the recycler when one is wired), its sets and write buffer
+// release their arrays to the arena, and the log is truncated. Only the
+// struct, its Gen counter, its lifetime callbacks and the append-only Log
+// storage survive.
+func (p *Pool) strip(c *Chunk) {
 	if p.SigRecycler != nil {
 		p.SigRecycler(c.R)
 		p.SigRecycler(c.W)
@@ -312,32 +384,41 @@ func (p *Pool) dropSigs(c *Chunk) {
 	}
 	c.R, c.W, c.Wpriv = nil, nil, nil
 	c.Sum = nil
+	c.RSet.Release()
+	c.WSet.Release()
+	c.PrivSet.Release()
+	c.WriteBuf.Release()
+	c.Log = c.Log[:0]
 }
 
-// Get returns a ready chunk, recycling a pooled one when available. A
-// chunk retained across a machine reset (Drain) has no signatures; they
-// are rebuilt here from the current run's factory.
+// Get returns a ready chunk: a squashed one from the free list, else a
+// cold one (its signatures rebuilt from the current factory), else a new
+// one.
 //
 //sim:hotpath
 //sim:pool acquire
 func (p *Pool) Get(f sig.Factory, arena *slab.Pool[uint64], proc int, seq uint64, slot, pos, target int) *Chunk {
-	n := len(p.free)
-	if n == 0 {
-		return New(f, arena, proc, seq, slot, pos, target)
-	}
-	c := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	if c.R == nil {
+	var c *Chunk
+	if n := len(p.free); n > 0 {
+		c = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else if n := len(p.cold); n > 0 {
+		c = p.cold[n-1]
+		p.cold[n-1] = nil
+		p.cold = p.cold[:n-1]
 		c.R, c.W, c.Wpriv = f(), f(), f()
+	} else {
+		p.constructed++
+		return New(f, arena, proc, seq, slot, pos, target)
 	}
 	c.init(proc, seq, slot, pos, target)
 	return c
 }
 
-// Put recycles c. The caller asserts no external component still holds a
-// reference that could mutate or read c later; in-processor callbacks are
-// defused by the Gen bump.
+// Put recycles a squashed chunk. The caller asserts no external component
+// still holds a reference that could mutate or read c later; in-processor
+// callbacks are defused by the Gen bump.
 //
 //sim:hotpath
 //sim:pool release
@@ -355,57 +436,34 @@ func (p *Pool) Put(c *Chunk) {
 	p.free = append(p.free, c)
 }
 
-// Adopt places a chunk that COMMITTED in a now-finished run into the
-// pool, stripped to the same cold shape Drain produces: sets and write
-// buffer release their arrays to the arena, signatures are dropped (the
-// next Get rebuilds them from the next run's factory), and only the
-// struct, its Gen counter, its commit callbacks and the append-only Log
-// storage survive.
-//
-// Committed chunks can never be recycled WITHIN a run (the replay
-// checker, the witness and the directory pipeline may all hold them),
-// which is why Put refuses them; but between runs the machine is
-// quiescent, so the only reference that can outlive the run is
-// Result.Commits — the caller (core, via the processor's retire list)
-// asserts that run did not export them there. Adoption is
-// identity-neutral for the same reason Drain is: the adopted chunk is
-// indistinguishable from a drained one.
+// Adopt retires a chunk onto the cold list, stripped to the shape Drain
+// produces. The caller asserts nothing can read c any more: within a run
+// that means the chunk has no Holds left and no request in flight, and
+// the run does not export it (Result.Commits, under CheckSC). The Gen
+// bump defuses every callback and Hold of the retired incarnation.
 //
 //sim:pool release
 func (p *Pool) Adopt(c *Chunk) {
 	c.Gen++
-	p.dropSigs(c)
-	c.RSet.Release()
-	c.WSet.Release()
-	c.PrivSet.Release()
-	c.WriteBuf.Release()
-	c.Log = c.Log[:0]
-	p.free = append(p.free, c)
+	p.strip(c)
+	p.cold = append(p.cold, c)
 }
 
 // Drain prepares the pool for reuse across a warm machine reset
-// (DESIGN.md §11). Retaining pooled chunks as-is would violate the
+// (DESIGN.md §11). Retaining squashed chunks as-is would violate the
 // cold/warm bit-identity contract: their open-addressed sets keep grown
-// capacities, and slot-order iteration depends on capacity. Instead each
-// pooled chunk keeps only what is order-neutral — the struct itself, its
-// generation counter (compared by equality only), and the append-only
-// Log's storage — while its sets and write buffer return their arrays to
-// the chunk arena (Release restores the zero-value cold shape, so the
-// next run re-walks the cold growth history from recycled storage) and
-// its signatures are dropped (the next Get rebuilds them from that run's
-// factory, which may differ in kind or geometry).
-//
-// Only pooled chunks are drained: a chunk is in the pool precisely
-// because nothing external retained it, so releasing its storage cannot
-// alias a previous run's Result (committed chunks, whose sets the replay
-// checker and commit records do retain, are never pooled).
+// capacities, and slot-order iteration depends on capacity. So every free
+// chunk is stripped to the cold shape and moves to the cold list: its
+// sets and write buffer return their arrays to the chunk arena (Release
+// restores the zero-value cold shape, so the next run re-walks the cold
+// growth history from recycled storage) and its signatures are dropped
+// (the next Get rebuilds them from that run's factory, which may differ
+// in kind or geometry).
 func (p *Pool) Drain() {
-	for _, c := range p.free {
-		p.dropSigs(c)
-		c.RSet.Release()
-		c.WSet.Release()
-		c.PrivSet.Release()
-		c.WriteBuf.Release()
-		c.Log = c.Log[:0]
+	for i, c := range p.free {
+		p.strip(c)
+		p.cold = append(p.cold, c)
+		p.free[i] = nil
 	}
+	p.free = p.free[:0]
 }

@@ -94,6 +94,39 @@ func TestBigMachineRadixSmoke(t *testing.T) {
 	}
 }
 
+// TestBigMachineRadixRecycleSmoke is TestBigMachineRadixSmoke with the
+// replay checker off, so committed chunks are recycled within the run
+// (DefaultConfig's CheckSC keeps every committed chunk for the replay
+// check and never reaches that path). The witness still audits every
+// commit online.
+func TestBigMachineRadixRecycleSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	const procs = 256
+	cfg := DefaultConfig("radix")
+	cfg.Procs = procs
+	cfg.Work = 800
+	cfg.NumArbiters = DefaultArbitersFor(procs)
+	cfg.GArbShards = DefaultGArbShardsFor(cfg.NumArbiters)
+	cfg.WarmupFrac = 0
+	cfg.CheckSC = false
+	cfg.Witness = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("256-proc radix: %v", err)
+	}
+	if res.WitnessChunks == 0 {
+		t.Fatal("256-proc radix: witness audited no chunks")
+	}
+	if len(res.WitnessViolations) > 0 {
+		t.Fatalf("256-proc radix: witness: %s", res.WitnessViolations[0])
+	}
+	if res.Stats.GArbTransactions == 0 {
+		t.Error("256-proc radix: G-arbiter never used (multi-range commits expected)")
+	}
+}
+
 // TestDefaultScalingHelpers pins the machine-shape policy the scaling
 // experiments use.
 func TestDefaultScalingHelpers(t *testing.T) {

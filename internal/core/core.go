@@ -557,7 +557,7 @@ func (m *machine) buildEnv() *proc.Env {
 		m.dirFor(l).Writeback(p, l, drop)
 	}
 	env.Commit = m.routeCommit
-	env.PrivCommit = func(p int, w sig.Signature, trueW *lineset.Set) {
+	env.PrivCommit = func(p int, w sig.Signature, trueW *lineset.Set, h chunk.Hold) {
 		if len(m.privSent) < len(m.dirs) {
 			m.privSent = make([]bool, len(m.dirs))
 		}
@@ -570,8 +570,11 @@ func (m *machine) buildEnv() *proc.Env {
 			}
 			sent[idx] = true
 			d := m.dirs[idx]
+			// Each per-module record reads w and trueW until its last
+			// delivery; it holds the chunk from the send on.
+			h.Take()
 			m.net.Send(stats.CatWrSig, network.SigBytes, func() {
-				d.ProcessPrivCommit(d.NewCommit(0, p, w, trueW))
+				d.ProcessPrivCommit(d.NewCommit(0, p, w, trueW), h)
 			})
 		})
 	}
@@ -590,12 +593,11 @@ func (m *machine) buildEnv() *proc.Env {
 	return env
 }
 
-// routeCommit translates a processor commit request into arbitration:
-// straight to the single owning arbiter, or through the G-arbiter when the
-// chunk spans several address ranges (§4.2.3).
 // routeCommit translates a processor's permission-to-commit request into
-// an arbiter request. It consumes req synchronously: everything that
-// travels onward is copied into areq (the FetchR wrapper captures the
+// arbitration: straight to the single owning arbiter, or through the
+// G-arbiter when the chunk spans several address ranges (§4.2.3). It
+// consumes req synchronously: everything that travels onward, the chunk's
+// Hold included, is copied into areq (the FetchR wrapper captures the
 // func value, never req itself), which is what lets the processor recycle
 // its CommitReq records the moment Commit returns.
 func (m *machine) routeCommit(req *proc.CommitReq) {
@@ -605,6 +607,7 @@ func (m *machine) routeCommit(req *proc.CommitReq) {
 		R:     req.R,
 		TrueW: req.TrueW,
 		Reply: req.Reply,
+		Hold:  req.Hold,
 	}
 	if req.R != nil {
 		// R travels with the request (no RSig optimization).
@@ -674,11 +677,11 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 			Dypvt:           cfg.Dypvt,
 			Stpvt:           cfg.Stpvt,
 			PreArbThreshold: 6,
-			// Committed chunks may be recycled across runs unless this
-			// run exports them through Result.Commits (CheckSC). The
-			// retire list is write-only during the run, so the flag can
+			// Committed chunks are recycled within the run unless it
+			// exports them through Result.Commits (CheckSC). A recycled
+			// chunk is indistinguishable from a new one, so the flag can
 			// never affect simulated behavior or the determinism hashes.
-			RetainCommitted: !cfg.CheckSC,
+			RecycleCommitted: !cfg.CheckSC,
 		}
 		var p *proc.BulkProc
 		if id < len(m.bulkPool) && m.bulkPool[id] != nil {

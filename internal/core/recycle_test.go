@@ -1,0 +1,104 @@
+package core
+
+import (
+	"testing"
+
+	"bulksc/internal/fault"
+	"bulksc/internal/workload"
+)
+
+// maxChunksBuiltPerProc bounds how many chunks one processor's pool may
+// construct in a CheckSC-off run: the chunks in flight (MaxChunks) plus
+// committed ones still held by arbiter W-lists or stpvt propagations, with
+// margin. Without in-run recycling every commit constructs a chunk.
+const maxChunksBuiltPerProc = 16
+
+// TestCommittedChunkRecyclingIsInvisible runs 64-proc radix with 8
+// arbiters and CheckSC off — the configuration that recycles committed
+// chunks within the run — with and without late network delivery (so
+// Abort and Done messages, and with them Hold releases, trail the grants).
+// A cold run and two warm runs of the cell on one Runner must agree on
+// both hashes, and each processor must commit hundreds of chunks from a
+// bounded number of constructed ones.
+func TestCommittedChunkRecyclingIsInvisible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	netDelay := fault.Campaign{
+		Name: "net-delay", Desc: "half of all messages arrive up to 200 cycles late",
+		NetDelayProb: 0.5, NetDelayMax: 200, Terminating: true,
+	}
+	for _, tc := range []struct {
+		name   string
+		work   int // sized for a few hundred commits per processor
+		faults *fault.Campaign
+	}{
+		{"no-faults", 60000, nil},
+		{"net-delay", 20000, &netDelay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig("radix")
+			cfg.Procs = 64
+			cfg.Work = tc.work
+			cfg.NumArbiters = 8
+			cfg.GArbShards = DefaultGArbShardsFor(cfg.NumArbiters)
+			cfg.CheckSC = false
+			cfg.Witness = true
+			cfg.WarmupFrac = 0
+			gen, err := workload.Get(cfg.App)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := gen(cfg.Procs, cfg.Work, cfg.Seed)
+			withPlan := func() Config {
+				c := cfg
+				if tc.faults != nil {
+					c.Faults = fault.NewPlan(*tc.faults, 11)
+				}
+				return c
+			}
+
+			cold, err := RunProgram(withPlan(), prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cold.WitnessViolations) > 0 {
+				t.Fatalf("witness: %s", cold.WitnessViolations[0])
+			}
+			if tc.faults != nil && cold.FaultCounters.NetDelays == 0 {
+				t.Fatal("no network delay injected")
+			}
+			if cold.Stats.GArbTransactions == 0 {
+				t.Error("G-arbiter never used (multi-range commits expected)")
+			}
+			r := NewRunner()
+			for run := 1; run <= 2; run++ {
+				warm, err := r.RunProgram(withPlan(), prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := warm.DeterminismHash(), cold.DeterminismHash(); got != want {
+					t.Fatalf("warm run %d: DeterminismHash %#x, cold %#x", run, got, want)
+				}
+				if got, want := warm.WitnessHash(), cold.WitnessHash(); got != want {
+					t.Fatalf("warm run %d: WitnessHash %#x, cold %#x", run, got, want)
+				}
+			}
+
+			perProc := cold.Stats.Chunks / uint64(cfg.Procs)
+			if perProc < 150 {
+				t.Fatalf("%d commits per processor; the bound below needs hundreds", perProc)
+			}
+			var most uint64
+			for _, p := range r.m.bulkProcs {
+				if n := p.ChunksConstructed(); n > most {
+					most = n
+				}
+			}
+			t.Logf("%d commits per processor, at most %d chunks constructed by one processor over two runs", perProc, most)
+			if most > maxChunksBuiltPerProc {
+				t.Fatalf("a processor constructed %d chunks over two runs, want ≤ %d", most, maxChunksBuiltPerProc)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"bulksc/internal/arbiter"
+	"bulksc/internal/chunk"
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
@@ -55,20 +56,23 @@ func (d *Directory) NewCommit(tok arbiter.Token, proc int, w sig.Signature, true
 }
 
 // putCommit recycles a pooled record once nothing in the pipeline can
-// touch it again. References are dropped so a parked record cannot pin a
-// dead run's signatures or write sets.
+// touch it again, then releases the record's Hold on the chunk.
+// References are dropped so a parked record cannot pin a dead run's
+// signatures or write sets.
 //
 //sim:pool release
 func (d *Directory) putCommit(c *Commit) {
-	if !c.pooled {
-		return
+	h := c.Hold
+	c.Hold = chunk.Hold{}
+	if c.pooled {
+		c.Tok = 0
+		c.Proc = 0
+		c.W = nil
+		c.TrueW = nil
+		c.Priv = false
+		d.cFree = append(d.cFree, c)
 	}
-	c.Tok = 0
-	c.Proc = 0
-	c.W = nil
-	c.TrueW = nil
-	c.Priv = false
-	d.cFree = append(d.cFree, c)
+	h.Release()
 }
 
 //sim:hotpath
@@ -196,9 +200,11 @@ func (d *Directory) finishCommit(c *Commit) {
 // ProcessPrivCommit propagates an stpvt Wpriv signature (§5.1): private
 // data must stay coherent because threads migrate, but it needs no
 // arbitration, no read disabling and no disambiguation. Sharer caches
-// simply invalidate matching lines.
-func (d *Directory) ProcessPrivCommit(c *Commit) {
+// simply invalidate matching lines. h is the sender's (already taken)
+// claim on the chunk; the record releases it when it is recycled.
+func (d *Directory) ProcessPrivCommit(c *Commit, h chunk.Hold) {
 	c.Priv = true
+	c.Hold = h
 	d.eng.After(commitProc, func() { d.expandPriv(c) })
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"bulksc/internal/arbiter"
 	"bulksc/internal/cache"
+	"bulksc/internal/chunk"
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
@@ -62,6 +63,12 @@ type Commit struct {
 	// lines but skip disambiguation (private data is exempt from
 	// consistency enforcement).
 	Priv bool
+	// Hold is the committing chunk's claim on W and TrueW, taken by the
+	// sender and released when the record is recycled. Only Wpriv
+	// propagations carry one: an arbitrated commit is covered by its
+	// arbiter W-list entry, which outlives the record (Done follows
+	// finishCommit).
+	Hold chunk.Hold
 	// pooled marks a record drawn from the module's pool via NewCommit;
 	// only those are recycled at completion. Caller-constructed records
 	// (tests, the displacement path) may outlive the flow and are left to

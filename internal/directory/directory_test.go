@@ -5,6 +5,7 @@ import (
 
 	"bulksc/internal/arbiter"
 	"bulksc/internal/cache"
+	"bulksc/internal/chunk"
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
@@ -309,7 +310,7 @@ func TestPrivCommitInvalidatesWithoutDone(t *testing.T) {
 	h.read(0, 100, false)
 	h.read(1, 100, false)
 	c := commitOf(0, 11, 100)
-	h.dir.ProcessPrivCommit(c)
+	h.dir.ProcessPrivCommit(c, chunk.Hold{})
 	h.eng.Run(nil)
 	if len(h.ports[1].commits) != 1 {
 		t.Fatal("priv commit not forwarded to sharer")

@@ -27,13 +27,13 @@ type Opts struct {
 	Stpvt bool
 	// PreArbThreshold is the squash streak that triggers pre-arbitration.
 	PreArbThreshold int
-	// RetainCommitted makes the processor keep its committed chunks on a
-	// retire list so the next warm Reset can recycle them (storage to the
-	// arena, husks to the chunk pool). The machine sets it only when the
-	// run exports no chunk references into its Result (i.e. CheckSC is
-	// off); within a run retained chunks are never touched, so the flag
-	// cannot change simulated behavior.
-	RetainCommitted bool
+	// RecycleCommitted makes the processor retire each committed chunk to
+	// its pool's cold list as soon as nothing can read it: the grant has
+	// arrived and the chunk's last Hold has dropped. The machine sets it
+	// only when the run exports no chunk references into its Result (i.e.
+	// CheckSC is off). A cold chunk is indistinguishable from a new one,
+	// so the flag cannot change simulated behavior.
+	RecycleCommitted bool
 }
 
 // DefaultOpts returns the BSC_base configuration: RSig on, private-data
@@ -65,19 +65,14 @@ type BulkProc struct {
 	chunkSeq uint64
 	storeSeq uint64
 
-	// pool recycles squashed chunks (never committed ones within a run —
-	// the replay checker and the directory pipeline may retain those;
-	// committed chunks re-enter the pool only across runs, via the
-	// retired list below). A chunk enters
-	// the pool only when no commit request of its is still in flight; all
-	// callbacks that can outlive a squash carry a Gen guard. Across warm
-	// machine resets the pool is Drained, not dropped: chunk structs and
-	// Log storage survive, set/write-buffer arrays return to arena.
+	// pool recycles chunks. A squashed chunk is Put once no commit request
+	// of its is still in flight; a committed one (under
+	// opts.RecycleCommitted) is Adopted once its grant has arrived and its
+	// last Hold has dropped (see retire). All callbacks that can outlive a
+	// squash carry a Gen guard. Across warm machine resets the pool is
+	// Drained, not dropped: chunk structs and Log storage survive,
+	// set/write-buffer arrays return to arena.
 	pool chunk.Pool
-	// retired accumulates committed chunks of the current run when
-	// opts.RetainCommitted is set; the next Reset adopts them into the
-	// pool (nothing reads them in between).
-	retired []*chunk.Chunk
 	// commitReqFree recycles permission-to-commit request records.
 	// Env.Commit consumes its argument synchronously (core.routeCommit
 	// copies what travels onward into the arbiter request), so sendCommit
@@ -253,16 +248,6 @@ func (p *BulkProc) Reset(ins []workload.Instr, par Params, opts Opts) {
 	p.cur = nil
 	p.chunkSeq = 0
 	p.storeSeq = 0
-	// Recycle the previous run's committed chunks (retained only when that
-	// run exported no chunk references, see Opts.RetainCommitted), then
-	// drain the whole pool back to cold shapes for cold/warm bit-identity
-	// (see doc). Adopt and Drain leave the same shape, so the order of the
-	// two calls over a chunk is irrelevant.
-	for _, c := range p.retired {
-		p.pool.Adopt(c)
-	}
-	clear(p.retired)
-	p.retired = p.retired[:0]
 	p.pool.Drain()
 	p.privScratch = p.privScratch[:0]
 	p.privBuf.Clear()
@@ -310,6 +295,10 @@ func (p *BulkProc) DoneAt() sim.Time { return p.doneAt }
 
 // L1 exposes the cache for tests.
 func (p *BulkProc) L1() *cache.L1 { return p.l1 }
+
+// ChunksConstructed reports how many chunks this processor's pool has
+// had to build over its lifetime; every other chunk was recycled.
+func (p *BulkProc) ChunksConstructed() uint64 { return p.pool.Constructed() }
 
 // Progress reports the processor's monotone liveness counters: chunks
 // committed, commit denials received, and squash events suffered. The core
@@ -781,6 +770,7 @@ func (p *BulkProc) putCommitReq(r *CommitReq) {
 	r.WSets = r.WSets[:0]
 	r.FetchR, r.Reply = nil, nil
 	r.TrueW = nil
+	r.Hold = chunk.Hold{}
 	p.commitReqFree = append(p.commitReqFree, r)
 }
 

@@ -89,9 +89,9 @@ func (p *BulkProc) tryRequestCommit(ch *chunk.Chunk) {
 
 // sendCommit builds and routes the arbitration request for ch. The
 // request record is pooled (Env.Commit consumes it synchronously) and the
-// two callbacks live on the chunk itself, allocated once per chunk
-// lifetime — a steady-state request, including re-sends after denials,
-// allocates nothing.
+// callbacks live on the chunk itself, allocated once per chunk lifetime —
+// a steady-state request, including re-sends after denials, allocates
+// nothing.
 //
 //sim:hotpath
 func (p *BulkProc) sendCommit(ch *chunk.Chunk) {
@@ -104,6 +104,8 @@ func (p *BulkProc) sendCommit(ch *chunk.Chunk) {
 		}
 		//lint:alloc once per chunk lifetime, reused across re-sends and pooled recycling
 		ch.FetchRFn = func(cb func(sig.Signature)) { cb(chch.R) }
+		//lint:alloc once per chunk lifetime, reused across re-sends and pooled recycling
+		ch.UnheldFn = func() { p.retire(chch) }
 	}
 	req := p.getCommitReq()
 	req.Proc = p.id
@@ -117,6 +119,7 @@ func (p *BulkProc) sendCommit(ch *chunk.Chunk) {
 		req.R = ch.R
 	}
 	req.Reply = ch.ReplyFn
+	req.Hold = ch.Hold()
 	p.env.Commit(req)
 	p.putCommitReq(req)
 }
@@ -128,10 +131,14 @@ func (p *BulkProc) commitReply(ch *chunk.Chunk, granted bool, order uint64) {
 		// nothing; a grant becomes a no-op commit (no memory update) —
 		// the directory flow it triggered is conservative but harmless.
 		if granted {
-			// The arbiter's pending list and the directory pipeline still
-			// reference the chunk's W and exact write set; the chunk must
-			// not be recycled (rare: stats.CommitCancels).
+			// The arbiter's W-list and the directory pipeline may still
+			// reference the chunk's W and exact write set through their
+			// Holds; retire adopts the chunk once the last one drops
+			// (rare: stats.CommitCancels).
 			p.env.St.CommitCancels++
+			if ch.ReqsOut == 0 {
+				p.retire(ch)
+			}
 		} else if ch.ReqsOut == 0 {
 			// Denied after the squash: nothing external holds the chunk any
 			// more, so it can join the pool now.
@@ -194,7 +201,7 @@ func (p *BulkProc) applyCommit(ch *chunk.Chunk, order uint64) {
 	// Write-backs successfully skipped; the saved pre-images are dead.
 	p.privScratch = p.privBuf.DrainSlot(ch.Slot, p.privScratch[:0])
 	if p.opts.Stpvt && !ch.Wpriv.Empty() {
-		p.env.PrivCommit(p.id, ch.Wpriv, &ch.PrivSet)
+		p.env.PrivCommit(p.id, ch.Wpriv, &ch.PrivSet, ch.Hold())
 	}
 	p.squashStreak = 0
 	p.commitCount++
@@ -219,7 +226,8 @@ func (p *BulkProc) unpinToDirty(l mem.Line, slot int) {
 }
 
 // grantArrived runs when the grant reaches the processor: the chunk's
-// hardware slot frees and the next completed chunk may arbitrate.
+// hardware slot frees, the chunk retires (if nothing holds it any more),
+// and the next completed chunk may arbitrate.
 //
 //sim:hotpath
 func (p *BulkProc) grantArrived(ch *chunk.Chunk) {
@@ -230,12 +238,8 @@ func (p *BulkProc) grantArrived(ch *chunk.Chunk) {
 		}
 	}
 	ch.State = chunk.Committed
-	if p.opts.RetainCommitted {
-		// Park the chunk for cross-run recycling; nothing reads the
-		// retired list until the next Reset adopts it into the pool.
-		p.retired = append(p.retired, ch)
-	}
 	p.slotBusy[ch.Slot] = false
+	p.retire(ch) // ch may be recycled from here on
 	if len(p.chunks) > 0 {
 		p.tryRequestCommit(p.chunks[0])
 	}
@@ -245,6 +249,37 @@ func (p *BulkProc) grantArrived(ch *chunk.Chunk) {
 		return
 	}
 	p.kick()
+}
+
+// retire adopts ch into the pool's cold list once nothing can read it any
+// more: no Hold is outstanding, and either the chunk committed and its
+// grant has arrived (only under opts.RecycleCommitted — otherwise the run
+// exports committed chunks and they stay out of the pool), or it squashed
+// and its posthumous grant has replied. It runs at each of those events
+// and at the last Hold release, so whichever comes last recycles the
+// chunk, exactly once. ch must not be touched after the call.
+//
+//sim:pool release
+func (p *BulkProc) retire(ch *chunk.Chunk) {
+	if ch.Holds > 0 {
+		return
+	}
+	switch ch.State {
+	case chunk.Committed:
+		if !p.opts.RecycleCommitted {
+			return
+		}
+	case chunk.Squashed:
+		// A squashed chunk with no request out was already Put (squashFrom
+		// or a posthumous denial), which bumped its Gen and defused the
+		// release that got here; only a posthumous grant reaches this.
+		if ch.ReqsOut > 0 {
+			return
+		}
+	default:
+		return
+	}
+	p.pool.Adopt(ch)
 }
 
 // endOfStream closes the final chunk (whatever its size) and finishes once
@@ -349,9 +384,9 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 		})
 	}
 	// Recycle the victims. Chunks with a commit request still in flight are
-	// skipped here: commitReply recycles them on a posthumous denial and
-	// leaks them on a posthumous grant (the arbiter/directory pipeline then
-	// holds their signatures until commit completion).
+	// skipped here: commitReply recycles them on a posthumous denial, and
+	// retire adopts them after a posthumous grant once the arbiter and
+	// directory pipeline have dropped their Holds.
 	for _, ch := range victims {
 		if ch.ReqsOut == 0 {
 			p.pool.Put(ch)

@@ -22,6 +22,7 @@
 package proc
 
 import (
+	"bulksc/internal/chunk"
 	"bulksc/internal/fault"
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
@@ -102,7 +103,9 @@ type Env struct {
 	// values) it needs rather than retain req itself.
 	Commit func(req *CommitReq)
 	// PrivCommit propagates an stpvt Wpriv signature to the directories.
-	PrivCommit func(proc int, w sig.Signature, trueW *lineset.Set)
+	// Every propagation record that will read w or trueW after the call
+	// returns must Take h before it does and Release it when done.
+	PrivCommit func(proc int, w sig.Signature, trueW *lineset.Set, h chunk.Hold)
 	// PreArbitrate requests exclusive commit rights (forward progress).
 	PreArbitrate func(proc int, granted func())
 	// EndPreArbitrate releases them without a commit.
@@ -121,6 +124,9 @@ type CommitReq struct {
 	FetchR func(cb func(sig.Signature))
 	TrueW  *lineset.Set
 	Reply  func(granted bool, order uint64)
+	// Hold is the claim an arbitration entry takes on the chunk while it
+	// keeps W and TrueW (arbiter.Request.Hold).
+	Hold chunk.Hold
 }
 
 // ---------------------------------------------------------------------------

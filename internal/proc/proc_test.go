@@ -5,6 +5,7 @@ import (
 
 	"bulksc/internal/cache"
 	"bulksc/internal/chunk"
+	"bulksc/internal/directory"
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
@@ -63,7 +64,7 @@ func newFakeEnv() *fakeEnv {
 			reply(true, fe.order)
 		})
 	}
-	fe.env.PrivCommit = func(p int, w sig.Signature, trueW *lineset.Set) {}
+	fe.env.PrivCommit = func(p int, w sig.Signature, trueW *lineset.Set, h chunk.Hold) {}
 	fe.env.PreArbitrate = func(p int, granted func()) { fe.eng.After(10, granted) }
 	fe.env.EndPreArbitrate = func(p int) {}
 	return fe
@@ -393,5 +394,186 @@ func TestConvProcIO(t *testing.T) {
 		if fe.eng.Now() < 500 {
 			t.Errorf("%v: finished at %d cycles; device latency not charged", m, fe.eng.Now())
 		}
+	}
+}
+
+// holdProbe follows one chunk incarnation through retirement: it checks
+// after each event of interest that the chunk has been recycled exactly
+// when both its grant (or posthumous reply) and its last Hold release have
+// happened, never earlier, and never twice.
+type holdProbe struct {
+	t        *testing.T
+	ch       *chunk.Chunk
+	gen      uint64
+	pending  int // outstanding releases
+	replied  func(c *chunk.Chunk) bool
+	recycled bool
+}
+
+func (hp *holdProbe) check(when string) {
+	hp.t.Helper()
+	got := hp.ch.Gen != hp.gen
+	if got && hp.ch.Gen != hp.gen+1 {
+		hp.t.Fatalf("%s: Gen advanced by %d, want one recycling", when, hp.ch.Gen-hp.gen)
+	}
+	if !got && hp.recycled {
+		hp.t.Fatalf("%s: recycled chunk reappeared", when)
+	}
+	want := hp.pending == 0 && (hp.recycled || hp.replied(hp.ch))
+	if got != want {
+		hp.t.Fatalf("%s: recycled=%v, want %v (pending releases %d, state %v)",
+			when, got, want, hp.pending, hp.ch.State)
+	}
+	hp.recycled = got
+}
+
+// drainPool pops p's pool until it has to construct a chunk and reports
+// how often c came back.
+func drainPool(p *BulkProc, c *chunk.Chunk) (seen int, last *chunk.Chunk) {
+	built := p.pool.Constructed()
+	for p.pool.Constructed() == built {
+		got := p.pool.Get(p.env.Sigs, &p.arena, p.id, 0, 0, 0, 100)
+		if got == c {
+			seen++
+			last = got
+		}
+	}
+	return seen, last
+}
+
+// TestCommittedChunkRecycledAfterLastHold: with RecycleCommitted, a
+// granted chunk whose arbitration entry holds it k times returns to the
+// pool exactly once, after the later of its grant arrival and its last
+// Hold release, whatever the order of the two; and a release made against
+// a recycled incarnation is ignored.
+func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
+	hop := newFakeEnv().env.Net.HopLat
+	cases := []struct {
+		name     string
+		releases []sim.Time // release delays after the grant decision
+	}{
+		{"no holds", nil},
+		{"all before arrival", []sim.Time{1, 2, 3}},
+		{"all after arrival", []sim.Time{hop + 1, hop + 5, hop + 9}},
+		{"straddling arrival", []sim.Time{1, hop + 4}},
+		{"last on arrival cycle", []sim.Time{2, hop}},
+		{"one late hold", []sim.Time{hop + 30}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fe := newFakeEnv()
+			hp := &holdProbe{t: t, replied: func(c *chunk.Chunk) bool { return c.State == chunk.Committed }}
+			var stale chunk.Hold
+			fe.env.Commit = func(req *CommitReq) {
+				reply, h := req.Reply, req.Hold
+				fe.eng.After(10, func() {
+					stale = h
+					for _, d := range tc.releases {
+						h.Take()
+						hp.pending++
+						fe.eng.After(d, func() {
+							h.Release()
+							hp.pending--
+							hp.check("release")
+						})
+					}
+					fe.order++
+					reply(true, fe.order)
+					fe.eng.After(hop, func() { hp.check("grant arrival") })
+				})
+			}
+			opts := DefaultOpts()
+			opts.RecycleCommitted = true
+			p := NewBulkProc(0, fe.env, DefaultParams(), opts, buildStream(func(b *workload.Builder) {
+				b.Store(mem.HeapAddr(0))
+				b.Compute(100)
+			}))
+			p.OnCommit = func(c *chunk.Chunk) { hp.ch, hp.gen = c, c.Gen }
+			p.Start()
+			fe.eng.Run(nil)
+			if !p.Finished() || fe.st.Chunks != 1 {
+				t.Fatalf("finished=%v chunks=%d, want one committed chunk", p.Finished(), fe.st.Chunks)
+			}
+			hp.check("end of run")
+			if !hp.recycled {
+				t.Fatal("committed chunk never recycled")
+			}
+			seen, c := drainPool(p, hp.ch)
+			if seen != 1 {
+				t.Fatalf("committed chunk came back from the pool %d times, want 1", seen)
+			}
+			// A release made against the retired incarnation must not touch
+			// the new one.
+			fresh := c.Hold()
+			fresh.Take()
+			stale.Release()
+			stale.Take()
+			if c.Holds != 1 || c.Gen != hp.gen+1 {
+				t.Fatalf("stale hold reached the new incarnation: Holds=%d Gen=%d", c.Holds, c.Gen-hp.gen)
+			}
+			fresh.Release()
+			if c.Holds != 0 {
+				t.Fatalf("Holds=%d after the fresh release, want 0", c.Holds)
+			}
+		})
+	}
+}
+
+// TestPosthumousGrantRecycledAfterLastHold: a chunk squashed while its
+// commit request is in flight and then granted (stats.CommitCancels) is
+// neither recycled while the arbitration entry still holds it nor leaked:
+// it returns to the pool exactly once, at its last Hold release. It is not
+// a committed chunk, so this holds even without RecycleCommitted.
+func TestPosthumousGrantRecycledAfterLastHold(t *testing.T) {
+	fe := newFakeEnv()
+	a := mem.HeapAddr(0)
+	hp := &holdProbe{t: t, replied: func(c *chunk.Chunk) bool { return c.ReqsOut == 0 }}
+	var p *BulkProc
+	first := true
+	fe.env.Commit = func(req *CommitReq) {
+		reply, h := req.Reply, req.Hold
+		if !first {
+			fe.eng.After(10, func() { fe.order++; reply(true, fe.order) })
+			return
+		}
+		first = false
+		hp.ch = p.chunks[0]
+		hp.gen = hp.ch.Gen
+		// A remote commit to the chunk's line squashes it in flight.
+		fe.eng.After(5, func() {
+			w := fe.env.Sigs()
+			w.Add(a.LineOf())
+			p.ApplyCommit(&directory.Commit{Proc: 1, W: w, TrueW: lineset.NewSetOf(a.LineOf())})
+			if hp.ch.State != chunk.Squashed {
+				t.Fatalf("chunk not squashed by the remote commit: %v", hp.ch.State)
+			}
+		})
+		fe.eng.After(10, func() {
+			for _, d := range []sim.Time{3, 40} {
+				h.Take()
+				hp.pending++
+				fe.eng.After(d, func() {
+					h.Release()
+					hp.pending--
+					hp.check("release")
+				})
+			}
+			fe.order++
+			reply(true, fe.order)
+			hp.check("posthumous grant")
+		})
+	}
+	p = NewBulkProc(0, fe.env, DefaultParams(), DefaultOpts(), buildStream(func(b *workload.Builder) {
+		b.Store(a)
+		b.Compute(100)
+	}))
+	p.Start()
+	fe.eng.Run(nil)
+	if !p.Finished() || fe.st.CommitCancels != 1 {
+		t.Fatalf("finished=%v cancels=%d, want a finished run with one posthumous grant", p.Finished(), fe.st.CommitCancels)
+	}
+	hp.check("end of run")
+	if seen, _ := drainPool(p, hp.ch); seen != 1 {
+		t.Fatalf("posthumously granted chunk came back from the pool %d times, want 1", seen)
 	}
 }

@@ -67,7 +67,7 @@ echo "== fuzz smoke (checked-in corpus as regression tests) =="
 go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history
 
 echo "== 256-proc scaling smoke =="
-go test -run 'TestBigMachineRadixSmoke' ./internal/core
+go test -run 'TestBigMachineRadixSmoke|TestBigMachineRadixRecycleSmoke' ./internal/core
 
 # End-to-end offline audit: export a real radix history as NDJSON, require
 # the out-of-process checker to accept it, then corrupt a single record's
