@@ -10,6 +10,8 @@
 package cache
 
 import (
+	"math"
+
 	"bulksc/internal/mem"
 	"bulksc/internal/sig"
 )
@@ -43,14 +45,16 @@ func (s LineState) String() string {
 	}
 }
 
-// Way is one cache way. PinMask is a bitmask of chunk slots that have
-// speculatively written the line; a nonzero mask pins the line (the BDM
-// blocks its displacement until the chunks commit or squash).
+// Way is one cache way, 16 bytes, so a 4-way L1 set fills one 64-byte
+// line. PinMask is a bitmask of chunk slots that have speculatively
+// written the line; a nonzero mask pins the line (the BDM blocks its
+// displacement until the chunks commit or squash). lru is the way's
+// recency stamp from the cache's tick (see L1.stamp).
 type Way struct {
 	Line    mem.Line
 	State   LineState
 	PinMask uint8
-	lru     uint64
+	lru     uint32
 }
 
 // Valid reports whether the way holds a line.
@@ -61,7 +65,7 @@ type L1 struct {
 	//lint:poolsafe immutable geometry fixed at construction
 	nsets, assoc int
 	ways         []Way // nsets × assoc, row-major
-	tick         uint64
+	tick         uint32
 }
 
 // Reset scrubs the tag array and LRU clock in place, returning the cache
@@ -115,10 +119,45 @@ func (c *L1) Probe(l mem.Line) *Way {
 func (c *L1) Access(l mem.Line) *Way {
 	w := c.Probe(l)
 	if w != nil {
-		c.tick++
-		w.lru = c.tick
+		w.lru = c.stamp()
 	}
 	return w
+}
+
+// stamp advances the LRU clock and returns the new stamp.
+//
+//sim:hotpath
+func (c *L1) stamp() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber runs before the 32-bit tick would wrap: it replaces every
+// set's valid stamps by their rank (1..assoc) and restarts the tick at
+// assoc. Every within-set recency order, and so every victim choice, is
+// preserved exactly.
+func (c *L1) renumber() {
+	rank := make([]uint32, c.assoc)
+	for idx := 0; idx < c.nsets; idx++ {
+		s := c.set(idx)
+		for i := range s {
+			rank[i] = 1
+			for j := range s {
+				if s[j].Valid() && s[j].lru < s[i].lru {
+					rank[i]++
+				}
+			}
+		}
+		for i := range s {
+			if s[i].Valid() {
+				s[i].lru = rank[i]
+			}
+		}
+	}
+	c.tick = uint32(c.assoc)
 }
 
 // Insert places l with the given state, evicting the LRU unpinned way if
@@ -132,8 +171,7 @@ func (c *L1) Insert(l mem.Line, st LineState) (victim Way, ok bool) {
 	s := c.set(idx)
 	if w := c.Probe(l); w != nil {
 		w.State = st
-		c.tick++
-		w.lru = c.tick
+		w.lru = c.stamp()
 		return Way{}, true
 	}
 	var slot *Way
@@ -157,8 +195,7 @@ func (c *L1) Insert(l mem.Line, st LineState) (victim Way, ok bool) {
 		return Way{}, false
 	}
 	victim = *slot
-	c.tick++
-	*slot = Way{Line: l, State: st, lru: c.tick}
+	*slot = Way{Line: l, State: st, lru: c.stamp()}
 	return victim, true
 }
 

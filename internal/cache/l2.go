@@ -1,6 +1,10 @@
 package cache
 
-import "bulksc/internal/mem"
+import (
+	"math"
+
+	"bulksc/internal/mem"
+)
 
 // l2GroupSets is the granularity of lazy tag-store allocation: ways are
 // carved into groups of this many consecutive sets, each allocated on
@@ -24,7 +28,7 @@ type L2 struct {
 	// Stale entries behave exactly as empty ways until overwritten.
 	//lint:poolsafe generation-tagged; entries with gen != current are invisible
 	groups [][]l2way
-	tick   uint64
+	tick   uint32
 	gen    uint32
 }
 
@@ -44,9 +48,11 @@ func (c *L2) Reset() {
 	c.tick = 0
 }
 
+// l2way is one L2 way, 16 bytes, so an 8-way set fills two 64-byte
+// lines. lru is the way's recency stamp (see L2.stamp).
 type l2way struct {
 	line mem.Line
-	lru  uint64
+	lru  uint32
 	// gen stamps the Reset epoch that installed this way; it is valid only
 	// while it matches L2.gen. The zero value (gen 0 vs the store's initial
 	// gen 1) is an empty way.
@@ -101,8 +107,7 @@ func (c *L2) Contains(l mem.Line) bool {
 	s := c.set(l)
 	for i := range s {
 		if s[i].line == l && s[i].gen == c.gen {
-			c.tick++
-			s[i].lru = c.tick
+			s[i].lru = c.stamp()
 			return true
 		}
 	}
@@ -118,8 +123,7 @@ func (c *L2) Install(l mem.Line) (victim mem.Line, evicted bool) {
 	var slot *l2way
 	for i := range s {
 		if s[i].line == l && s[i].gen == c.gen {
-			c.tick++
-			s[i].lru = c.tick
+			s[i].lru = c.stamp()
 			return 0, false
 		}
 		if s[i].gen != c.gen && slot == nil {
@@ -135,7 +139,44 @@ func (c *L2) Install(l mem.Line) (victim mem.Line, evicted bool) {
 		}
 		victim, evicted = slot.line, true
 	}
-	c.tick++
-	*slot = l2way{line: l, gen: c.gen, lru: c.tick}
+	*slot = l2way{line: l, gen: c.gen, lru: c.stamp()}
 	return victim, evicted
+}
+
+// stamp advances the LRU clock and returns the new stamp.
+//
+//sim:hotpath
+func (c *L2) stamp() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber is L1.renumber for the L2: before the 32-bit tick would wrap,
+// every allocated set's current-generation stamps are replaced by their
+// rank within the set and the tick restarts at assoc, preserving every
+// within-set recency order exactly.
+func (c *L2) renumber() {
+	rank := make([]uint32, c.assoc)
+	for _, g := range c.groups {
+		for base := 0; base < len(g); base += c.assoc {
+			s := g[base : base+c.assoc]
+			for i := range s {
+				rank[i] = 1
+				for j := range s {
+					if s[j].gen == c.gen && s[j].lru < s[i].lru {
+						rank[i]++
+					}
+				}
+			}
+			for i := range s {
+				if s[i].gen == c.gen {
+					s[i].lru = rank[i]
+				}
+			}
+		}
+	}
+	c.tick = uint32(c.assoc)
 }

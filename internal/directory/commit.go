@@ -78,10 +78,6 @@ func (d *Directory) putCommit(c *Commit) {
 //sim:hotpath
 func (d *Directory) expand(c *Commit) {
 	d.inval.Reset()
-	if d.st.Trace != nil {
-		//lint:alloc debug-only trace formatting, guarded by Trace != nil
-		d.st.Trace("t=%d dir%d expand commit tok=%d proc=%d", d.eng.Now(), d.ID, c.Tok, c.Proc)
-	}
 	mask := c.W.CandidateSets(expansionBuckets)
 	for idx := 0; idx < expansionBuckets; idx++ {
 		if !mask.Has(idx) {
@@ -108,10 +104,6 @@ func (d *Directory) expand(c *Commit) {
 			}
 			if !c.W.MayContain(l) {
 				continue
-			}
-			if d.st.Trace != nil {
-				//lint:alloc debug-only trace formatting, guarded by Trace != nil
-				d.st.Trace("t=%d dir%d lookup line=%#x dirty=%v owner=%d sharers=%b committer=%d true=%v", d.eng.Now(), d.ID, uint64(l), e.dirty, e.owner, e.sharers.Mask(), c.Proc, trulyWritten)
 			}
 			// Table 1 case analysis.
 			switch {

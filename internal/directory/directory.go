@@ -627,9 +627,6 @@ func (t *readTxn) arrive() {
 		d.eng.AfterCall(bounceWait, readArriveCB, t)
 		return
 	}
-	if d.st.Trace != nil {
-		d.st.Trace("t=%d dir%d read line=%#x proc=%d excl=%v", d.eng.Now(), d.ID, uint64(t.l), t.proc, t.excl)
-	}
 	d.withEntry(t.l, t.startFn)
 }
 

@@ -172,10 +172,6 @@ func (p *BulkProc) commitReply(ch *chunk.Chunk, granted bool, order uint64) {
 //
 //sim:hotpath
 func (p *BulkProc) applyCommit(ch *chunk.Chunk, order uint64) {
-	if p.env.St.Trace != nil {
-		//lint:alloc debug-only trace formatting, guarded by Trace != nil
-		p.env.St.Trace("t=%d proc%d APPLY chunk=%d order=%d W=%d priv=%d", p.env.Eng.Now(), p.id, ch.Seq, order, ch.WSet.Len(), ch.PrivSet.Len())
-	}
 	ch.State = chunk.Committing
 	ch.CommitOrder = order
 	p.rebuildLiveSum() // ch left the active set; shrink the summary back
@@ -345,9 +341,6 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 		}
 		p.OnSquash(len(victims), wasted, genuine)
 	}
-	if p.env.St.Trace != nil {
-		p.env.St.Trace("t=%d proc%d SQUASH from chunk=%d (%d victims)", p.env.Eng.Now(), p.id, victims[0].Seq, len(victims))
-	}
 	oldest := victims[0]
 	p.f.restore(p.checkpoints[oldest.Slot])
 	p.cur = nil
@@ -428,10 +421,6 @@ func (p *BulkProc) dropSpecLine(l mem.Line, ch *chunk.Chunk, priv bool) {
 func (p *BulkProc) ApplyCommit(c *directory.Commit) {
 	if c.Proc == p.id {
 		return
-	}
-	if p.env.St.Trace != nil {
-		//lint:alloc debug-only trace formatting, guarded by Trace != nil
-		p.env.St.Trace("t=%d proc%d recv Wsig from proc%d (chunks=%d)", p.env.Eng.Now(), p.id, c.Proc, len(p.chunks))
 	}
 	// Incoming signatures always disambiguate — including stpvt Wpriv
 	// propagations. Genuinely private lines never appear in another

@@ -14,21 +14,26 @@
 // slot per cycle, push and pop both O(1), with an occupancy bitmap making
 // "next non-empty cycle" a couple of word scans. Events beyond the wheel
 // horizon (watchdog polls, pre-arbitration timeouts) spill into a
-// monomorphic 4-ary overflow heap of the same inline event records. Both
-// tiers are allocation-free in steady state: slot slices and the heap
-// slice are the pool, and append reuses their capacity. Each record
-// carries either a plain func() or a typed callback + payload word
-// (AtCall/AfterCall), letting hot schedulers avoid per-event closure
-// captures entirely by reusing one callback and threading state through
-// the payload.
+// monomorphic 4-ary overflow heap. A wheel record is only {callback,
+// payload} (24 bytes): its slot fixes its cycle and FIFO order fixes its
+// sequence. Only heap records carry (time, seq). Drained slot arrays go
+// onto a LIFO spare stack and the next slot to fill takes the most recent
+// one, so the few live slots reuse cache-hot storage. Both tiers are
+// allocation-free in steady state: slot arrays and the heap slice are the
+// pool, and append reuses their capacity. The one record form is the
+// typed callback + payload word (AtCall/AfterCall), letting hot
+// schedulers avoid per-event closure captures entirely by reusing one
+// callback and threading state through the payload; At/After store their
+// func() as the payload of a shared trampoline.
 //
 // Ordering across the tiers is exact (see DESIGN.md §16): an event is
 // heap-resident only if its time was ≥ now+wheelSize when scheduled, and
 // wheel-resident only if it was < now+wheelSize. now never decreases, so
 // for any single cycle t every heap event at t was scheduled before every
-// wheel event at t and carries a smaller sequence number. Draining the
-// heap first on time ties therefore reproduces the exact (time, seq)
-// order of a single priority queue, bit for bit.
+// wheel event at t. Heap events order among themselves by their stored
+// seq, wheel events by FIFO position, so draining the heap first on time
+// ties reproduces the exact (time, seq) order of a single priority queue,
+// bit for bit.
 package sim
 
 import (
@@ -40,17 +45,27 @@ import (
 // Time is a simulation timestamp in processor cycles.
 type Time uint64
 
-// event is one scheduled callback record. Records live inline in the
-// wheel's slot slices and the overflow heap — they are the "pool"; append
-// reuses the slices' capacity, so steady-state scheduling performs zero
-// allocations.
+// call is one wheel-resident event record: a callback and its payload
+// word, 24 bytes. The slot a record sits in fixes its cycle and its
+// position in the slot's FIFO fixes its sequence, so neither is stored.
+// An interface holding a pointer-shaped payload does not allocate.
+type call struct {
+	cb  func(any)
+	arg any
+}
+
+// event is one overflow-heap record, 40 bytes: a heap has no slot or FIFO
+// position to imply the key, so the record carries (at, seq) itself.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()    // plain closure form (At/After)
-	cb  func(any) // typed-callback form (AtCall/AfterCall)
-	arg any       // payload for cb; an interface holding a pointer does not allocate
+	call
 }
+
+// runFunc is the trampoline behind At/After: the scheduled func() rides
+// as the payload of one package-level callback. A func value is
+// pointer-shaped, so storing it in the interface word does not allocate.
+func runFunc(arg any) { arg.(func())() }
 
 // arity of the overflow event heap. 4-ary trades slightly more comparisons
 // per sift-down for half the tree depth and much better cache locality
@@ -69,17 +84,29 @@ const (
 	wheelWords = wheelSize / 64 // occupancy bitmap words
 )
 
+// slot is one wheel cycle's FIFO: recs in schedule order, head the drain
+// cursor, so pop never shifts storage. An empty slot owns no storage
+// (recs == nil); its last drained array went to the spare stack.
+type slot struct {
+	recs []call
+	head int
+}
+
 // Engine is a discrete-event simulator clock and scheduler.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now Time
+	// seq numbers overflow-heap records in schedule order; wheel records
+	// take their order from their slot's FIFO instead.
 	seq uint64
-	// slots[t&wheelMask] holds, in FIFO (= seq) order, the events
-	// scheduled for cycle t, for t in [now, now+wheelSize). heads gives
-	// each slot's drain cursor so pop never shifts storage; a fully
-	// drained slot truncates to len 0, keeping capacity.
-	slots [][]event
-	heads []int
+	// slots[t&wheelMask] holds the events scheduled for cycle t, for t in
+	// [now, now+wheelSize).
+	slots [wheelSize]slot
+	// spare is a LIFO stack of drained, zeroed slot arrays. A slot that
+	// receives its first event takes the most recently drained array, so
+	// the few live slots cycle through cache-hot storage instead of
+	// touching each of the wheelSize slots' arrays once per revolution.
+	spare [][]call
 	// occ is the slot-occupancy bitmap: bit i set iff slots[i] has
 	// undrained events. wcount is the total across all slots.
 	occ    [wheelWords]uint64
@@ -96,11 +123,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose RNG is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		slots: make([][]event, wheelSize),
-		heads: make([]int, wheelSize),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulation time.
@@ -123,31 +146,44 @@ func (e *Engine) SetLimit(t Time) { e.limit = t }
 // programming error and panics.
 //
 //sim:hotpath
-func (e *Engine) At(t Time, f func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: f})
-}
+func (e *Engine) At(t Time, f func()) { e.AtCall(t, runFunc, f) }
 
 // After schedules f to run d cycles from now.
 //
 //sim:hotpath
-func (e *Engine) After(d Time, f func()) { e.At(e.now+d, f) }
+func (e *Engine) After(d Time, f func()) { e.AtCall(e.now+d, runFunc, f) }
 
 // AtCall schedules cb(arg) at absolute time t. It is the allocation-free
 // scheduling form: hot callers keep one long-lived cb (typically a bound
 // method) and pass per-event state through arg — a pointer-shaped payload
 // does not allocate when stored in the interface word.
 //
+// An event within the wheel horizon is an O(1) append to its cycle's FIFO
+// slot; one beyond it goes to the overflow heap.
+//
 //sim:hotpath
 func (e *Engine) AtCall(t Time, cb func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, cb: cb, arg: arg})
+	if t >= e.now+wheelSize {
+		e.seq++
+		e.pushHeap(event{at: t, seq: e.seq, call: call{cb: cb, arg: arg}})
+		return
+	}
+	i := int(t) & wheelMask
+	sl := &e.slots[i]
+	if sl.recs == nil {
+		// First event of this cycle: adopt the most recently drained
+		// array, if any, and mark the slot occupied.
+		if n := len(e.spare); n > 0 {
+			sl.recs = e.spare[n-1]
+			e.spare = e.spare[:n-1]
+		}
+		e.occ[i>>6] |= 1 << uint(i&63)
+	}
+	sl.recs = append(sl.recs, call{cb: cb, arg: arg})
+	e.wcount++
 }
 
 // AfterCall schedules cb(arg) d cycles from now.
@@ -159,22 +195,22 @@ func (e *Engine) AfterCall(d Time, cb func(any), arg any) { e.AtCall(e.now+d, cb
 func (e *Engine) Pending() int { return e.wcount + len(e.heap) }
 
 // Reset returns the engine to its just-constructed state while retaining
-// the wheel slots' and heap slice's capacity, so a warm machine reuse
+// the slot arrays' and heap slice's capacity, so a warm machine reuse
 // (core.Runner) pays no event-queue reallocation. Leftover events are
 // dropped: Run can stop with events still queued (the all-procs-done
 // condition), and a recycled engine must not fire a previous run's
-// callbacks. The vacated records are zeroed so dead closures and payloads
-// are released to the GC, and the RNG is re-seeded so the next run draws
-// the exact stream a cold NewEngine would — the determinism contract of
-// warm reuse.
+// callbacks. Occupied slots' records are zeroed, so dead closures and
+// payloads are released to the GC, and their arrays move to the spare
+// stack; the RNG is re-seeded so the next run draws the exact stream a
+// cold NewEngine would — the determinism contract of warm reuse.
 func (e *Engine) Reset(seed int64) {
 	for w, word := range e.occ {
 		for word != 0 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			clear(e.slots[i]) // release closures/payloads from undrained events
-			e.slots[i] = e.slots[i][:0]
-			e.heads[i] = 0
+			clear(e.slots[i].recs) // release closures/payloads held by the records
+			e.spare = append(e.spare, e.slots[i].recs[:0])
+			e.slots[i] = slot{}
 		}
 		e.occ[w] = 0
 	}
@@ -188,28 +224,12 @@ func (e *Engine) Reset(seed int64) {
 	e.rng = rand.New(rand.NewSource(seed))
 }
 
-// less orders events by (time, sequence), the determinism contract.
+// less orders heap records by (time, sequence), the determinism contract.
 func (a *event) less(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// push routes ev to the wheel when it lands within the lookahead window
-// and to the overflow heap otherwise. Wheel insertion is O(1): append to
-// the cycle's FIFO slot and set its occupancy bit.
-//
-//sim:hotpath
-func (e *Engine) push(ev event) {
-	if ev.at < e.now+wheelSize {
-		i := int(ev.at) & wheelMask
-		e.slots[i] = append(e.slots[i], ev)
-		e.occ[i>>6] |= 1 << uint(i&63)
-		e.wcount++
-		return
-	}
-	e.pushHeap(ev)
 }
 
 // pushHeap appends ev to the overflow heap and restores the heap property
@@ -258,44 +278,41 @@ func (e *Engine) wheelNext() Time {
 	}
 }
 
-// popWheel removes and returns the head of cycle t's FIFO slot, zeroing
-// the vacated record so the slice does not retain dead closures or
-// payloads. A fully drained slot truncates (capacity kept) and clears its
-// occupancy bit.
+// popWheel removes and returns the head of cycle t's FIFO slot. A fully
+// drained slot's records are zeroed, so its array retains no dead
+// closures or payloads, and the array goes onto the spare stack.
 //
 //sim:hotpath
-func (e *Engine) popWheel(t Time) event {
+func (e *Engine) popWheel(t Time) call {
 	i := int(t) & wheelMask
-	s := e.slots[i]
-	h := e.heads[i]
-	ev := s[h]
-	s[h] = event{} // release references held by the record
-	h++
-	if h == len(s) {
-		e.slots[i] = s[:0]
-		e.heads[i] = 0
+	sl := &e.slots[i]
+	c := sl.recs[sl.head]
+	sl.head++
+	if sl.head == len(sl.recs) {
+		clear(sl.recs) // release closures/payloads held by the records
+		e.spare = append(e.spare, sl.recs[:0])
+		*sl = slot{}
 		e.occ[i>>6] &^= 1 << uint(i&63)
-	} else {
-		e.heads[i] = h
 	}
 	e.wcount--
-	return ev
+	return c
 }
 
-// pop removes and returns the earliest event across both tiers. On a time
-// tie the heap wins: a heap-resident event at cycle t was scheduled while
-// t was beyond the wheel horizon, i.e. before every wheel-resident event
-// at t, so its sequence number is strictly smaller (package comment).
+// pop removes the earliest event across both tiers and returns its time
+// and record. On a time tie the heap wins: a heap-resident event at cycle
+// t was scheduled while t was beyond the wheel horizon, i.e. before every
+// wheel-resident event at t (package comment).
 //
 //sim:hotpath
-func (e *Engine) pop() event {
+func (e *Engine) pop() (Time, call) {
 	if e.wcount > 0 {
 		t := e.wheelNext()
 		if len(e.heap) == 0 || t < e.heap[0].at {
-			return e.popWheel(t)
+			return t, e.popWheel(t)
 		}
 	}
-	return e.popHeap()
+	ev := e.popHeap()
+	return ev.at, ev.call
 }
 
 // popHeap removes and returns the earliest overflow-heap event. The
@@ -362,19 +379,15 @@ func (e *Engine) Step() bool {
 	if e.wcount == 0 && len(e.heap) == 0 {
 		return false
 	}
-	ev := e.pop()
-	if ev.at > e.now {
-		e.now = ev.at
+	at, c := e.pop()
+	if at > e.now {
+		e.now = at
 	}
 	if e.limit != 0 && e.now > e.limit {
 		panic(fmt.Sprintf("sim: cycle limit %d exceeded (now %d, %d events fired); likely livelock", e.limit, e.now, e.fired))
 	}
 	e.fired++
-	if ev.cb != nil {
-		ev.cb(ev.arg)
-	} else {
-		ev.fn()
-	}
+	c.cb(c.arg)
 	return true
 }
 

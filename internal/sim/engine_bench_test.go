@@ -26,19 +26,74 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineClosure is the closure-form control: same loop through
-// At/After with per-event captures, for comparing the two scheduling forms.
+// BenchmarkEngineClosure is the closure-form control: the same loop
+// through After with a fresh capture per event, for comparing the two
+// scheduling forms. It reports the capture's allocation per event.
 func BenchmarkEngineClosure(b *testing.B) {
 	const population = 64
 	e := NewEngine(1)
 	n := 0
-	var self func()
-	self = func() {
-		n++
-		e.After(Time(1+n%7), self)
+	var fire func(k int)
+	fire = func(k int) {
+		n += k
+		e.After(Time(1+n%7), func() { fire(k) })
 	}
 	for i := 0; i < population; i++ {
-		e.After(Time(i%5+1), self)
+		k := i
+		e.After(Time(i%5+1), func() { fire(k) })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// wideDelays reproduces the scheduling-delay histogram measured on a
+// 256-proc BSC_dypvt radix/sjbb2k run: per 1000 events, 25 fire in the
+// same cycle, 490 three cycles ahead, 250 six, 90 seven or eight, 60
+// twenty-two and 28 after an off-chip access (294); the remaining 57 are
+// spread over 1, 2, 4 and 5 cycles.
+func wideDelays() []Time {
+	spec := []struct {
+		d Time
+		n int
+	}{{0, 25}, {1, 15}, {2, 14}, {3, 490}, {4, 14}, {5, 14}, {6, 250}, {7, 45}, {8, 45}, {22, 60}, {294, 28}}
+	var ds []Time
+	for _, s := range spec {
+		for i := 0; i < s.n; i++ {
+			ds = append(ds, s.d)
+		}
+	}
+	// Deterministic shuffle so consecutive events draw mixed delays.
+	for i := len(ds) - 1; i > 0; i-- {
+		j := int(uint64(i) * 2654435761 % uint64(i+1))
+		ds[i], ds[j] = ds[j], ds[i]
+	}
+	return ds
+}
+
+// BenchmarkEngineWide is the 256-proc footprint: about 16k live events,
+// each rescheduling itself with a delay drawn from the measured 256-proc
+// histogram, so every cycle fires and refills many slots at once. Must
+// report 0 allocs/op.
+func BenchmarkEngineWide(b *testing.B) {
+	const population = 1 << 14
+	e := NewEngine(1)
+	ds := wideDelays()
+	next := 0
+	var fire func(any)
+	fire = func(arg any) {
+		*arg.(*int)++
+		next++
+		if next == len(ds) {
+			next = 0
+		}
+		e.AfterCall(ds[next], fire, arg)
+	}
+	counters := make([]int, population)
+	for i := range counters {
+		e.AfterCall(ds[i%len(ds)], fire, &counters[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

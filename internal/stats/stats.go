@@ -63,10 +63,6 @@ func Categories() []Category {
 //
 //sim:accumulator
 type Stats struct {
-	// Trace, when non-nil, receives debug events from all components.
-	// Never set in production runs.
-	Trace func(format string, args ...interface{})
-
 	// --- progress / performance -----------------------------------------
 	Cycles          uint64 // total cycles to run the workload
 	CommittedInstrs uint64 // instructions whose effects committed
@@ -148,7 +144,6 @@ func New() *Stats { return &Stats{} }
 // verify coverage field by field — a counter added to Stats without a
 // matching line here is a lint error, not a silent cross-run leak.
 func (s *Stats) Reset() {
-	s.Trace = nil
 	s.Cycles = 0
 	s.CommittedInstrs = 0
 	s.SquashedInstrs = 0
@@ -209,9 +204,7 @@ func (s *Stats) Reset() {
 
 // Snapshot returns a copy of the current counters, for warmup exclusion.
 func (s *Stats) Snapshot() Stats {
-	c := *s
-	c.Trace = nil
-	return c
+	return *s
 }
 
 // SubtractBase removes a warmup-time snapshot from the counters so every

@@ -1,9 +1,10 @@
 #!/bin/sh
 # The PR gate: formatting, static checks (go vet + the simlint invariant
 # passes), build, full tests, a fuzz-corpus smoke over the signature,
-# line-set, sharer-set, engine and history-reader targets, and the race
-# detector over both the parallel sweep fan-out in experiments/ and the
-# litmus × model × fault torture matrix. Run from the repository root (or via `make check`).
+# line-set, sharer-set, engine and history-reader targets, one iteration
+# of the engine and L1-probe micro-benchmarks, and the race detector over
+# both the parallel sweep fan-out in experiments/ and the litmus × model ×
+# fault torture matrix. Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
 #
@@ -65,6 +66,11 @@ go test ./...
 
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
 go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history
+
+# One iteration of each engine and L1-probe micro-benchmark, so their
+# setup (16k live events, 256 Table-2 L1s) cannot rot unnoticed.
+echo "== engine / cache micro-benchmark smoke =="
+go test -run xxx -bench 'Engine|L1Probe' -benchtime 1x ./internal/sim ./internal/cache
 
 echo "== 256-proc scaling smoke =="
 go test -run 'TestBigMachineRadixSmoke|TestBigMachineRadixRecycleSmoke' ./internal/core
