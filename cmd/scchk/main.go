@@ -15,9 +15,10 @@
 // line minimal example.
 //
 // By default scchk verifies the order the history itself claims (commit
-// order for chunks, perform order for accesses) against the full
-// obligation set of the online witness checker: total order, chunk
-// atomicity, value coherence, same-chunk forwarding, program order. With
+// order for chunks, perform order for accesses) with the online witness
+// checker itself (internal/sccheck, fed through gk.Check): total order,
+// chunk atomicity, value coherence, same-chunk forwarding, program order.
+// Violations render exactly as the machine's witness reports them. With
 // -search it instead decides whether ANY interleaving of the history's
 // atomic units is sequentially consistent — Gibbons–Korach's NP-complete
 // VSC question — under a state bound.
@@ -36,6 +37,7 @@ import (
 
 	"bulksc/internal/history"
 	"bulksc/internal/history/gk"
+	"bulksc/internal/sccheck"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -47,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		search    = fs.Bool("search", false, "ignore the claimed order and search for any SC serialization")
 		maxStates = fs.Int("max-states", gk.DefaultMaxStates, "state bound for -search")
-		maxViol   = fs.Int("max-violations", gk.DefaultMaxViolations, "violation records to retain before capping")
+		maxViol   = fs.Int("max-violations", sccheck.DefaultMaxViolations, "violation records to retain before capping")
 		quiet     = fs.Bool("q", false, "suppress the summary line; exit status only")
 	)
 	fs.Usage = func() {

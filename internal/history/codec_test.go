@@ -73,35 +73,44 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 
 // TestScannerDecodesWriterOutput checks that every record the writer emits
 // takes the byte-level path, so Writer → Read never falls back to
-// encoding/json, and that the result matches the reference reader's.
+// encoding/json, and that the result matches the reference reader's. The
+// two record shapes go through separate histories, since Read rejects a
+// history mixing them.
 func TestScannerDecodesWriterOutput(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Header(Header{Model: "BulkSC", Procs: 4})
-	w.Chunk(&chunk.Chunk{Proc: 1, Seq: 1, CommitOrder: 1})
-	w.Chunk(&chunk.Chunk{Proc: 2, Seq: math.MaxUint64, CommitOrder: 2, Log: []chunk.AccessRec{
-		{IsStore: true, Addr: math.MaxUint64, Value: math.MaxUint64}, {Addr: 0, Value: 10},
-	}})
-	w.Access(3, 1, true, 64, 1, false)
-	w.Access(3, 2, false, 64, 1, true)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	chunks := func(w *Writer) {
+		w.Chunk(&chunk.Chunk{Proc: 1, Seq: 1, CommitOrder: 1})
+		w.Chunk(&chunk.Chunk{Proc: 2, Seq: math.MaxUint64, CommitOrder: 2, Log: []chunk.AccessRec{
+			{IsStore: true, Addr: math.MaxUint64, Value: math.MaxUint64}, {Addr: 0, Value: 10},
+		}})
 	}
-	var d lineDecoder
-	h := &History{}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	for i, line := range lines[1:] {
-		if !d.record(line, h) {
-			t.Fatalf("record %d not decoded by the scanner: %s", i+1, line)
+	accesses := func(w *Writer) {
+		w.Access(3, 1, true, 64, 1, false)
+		w.Access(3, 2, false, 64, 1, true)
+	}
+	for _, emit := range []func(*Writer){chunks, accesses} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Header(Header{Model: "BulkSC", Procs: 4})
+		emit(w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	want, err := read(bytes.NewReader(buf.Bytes()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(h.Chunks, want.Chunks) || !reflect.DeepEqual(h.Accesses, want.Accesses) {
-		t.Fatalf("scanner decoded\n%+v\n%+v\nencoding/json decoded\n%+v\n%+v",
-			h.Chunks, h.Accesses, want.Chunks, want.Accesses)
+		var d lineDecoder
+		h := &History{}
+		lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+		for i, line := range lines[1:] {
+			if !d.record(line, h) {
+				t.Fatalf("record %d not decoded by the scanner: %s", i+1, line)
+			}
+		}
+		want, err := read(bytes.NewReader(buf.Bytes()), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(h.Chunks, want.Chunks) || !reflect.DeepEqual(h.Accesses, want.Accesses) {
+			t.Fatalf("scanner decoded\n%+v\n%+v\nencoding/json decoded\n%+v\n%+v",
+				h.Chunks, h.Accesses, want.Chunks, want.Accesses)
+		}
 	}
 }
 

@@ -401,7 +401,7 @@ func (e *enumerator) apply(t trans) func() {
 		had       bool
 	}
 	var undos []memUndo
-	var overlay map[uint64]uint64
+	var wbuf map[uint64]uint64 // the chunk's own buffered stores
 	rec := step{proc: th, ops: make([]Op, 0, len(unit))}
 	for _, op := range unit {
 		e.done[th]++
@@ -410,10 +410,10 @@ func (e *enumerator) apply(t trans) func() {
 			if e.rc {
 				e.bufs[th] = append(e.bufs[th], bufEntry{addr: op.Addr, val: op.Val, po: po})
 			} else {
-				if overlay == nil {
-					overlay = map[uint64]uint64{}
+				if wbuf == nil {
+					wbuf = map[uint64]uint64{}
 				}
-				overlay[op.Addr] = op.Val
+				wbuf[op.Addr] = op.Val
 			}
 			rec.ops = append(rec.ops, op)
 			continue
@@ -431,7 +431,7 @@ func (e *enumerator) apply(t trans) func() {
 				}
 			}
 		default:
-			if ov, ok := overlay[op.Addr]; ok {
+			if ov, ok := wbuf[op.Addr]; ok {
 				v, fwd = ov, true
 			} else {
 				v = e.mem[op.Addr]
@@ -441,8 +441,8 @@ func (e *enumerator) apply(t trans) func() {
 		rec.ops = append(rec.ops, Op{Addr: op.Addr, Val: v})
 		rec.po, rec.fwd = po, fwd
 	}
-	// Chunk commit: publish the overlay through the ops walk (last store
-	// per word wins), keeping publication deterministic.
+	// Chunk commit: publish the buffered stores through the ops walk
+	// (last store per word wins), keeping publication deterministic.
 	if !e.rc {
 		for _, op := range unit {
 			if op.Store {

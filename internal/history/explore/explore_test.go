@@ -7,6 +7,7 @@ import (
 
 	"bulksc/internal/history"
 	"bulksc/internal/history/gk"
+	"bulksc/internal/sccheck"
 )
 
 func mustExplore(t *testing.T, p *Program, m Model, opt Options) *Result {
@@ -138,7 +139,7 @@ func TestHistoriesCheckOffline(t *testing.T) {
 	opt.OnHistory = func(h *history.History) error {
 		r := gk.Check(h, gk.Options{})
 		for _, v := range r.Violations() {
-			if v.Kind != gk.KindProgramOrder {
+			if v.Kind != sccheck.KindProgramOrder {
 				t.Fatalf("RC execution broke a value obligation: %v", v)
 			}
 			poFindings++

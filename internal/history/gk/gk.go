@@ -6,17 +6,16 @@
 // sequentially consistent explanation (VSC) is NP-complete, but that the
 // problem becomes tractable when the implementation names its own
 // serialization — the "verifying a given total order" variants. This
-// package implements both sides:
+// package covers both sides:
 //
 //   - Check verifies a *claimed* witness order: for chunked histories the
 //     global commit order the arbiter assigned, for conventional access
 //     histories the perform order with per-processor program-order
-//     indices. The obligations mirror the online witness checker
-//     (internal/sccheck) one for one — total order, chunk atomicity,
-//     value coherence, same-chunk forwarding, program-order embedding —
-//     so online and offline verdicts are directly comparable (the
-//     differential tests in internal/core assert exactly that). Linear
-//     time, O(footprint) state.
+//     indices. It owns no obligation code: it pushes the history's records
+//     into a fresh internal/sccheck Checker — the online witness checker
+//     the machine feeds at its commit and perform instants — so online and
+//     offline verdicts, counts and violation text are identical by
+//     construction. Linear time, O(footprint) state.
 //
 //   - Search decides VSC for histories with NO trusted order, by
 //     backtracking over the per-processor frontiers in the style of the
@@ -29,10 +28,10 @@
 //     Search-serializable (the claimed order is the witness); Search
 //     exists for external histories that carry no order claim.
 //
-// Unlike internal/sccheck — which rides inside the machine and dies with
-// the process — this checker consumes serialized NDJSON, so a history can
-// be re-examined, shared, or checked against a stronger oracle long after
-// the run that produced it (cmd/scchk is the CLI).
+// Unlike the machine's witness — which dies with the process — this
+// package consumes serialized NDJSON, so a history can be re-examined,
+// shared, or checked against a stronger oracle long after the run that
+// produced it (cmd/scchk is the CLI).
 package gk
 
 import (
@@ -40,286 +39,39 @@ import (
 	"sort"
 
 	"bulksc/internal/history"
+	"bulksc/internal/mem"
+	"bulksc/internal/sccheck"
 )
-
-// Kind classifies a violation by the obligation it breaks. Values mirror
-// internal/sccheck's kinds one for one so online/offline findings can be
-// compared label-by-label.
-type Kind int
-
-const (
-	// KindTotalOrder: commit orders not strictly increasing in record
-	// order, or a processor's chunk sequence does not embed into the
-	// global order.
-	KindTotalOrder Kind = iota
-	// KindAtomicity: two same-chunk reads of one word, with no
-	// intervening same-chunk store, observed different values.
-	KindAtomicity
-	// KindCoherence: a read observed a value different from the most
-	// recent store in the witness order.
-	KindCoherence
-	// KindForwarding: a load after a same-chunk store to the same word
-	// did not observe the buffered value.
-	KindForwarding
-	// KindProgramOrder: a processor's accesses performed out of program
-	// order.
-	KindProgramOrder
-)
-
-func (k Kind) String() string {
-	return [...]string{"total-order", "atomicity", "coherence", "forwarding", "program-order"}[k]
-}
-
-// Violation is one discharged-obligation failure.
-type Violation struct {
-	Kind Kind
-	Proc int
-	// Order is the claimed commit order (chunks) or the record's arrival
-	// index (accesses) at which the violation was detected.
-	Order     uint64
-	Addr      uint64
-	Got, Want uint64
-	Detail    string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("gk[%s] proc %d order %d addr %#x got %d want %d: %s",
-		v.Kind, v.Proc, v.Order, v.Addr, v.Got, v.Want, v.Detail)
-}
-
-// DefaultMaxViolations caps retained violation records; Total keeps
-// counting past the cap (matching internal/sccheck).
-const DefaultMaxViolations = 20
-
-// Report is the outcome of one offline check.
-type Report struct {
-	violations []Violation
-	total      int
-	chunks     int
-	accesses   uint64
-	max        int
-}
-
-// Ok reports whether every obligation held.
-func (r *Report) Ok() bool { return r.total == 0 }
-
-// Total counts all violations, including any past the retention cap.
-func (r *Report) Total() int { return r.total }
-
-// Violations returns a copy of the retained violation records (callers
-// may hold them across later checks).
-func (r *Report) Violations() []Violation {
-	return append([]Violation(nil), r.violations...)
-}
-
-// Chunks returns how many chunk records were checked.
-func (r *Report) Chunks() int { return r.chunks }
-
-// Accesses returns how many operations were checked (chunk log entries
-// plus conventional accesses).
-func (r *Report) Accesses() uint64 { return r.accesses }
-
-// Strings renders the retained violations, with a self-describing
-// truncation marker when the retention cap was reached.
-func (r *Report) Strings() []string {
-	if r.total == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(r.violations)+1)
-	for _, v := range r.violations {
-		out = append(out, v.String())
-	}
-	if r.total > len(r.violations) {
-		out = append(out, fmt.Sprintf("gk: ... and %d more violations (cap reached)",
-			r.total-len(r.violations)))
-	}
-	return out
-}
-
-func (r *Report) report(v Violation) {
-	r.total++
-	if len(r.violations) < r.max {
-		r.violations = append(r.violations, v)
-	}
-}
-
-// wordState is the witness memory cell: last committed value and the
-// commit that produced it.
-type wordState struct {
-	val   uint64
-	order uint64
-	proc  int
-}
 
 // Options tune Check.
 type Options struct {
-	// MaxViolations caps retained records; 0 means DefaultMaxViolations.
+	// MaxViolations caps retained records; 0 means
+	// sccheck.DefaultMaxViolations.
 	MaxViolations int
 }
 
-// Check verifies h's claimed serialization. Chunk records are checked
-// against the global commit order they carry; access records against
-// their perform (file) order. The two shapes describe different machine
-// styles and are audited against separate witness memories; no real
-// producer mixes them in one history.
-func Check(h *history.History, opt Options) *Report {
-	r := &Report{max: opt.MaxViolations}
-	if r.max <= 0 {
-		r.max = DefaultMaxViolations
-	}
-	checkChunks(r, h.Chunks)
-	checkAccesses(r, h.Accesses)
-	return r
-}
-
-// checkChunks discharges the chunked-history obligations, mirroring
-// sccheck.Checker.CommitChunk record for record.
-func checkChunks(r *Report, chunks []history.ChunkRec) {
-	if len(chunks) == 0 {
-		return
-	}
-	words := make(map[uint64]wordState)
-	var lastOrder uint64
-	procOrder := map[int]uint64{}
-	procSeq := map[int]uint64{}
-	procSeen := map[int]bool{}
-	overlay := map[uint64]uint64{} // same-chunk speculative writes
-	seen := map[uint64]uint64{}    // first observed value per word read
-
-	for i := range chunks {
-		ch := &chunks[i]
-		r.chunks++
-		r.accesses += uint64(len(ch.Ops))
-
-		// Obligation 3: total order. Record order must follow the claimed
-		// global order, and each processor's sequence must embed into it.
-		if ch.Order <= lastOrder {
-			r.report(Violation{
-				Kind: KindTotalOrder, Proc: ch.Proc, Order: ch.Order,
-				Detail: fmt.Sprintf("chunk #%d arrived after order %d", ch.Seq, lastOrder),
-			})
-		}
-		lastOrder = ch.Order
-		if procSeen[ch.Proc] {
-			if ch.Order <= procOrder[ch.Proc] {
-				r.report(Violation{
-					Kind: KindTotalOrder, Proc: ch.Proc, Order: ch.Order,
-					Detail: fmt.Sprintf("chunk #%d order not after processor's previous order %d",
-						ch.Seq, procOrder[ch.Proc]),
-				})
-			}
-			if ch.Seq <= procSeq[ch.Proc] {
-				r.report(Violation{
-					Kind: KindTotalOrder, Proc: ch.Proc, Order: ch.Order,
-					Detail: fmt.Sprintf("chunk #%d committed after chunk #%d of the same processor",
-						ch.Seq, procSeq[ch.Proc]),
-				})
-			}
-		}
-		procOrder[ch.Proc] = ch.Order
-		procSeq[ch.Proc] = ch.Seq
-		procSeen[ch.Proc] = true
-
-		// Obligations 1 and 2: walk the program-order log with the
-		// overlay (own speculative writes) and seen (pinned first reads).
-		clear(overlay)
-		clear(seen)
+// Check verifies h's claimed serialization and returns the checker holding
+// the verdict. Chunk records are checked against the global commit order
+// they carry; access records against their perform (file) order. h must
+// meet what history.Read guarantees: one record shape, and processor ids
+// in [0, history.MaxProcs).
+func Check(h *history.History, opt Options) *sccheck.Checker {
+	c := sccheck.New()
+	c.MaxViolations = opt.MaxViolations
+	for i := range h.Chunks {
+		ch := &h.Chunks[i]
+		c.BeginChunk(ch.Proc, ch.Seq, ch.Order)
 		for _, op := range ch.Ops {
-			a := align(op.Addr)
-			if op.Store {
-				overlay[a] = op.Val
-				continue
-			}
-			if v, ok := overlay[a]; ok {
-				if op.Val != v {
-					r.report(Violation{
-						Kind: KindForwarding, Proc: ch.Proc, Order: ch.Order, Addr: op.Addr,
-						Got: op.Val, Want: v,
-						Detail: fmt.Sprintf("chunk #%d load not forwarded from same-chunk store", ch.Seq),
-					})
-				}
-				continue
-			}
-			if v, ok := seen[a]; ok {
-				if op.Val != v {
-					r.report(Violation{
-						Kind: KindAtomicity, Proc: ch.Proc, Order: ch.Order, Addr: op.Addr,
-						Got: op.Val, Want: v,
-						Detail: fmt.Sprintf("chunk #%d re-read diverged: another commit interleaved", ch.Seq),
-					})
-				}
-				continue
-			}
-			want := words[a].val
-			if op.Val != want {
-				w := words[a]
-				r.report(Violation{
-					Kind: KindCoherence, Proc: ch.Proc, Order: ch.Order, Addr: op.Addr,
-					Got: op.Val, Want: want,
-					Detail: fmt.Sprintf("chunk #%d load differs from last store (proc %d, order %d)",
-						ch.Seq, w.proc, w.order),
-				})
-			}
-			seen[a] = op.Val
+			c.ChunkOp(op.Store, mem.Addr(op.Addr), op.Val)
 		}
-
-		// Publish the chunk's writes at its commit point. Walking the ops
-		// again (rather than ranging the overlay map) keeps publication
-		// order deterministic: the last store to each word wins, exactly
-		// the overlay's final contents.
-		for _, op := range ch.Ops {
-			if op.Store {
-				words[align(op.Addr)] = wordState{val: op.Val, order: ch.Order, proc: ch.Proc}
-			}
-		}
+		c.EndChunk()
 	}
+	for i := range h.Accesses {
+		a := &h.Accesses[i]
+		c.Access(a.Proc, a.PO, a.Store, mem.Addr(a.Addr), a.Val, a.Fwd)
+	}
+	return c
 }
-
-// checkAccesses discharges the conventional-history obligations,
-// mirroring sccheck.Checker.Access.
-func checkAccesses(r *Report, accs []history.AccessRec) {
-	if len(accs) == 0 {
-		return
-	}
-	words := make(map[uint64]wordState)
-	procPO := map[int]uint64{}
-	var arrivals uint64
-	for i := range accs {
-		ac := &accs[i]
-		arrivals++
-		r.accesses++
-		a := align(ac.Addr)
-
-		if last, ok := procPO[ac.Proc]; ok && ac.PO <= last {
-			r.report(Violation{
-				Kind: KindProgramOrder, Proc: ac.Proc, Order: arrivals, Addr: ac.Addr, Got: ac.Val,
-				Detail: fmt.Sprintf("op po=%d performed after po=%d", ac.PO, last),
-			})
-		} else {
-			procPO[ac.Proc] = ac.PO
-		}
-
-		if ac.Store {
-			words[a] = wordState{val: ac.Val, order: arrivals, proc: ac.Proc}
-			continue
-		}
-		if ac.Fwd {
-			continue
-		}
-		if want := words[a].val; ac.Val != want {
-			w := words[a]
-			r.report(Violation{
-				Kind: KindCoherence, Proc: ac.Proc, Order: arrivals, Addr: ac.Addr,
-				Got: ac.Val, Want: want,
-				Detail: fmt.Sprintf("load differs from last store (proc %d, order %d)", w.proc, w.order),
-			})
-		}
-	}
-}
-
-// align mirrors mem.Addr.Align without importing the simulator's address
-// types: histories speak raw byte addresses, words are 8 bytes.
-func align(a uint64) uint64 { return a &^ 7 }
 
 // ---------------------------------------------------------------------------
 // Serialization search (the NP-complete VSC side)
@@ -353,13 +105,9 @@ type unit struct {
 // every read, ignoring any claimed commit order. It returns a witness
 // serialization when one exists. maxStates bounds the explored states
 // (0 = DefaultMaxStates); the bound matters because VSC is NP-complete.
-//
-// Histories mixing chunk and access records are rejected: the two shapes
-// describe different machines and carry no relative order.
+// Like Check, it expects one record shape, as every history.Read result
+// holds.
 func Search(h *history.History, maxStates int) ([]Step, error) {
-	if len(h.Chunks) > 0 && len(h.Accesses) > 0 {
-		return nil, fmt.Errorf("gk: cannot search a history mixing chunk and access records")
-	}
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
@@ -397,12 +145,12 @@ func Search(h *history.History, maxStates int) ([]Step, error) {
 
 	// The address universe, fixed up front, gives every state a
 	// deterministic memory fingerprint without ranging over maps.
-	addrSet := map[uint64]bool{}
-	var addrs []uint64
+	addrSet := map[mem.Addr]bool{}
+	var addrs []mem.Addr
 	for i := range units {
 		for j := range units[i] {
 			for _, op := range units[i][j].ops {
-				a := align(op.Addr)
+				a := mem.Addr(op.Addr).Align()
 				if !addrSet[a] {
 					addrSet[a] = true
 					addrs = append(addrs, a)
@@ -414,7 +162,7 @@ func Search(h *history.History, maxStates int) ([]Step, error) {
 
 	s := &searcher{
 		units: units, procOf: procOf, addrs: addrs,
-		mem: map[uint64]uint64{}, visited: map[string]bool{},
+		mem: map[mem.Addr]uint64{}, visited: map[string]bool{},
 		maxStates: maxStates,
 	}
 	s.pos = make([]int, len(units))
@@ -438,9 +186,9 @@ func Search(h *history.History, maxStates int) ([]Step, error) {
 type searcher struct {
 	units  [][]unit
 	procOf []int
-	addrs  []uint64
+	addrs  []mem.Addr
 	pos    []int
-	mem    map[uint64]uint64
+	mem    map[mem.Addr]uint64
 	// visited memoizes dead (frontier, memory) states: re-entering one
 	// cannot succeed, which is what keeps the common (serializable or
 	// shallowly-unserializable) cases polynomial in practice.
@@ -473,38 +221,34 @@ func (s *searcher) key() string {
 // admissibility condition). On success it returns the unit's write-back
 // list (addr, val) in program order.
 func (s *searcher) runnable(u *unit) ([]history.Op, bool) {
-	var overlay map[uint64]uint64
-	var seen map[uint64]uint64
+	// own holds the unit's earlier writes, seen its pinned first reads.
+	var own, seen map[mem.Addr]uint64
 	for _, op := range u.ops {
-		a := align(op.Addr)
+		a := mem.Addr(op.Addr).Align()
 		if op.Store {
-			if overlay == nil {
-				overlay = map[uint64]uint64{}
+			if own == nil {
+				own = map[mem.Addr]uint64{}
 			}
-			overlay[a] = op.Val
+			own[a] = op.Val
 			continue
 		}
-		if overlay != nil {
-			if v, ok := overlay[a]; ok {
-				if op.Val != v {
-					return nil, false
-				}
-				continue
+		if v, ok := own[a]; ok {
+			if op.Val != v {
+				return nil, false
 			}
+			continue
 		}
-		if seen != nil {
-			if v, ok := seen[a]; ok {
-				if op.Val != v {
-					return nil, false
-				}
-				continue
+		if v, ok := seen[a]; ok {
+			if op.Val != v {
+				return nil, false
 			}
+			continue
 		}
 		if op.Val != s.mem[a] {
 			return nil, false
 		}
 		if seen == nil {
-			seen = map[uint64]uint64{}
+			seen = map[mem.Addr]uint64{}
 		}
 		seen[a] = op.Val
 	}
@@ -542,12 +286,13 @@ func (s *searcher) dfs(remaining int) bool {
 		// Apply: advance the frontier and publish the unit's writes,
 		// remembering displaced values for the undo.
 		type undo struct {
-			addr, val uint64
-			had       bool
+			addr mem.Addr
+			val  uint64
+			had  bool
 		}
 		var undos []undo
 		for _, w := range writes {
-			a := align(w.Addr)
+			a := mem.Addr(w.Addr).Align()
 			old, had := s.mem[a]
 			undos = append(undos, undo{a, old, had})
 			s.mem[a] = w.Val

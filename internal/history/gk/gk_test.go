@@ -1,11 +1,14 @@
 package gk
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
 	"bulksc/internal/history"
+	"bulksc/internal/mem"
+	"bulksc/internal/sccheck"
 )
 
 // ck builds a chunk record tersely: ops alternate (store, addr, val) triples.
@@ -40,7 +43,7 @@ func TestCheckCleanChunks(t *testing.T) {
 	}
 }
 
-func wantKind(t *testing.T, h *history.History, k Kind) *Report {
+func wantKind(t *testing.T, h *history.History, k sccheck.Kind) *sccheck.Checker {
 	t.Helper()
 	r := Check(h, Options{})
 	if r.Ok() {
@@ -59,31 +62,31 @@ func wantKind(t *testing.T, h *history.History, k Kind) *Report {
 func TestMutationCorruptedValue(t *testing.T) {
 	h := goodChunkHistory()
 	h.Chunks[1].Ops[0].Val = 999 // load observes a value nobody stored
-	wantKind(t, h, KindCoherence)
+	wantKind(t, h, sccheck.KindCoherence)
 }
 
 func TestMutationSwappedCommitOrder(t *testing.T) {
 	h := goodChunkHistory()
 	h.Chunks[1].Order, h.Chunks[2].Order = h.Chunks[2].Order, h.Chunks[1].Order
-	wantKind(t, h, KindTotalOrder)
+	wantKind(t, h, sccheck.KindTotalOrder)
 }
 
 func TestMutationPerProcSeqRegression(t *testing.T) {
 	h := goodChunkHistory()
 	h.Chunks[2].Seq = 1 // proc 0 commits chunk #1 twice
-	wantKind(t, h, KindTotalOrder)
+	wantKind(t, h, sccheck.KindTotalOrder)
 }
 
 func TestMutationBrokenAtomicity(t *testing.T) {
 	h := goodChunkHistory()
 	h.Chunks[1].Ops[1].Val = 3 // second same-chunk read of 64 diverges
-	wantKind(t, h, KindAtomicity)
+	wantKind(t, h, sccheck.KindAtomicity)
 }
 
 func TestMutationBrokenForwarding(t *testing.T) {
 	h := goodChunkHistory()
 	h.Chunks[0].Ops[1].Val = 3 // load after own store sees a stale value
-	wantKind(t, h, KindForwarding)
+	wantKind(t, h, sccheck.KindForwarding)
 }
 
 func TestCheckAccessHistory(t *testing.T) {
@@ -99,11 +102,11 @@ func TestCheckAccessHistory(t *testing.T) {
 	}
 
 	h.Accesses[4].Val = 1 // stale read past proc 1's store
-	wantKind(t, h, KindCoherence)
+	wantKind(t, h, sccheck.KindCoherence)
 
 	h.Accesses[4].Val = 2
 	h.Accesses[4].PO = 1 // proc 0 performs out of program order
-	wantKind(t, h, KindProgramOrder)
+	wantKind(t, h, sccheck.KindProgramOrder)
 }
 
 func TestCapMarker(t *testing.T) {
@@ -131,15 +134,31 @@ func TestCapMarker(t *testing.T) {
 	}
 }
 
-func TestReportViolationsIsACopy(t *testing.T) {
-	h := goodChunkHistory()
-	h.Chunks[1].Ops[0].Val = 999
-	r := Check(h, Options{})
-	vs := r.Violations()
-	vs[0].Detail = "scribbled"
-	if r.Violations()[0].Detail == "scribbled" {
-		t.Fatal("Violations() aliases the report's internal slice")
+// TestFirstAccessPOZero pins the program-order baseline: a processor's
+// first access sets it, whatever its index, so a history whose POs start
+// at 0 checks clean — online through Access and offline through Check.
+func TestFirstAccessPOZero(t *testing.T) {
+	c := sccheck.New()
+	c.Access(0, 0, true, mem.Addr(64), 1, false)
+	c.Access(0, 1, false, mem.Addr(64), 1, false)
+	if !c.Ok() {
+		t.Fatalf("Access flagged a first access with po 0: %v", c.Strings())
 	}
+
+	h, err := history.Read(strings.NewReader(
+		`{"kind":"access","proc":0,"po":0,"store":true,"addr":64,"val":1}
+{"kind":"access","proc":0,"po":1,"addr":64,"val":1}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := Check(h, Options{}); !r.Ok() {
+		t.Fatalf("Check flagged a first access with po 0: %v", r.Strings())
+	}
+
+	// The baseline still binds what follows it.
+	h.Accesses[1].PO = 0
+	wantKind(t, h, sccheck.KindProgramOrder)
 }
 
 // --- Search -----------------------------------------------------------------
@@ -226,12 +245,36 @@ func TestSearchStateBound(t *testing.T) {
 	}
 }
 
-func TestSearchRejectsMixedHistories(t *testing.T) {
-	h := &history.History{
-		Chunks:   []history.ChunkRec{ck(0, 1, 1, st(0, 1))},
-		Accesses: []history.AccessRec{{Proc: 1, PO: 1, Addr: 0, Val: 1}},
-	}
-	if _, err := Search(h, 0); err == nil {
-		t.Fatal("Search accepted a mixed history")
-	}
+// fuzzCap is the retention cap FuzzCheck checks under: small, so the
+// corpus exercises the truncation marker.
+const fuzzCap = 3
+
+// FuzzCheck runs Check over whatever history.Read accepts. Check must not
+// panic, its counts must match the history's, its cap must hold, and
+// whenever it accepts the claimed order, Search — an independent algorithm
+// that ignores the claim — must not call the history unserializable.
+func FuzzCheck(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := history.Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		r := Check(h, Options{MaxViolations: fuzzCap})
+		if r.Chunks() != len(h.Chunks) || r.Accesses() != uint64(h.Ops()) {
+			t.Fatalf("checked %d chunks / %d ops, history has %d / %d",
+				r.Chunks(), r.Accesses(), len(h.Chunks), h.Ops())
+		}
+		if r.Ok() != (r.Total() == 0) {
+			t.Fatalf("Ok() = %v with Total() = %d", r.Ok(), r.Total())
+		}
+		if n := len(r.Strings()); n > fuzzCap+1 {
+			t.Fatalf("Strings() has %d lines, cap %d plus marker", n, fuzzCap)
+		}
+		if !r.Ok() {
+			return
+		}
+		if _, err := Search(h, 1000); errors.Is(err, ErrNotSerializable) {
+			t.Fatalf("Check accepted the claimed order but Search found no serialization")
+		}
+	})
 }

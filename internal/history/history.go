@@ -3,7 +3,7 @@
 //
 // A history is a newline-delimited sequence of JSON records describing one
 // execution's committed memory operations. Two record shapes carry the
-// operations:
+// operations, and one history uses only one of them:
 //
 //   - "chunk" records — one per committed chunk, in global commit order,
 //     carrying the chunk's program-order access log and the commit order
@@ -150,35 +150,46 @@ func (h *History) Ops() int {
 	return n
 }
 
+// MaxProcs bounds processor ids (and a header's processor count): ids run
+// from 0 to MaxProcs-1. The bound lets checkers keep dense per-processor
+// state, so a history naming one huge id cannot make them allocate in
+// proportion to it. It is far above any machine this repository builds.
+const MaxProcs = 1 << 16
+
 // validate checks the structural invariants that make a history checkable
-// at all — nonnegative processor ids and nonempty record bodies. Ordering
-// and value obligations are deliberately NOT checked here: those are the
-// checker's verdict, not a parse error.
+// at all — one record shape, and processor ids in [0, MaxProcs) and inside
+// the header's count when it declares one. Ordering and value obligations
+// are deliberately NOT checked here: those are the checker's verdict, not
+// a parse error.
 func (h *History) validate() error {
+	if len(h.Chunks) > 0 && len(h.Accesses) > 0 {
+		// The two shapes describe different machines and carry no
+		// relative order, so no checker can audit them together.
+		return fmt.Errorf("chunk and access records mixed in one history")
+	}
+	limit, bound := MaxProcs, fmt.Sprintf("the %d-processor bound", MaxProcs)
+	if p := h.Header.Procs; p > MaxProcs {
+		return fmt.Errorf("header declares %d processors, above the %d bound", p, MaxProcs)
+	} else if p > 0 {
+		limit, bound = p, fmt.Sprintf("header's %d processors", p)
+	}
+	check := func(kind string, i, proc int) error {
+		switch {
+		case proc < 0:
+			return fmt.Errorf("%s record %d: negative proc %d", kind, i, proc)
+		case proc >= limit:
+			return fmt.Errorf("%s record %d: proc %d outside %s", kind, i, proc, bound)
+		}
+		return nil
+	}
 	for i := range h.Chunks {
-		c := &h.Chunks[i]
-		if c.Proc < 0 {
-			return fmt.Errorf("chunk record %d: negative proc %d", i, c.Proc)
+		if err := check("chunk", i, h.Chunks[i].Proc); err != nil {
+			return err
 		}
 	}
 	for i := range h.Accesses {
-		a := &h.Accesses[i]
-		if a.Proc < 0 {
-			return fmt.Errorf("access record %d: negative proc %d", i, a.Proc)
-		}
-	}
-	if p := h.Header.Procs; p > 0 {
-		for i := range h.Chunks {
-			if h.Chunks[i].Proc >= p {
-				return fmt.Errorf("chunk record %d: proc %d outside header's %d processors",
-					i, h.Chunks[i].Proc, p)
-			}
-		}
-		for i := range h.Accesses {
-			if h.Accesses[i].Proc >= p {
-				return fmt.Errorf("access record %d: proc %d outside header's %d processors",
-					i, h.Accesses[i].Proc, p)
-			}
+		if err := check("access", i, h.Accesses[i].Proc); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -116,6 +116,9 @@ func TestReadErrors(t *testing.T) {
 		{"not json", `not json at all`, "line 1"},
 		{"negative proc", `{"kind":"access","proc":-1,"po":1,"addr":0,"val":0}`, "negative proc"},
 		{"proc outside header", `{"kind":"header","version":1,"procs":2}` + "\n" + `{"kind":"access","proc":5,"po":1,"addr":0,"val":0}`, "outside header"},
+		{"mixed shapes", `{"kind":"chunk","proc":0,"seq":1,"order":1,"ops":[{"store":true,"addr":0,"val":1}]}` + "\n" + `{"kind":"access","proc":1,"po":1,"addr":0,"val":1}`, "chunk and access records mixed in one history"},
+		{"proc beyond bound", `{"kind":"access","proc":1099511627776,"po":1,"addr":0,"val":0}`, "proc 1099511627776 outside the 65536-processor bound"},
+		{"header procs beyond bound", `{"kind":"header","version":1,"procs":65537}` + "\n" + `{"kind":"access","proc":0,"po":1,"addr":0,"val":0}`, "above the 65536 bound"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,4 +1,6 @@
-// Package sccheck is an online sequential-consistency witness checker.
+// Package sccheck is the repository's sequential-consistency witness
+// checker: the one implementation of the SC obligations, fed online by the
+// machine and offline by internal/history/gk.
 //
 // BulkSC's central claim is that chunked, reordered, speculatively-executed
 // programs still *look* sequentially consistent: the arbiter serializes
@@ -9,35 +11,43 @@
 // This package checks that claim independently, following the witness-based
 // formulation of SC verification (Qadeer's model-checking construction and
 // QED-style MCM witness checking): the implementation under test *names* a
-// total order — the arbiter's global commit-order counter — and the checker
-// verifies that the named order actually explains every observed value.
-// Concretely, three obligations are discharged online, as chunks commit:
+// total order — the arbiter's global commit-order counter, or the perform
+// order of a conventional machine — and the checker verifies that the named
+// order actually explains every observed value. Five obligations are
+// discharged, incrementally and with O(footprint) state:
 //
-//  1. Chunk atomicity — within one chunk, no other chunk's commit may
-//     interleave: two reads of the same word with no intervening same-chunk
-//     store must observe the same value, and every read must be explained
-//     either by the chunk's own speculative write buffer (forwarding) or by
-//     the witness memory state as of the chunk's commit point.
-//  2. Value coherence — every committed load returns the value of the most
-//     recent store to that word in global commit order (with same-chunk
-//     stores forwarding through the speculative write buffer).
-//  3. Total order — commit orders are strictly increasing in arrival order
-//     (the arbiter assigns the order and replies in the same event, so
-//     checker arrival order is commit order), and each processor's chunk
-//     sequence embeds into the global order.
+//  1. Total order — commit orders are strictly increasing in arrival order
+//     (gaps are fine: a squashed chunk may consume an order that never
+//     commits), and each processor's chunk sequence embeds into the global
+//     order.
+//  2. Chunk atomicity — two reads of one word within a chunk, with no
+//     intervening same-chunk store, observe the same value: no other
+//     chunk's commit interleaved the chunk's accesses.
+//  3. Value coherence — every read not served by the reader's own buffered
+//     store returns the value of the most recent store to that word in the
+//     named order.
+//  4. Forwarding — a load after a same-chunk store to the same word
+//     observes the buffered value.
+//  5. Program order — a conventional processor's accesses perform in
+//     program order. The SC baseline must pass; RC genuinely relaxes
+//     store→load order (a drained store performs after younger loads),
+//     which surfaces here — the store-buffer litmus tests assert exactly
+//     that.
+//
+// Executions arrive in one of two shapes. Chunked executions are pushed a
+// chunk at a time — BeginChunk, one ChunkOp per logged access in program
+// order, EndChunk. Conventional executions report each architectural
+// access at its perform instant through Access. The Checker has two feeds:
+// the machine, which calls CommitChunk (that push loop over a committed
+// *chunk.Chunk) at the arbiter's grant event and Access at each perform,
+// and the offline checker gk.Check, which pushes a parsed NDJSON history
+// through the same calls. Online and offline verdicts, counts and
+// violation text are therefore identical by construction.
 //
 // Unlike core's replay checker, which re-derives values from the logs after
 // the run, the witness checker validates the implementation's *own claimed
-// serialization* and does so incrementally with O(footprint) state, so it
-// can gate long fuzz and integration runs without retaining every chunk.
-//
-// The same Checker also audits the conventional models through Access: each
-// architectural memory operation is reported at its perform instant, and
-// the checker verifies value coherence in perform order plus per-processor
-// program-order embedding. The SC baseline must pass; RC genuinely relaxes
-// store→load order (a drained store performs after younger loads), which
-// the checker flags as ProgramOrder violations — the store-buffer litmus
-// tests assert exactly that.
+// serialization* without retaining any chunk, so it can gate long fuzz and
+// integration runs.
 package sccheck
 
 import (
@@ -105,8 +115,28 @@ type wordState struct {
 // counting past the cap.
 const DefaultMaxViolations = 20
 
-// Checker verifies the SC-witness obligations online. It is not safe for
-// concurrent use; the simulator is single-goroutine per machine.
+// procState is one processor's embedding state.
+type procState struct {
+	order uint64 // last commit order (chunks)
+	seq   uint64 // last chunk sequence number (chunks)
+	po    uint64 // last program-order index (accesses)
+	// seen reports whether the processor reported anything yet; its first
+	// chunk or access sets the baseline the later ones must exceed. A
+	// processor reports chunks or accesses, never both: a machine runs one
+	// model, and history.Read rejects histories mixing the two shapes.
+	seen bool
+}
+
+// openChunk names the chunk being pushed: its processor, per-processor
+// sequence number and claimed commit order.
+type openChunk struct {
+	proc       int
+	seq, order uint64
+}
+
+// Checker verifies the SC-witness obligations over one execution, as the
+// execution is pushed into it. It is not safe for concurrent use; the
+// simulator is single-goroutine per machine.
 //
 // The zero value is not ready — use New (per-processor state grows lazily,
 // so New needs no processor count).
@@ -126,23 +156,21 @@ type Checker struct {
 	words map[mem.Addr]wordState
 
 	// lastOrder is the highest commit order seen; arrival must be in
-	// strictly increasing order (gaps are fine: a squashed chunk whose
-	// grant arrived posthumously consumes an order that never commits).
+	// strictly increasing order.
 	lastOrder uint64
 
-	// Per-processor embedding state, grown on demand.
-	procOrder []uint64 // last commit order per processor
-	procSeq   []uint64 // last chunk sequence number per processor
-	procPO    []uint64 // last program-order index per processor (conv)
-	procSeen  []bool   // whether the processor committed anything yet
+	// procs is the per-processor embedding state, grown on demand.
+	procs []procState
 
 	// arrivals counts conventional accesses; it is the witness order for
 	// the conventional models (every architectural access performs at a
 	// distinct engine instant).
 	arrivals uint64
 
-	// Scratch for CommitChunk, reused across chunks (allocation-free at
-	// steady state).
+	// cur is the chunk between BeginChunk and EndChunk.
+	cur openChunk
+	// Per-chunk scratch, reused across chunks (allocation-free at steady
+	// state).
 	overlay lineset.Map // same-chunk speculative write buffer replica
 	seen    lineset.Map // first observed value per word read in the chunk
 
@@ -161,20 +189,18 @@ func New() *Checker {
 // Reset empties the checker in place so a warm machine reuse (core.Runner)
 // starts the next run's audit from a fresh witness. Capacity is retained
 // everywhere it cannot reach the verdict: the witness-memory map is keyed
-// (no ordered iteration), the per-processor slices are truncated and
-// regrown with the same zero values a cold grow() appends, and the
-// overlay/seen scratch maps' slot-order ForEach publishes only commutative
-// per-word writes — so a warm checker's violations, counts and WitnessHash
-// are bit-identical to a cold one's.
+// (no ordered iteration), the per-processor slice is truncated and regrown
+// with the same zero values a cold proc() appends, and the overlay/seen
+// scratch maps' slot-order ForEach publishes only commutative per-word
+// writes — so a warm checker's violations, counts and WitnessHash are
+// bit-identical to a cold one's.
 func (c *Checker) Reset() {
 	c.MaxViolations = 0
 	clear(c.words)
 	c.lastOrder = 0
-	c.procOrder = c.procOrder[:0]
-	c.procSeq = c.procSeq[:0]
-	c.procPO = c.procPO[:0]
-	c.procSeen = c.procSeen[:0]
+	c.procs = c.procs[:0]
 	c.arrivals = 0
+	c.cur = openChunk{}
 	c.overlay.Reset()
 	c.seen.Reset()
 	clear(c.violations) // release Detail strings
@@ -184,13 +210,12 @@ func (c *Checker) Reset() {
 	c.accesses = 0
 }
 
-func (c *Checker) grow(proc int) {
-	for len(c.procOrder) <= proc {
-		c.procOrder = append(c.procOrder, 0)
-		c.procSeq = append(c.procSeq, 0)
-		c.procPO = append(c.procPO, 0)
-		c.procSeen = append(c.procSeen, false)
+// proc returns proc p's embedding state, growing the table to reach it.
+func (c *Checker) proc(p int) *procState {
+	for len(c.procs) <= p {
+		c.procs = append(c.procs, procState{})
 	}
+	return &c.procs[p]
 }
 
 func (c *Checker) report(v Violation) {
@@ -210,90 +235,101 @@ func (c *Checker) report(v Violation) {
 // provides. The chunk's Proc, Seq, CommitOrder and Log fields are read; the
 // chunk is not retained.
 func (c *Checker) CommitChunk(ch *chunk.Chunk) {
-	c.chunks++
-	c.accesses += uint64(len(ch.Log))
-	c.grow(ch.Proc)
+	c.BeginChunk(ch.Proc, ch.Seq, ch.CommitOrder)
+	for _, rec := range ch.Log {
+		c.ChunkOp(rec.IsStore, rec.Addr, rec.Value)
+	}
+	c.EndChunk()
+}
 
-	// Obligation 3: total order. Arrival order must follow the claimed
-	// global order, and the per-processor sequence must embed into it.
-	if ch.CommitOrder <= c.lastOrder {
+// BeginChunk opens the audit of one atomic chunk: processor proc's chunk
+// number seq, claimed at global commit order order. Chunks must begin in
+// the order they claim to commit, and each must be closed by EndChunk
+// before the next begins. It discharges the total-order obligation.
+func (c *Checker) BeginChunk(proc int, seq, order uint64) {
+	c.chunks++
+	c.cur = openChunk{proc: proc, seq: seq, order: order}
+	if order <= c.lastOrder {
 		c.report(Violation{
-			Kind: KindTotalOrder, Proc: ch.Proc, Order: ch.CommitOrder,
-			Detail: fmt.Sprintf("chunk #%d arrived after order %d", ch.Seq, c.lastOrder),
+			Kind: KindTotalOrder, Proc: proc, Order: order,
+			Detail: fmt.Sprintf("chunk #%d arrived after order %d", seq, c.lastOrder),
 		})
 	}
-	c.lastOrder = ch.CommitOrder
-	if c.procSeen[ch.Proc] {
-		if ch.CommitOrder <= c.procOrder[ch.Proc] {
+	c.lastOrder = order
+	ps := c.proc(proc)
+	if ps.seen {
+		if order <= ps.order {
 			c.report(Violation{
-				Kind: KindTotalOrder, Proc: ch.Proc, Order: ch.CommitOrder,
+				Kind: KindTotalOrder, Proc: proc, Order: order,
 				Detail: fmt.Sprintf("chunk #%d order not after processor's previous order %d",
-					ch.Seq, c.procOrder[ch.Proc]),
+					seq, ps.order),
 			})
 		}
-		if ch.Seq <= c.procSeq[ch.Proc] {
+		if seq <= ps.seq {
 			c.report(Violation{
-				Kind: KindTotalOrder, Proc: ch.Proc, Order: ch.CommitOrder,
+				Kind: KindTotalOrder, Proc: proc, Order: order,
 				Detail: fmt.Sprintf("chunk #%d committed after chunk #%d of the same processor",
-					ch.Seq, c.procSeq[ch.Proc]),
+					seq, ps.seq),
 			})
 		}
 	}
-	c.procOrder[ch.Proc] = ch.CommitOrder
-	c.procSeq[ch.Proc] = ch.Seq
-	c.procSeen[ch.Proc] = true
+	ps.order, ps.seq, ps.seen = order, seq, true
+}
 
-	// Obligations 1 and 2: walk the program-order log. overlay replicates
-	// the chunk's speculative write buffer; seen pins the first observed
-	// value of every word read before it is locally written.
-	for _, rec := range ch.Log {
-		a := rec.Addr.Align()
-		if rec.IsStore {
-			c.overlay.Put(a, rec.Value)
-			continue
-		}
-		if v, ok := c.overlay.Get(a); ok {
-			// Same-chunk forwarding.
-			if rec.Value != v {
-				c.report(Violation{
-					Kind: KindForwarding, Proc: ch.Proc, Order: ch.CommitOrder, Addr: rec.Addr,
-					Got: rec.Value, Want: v,
-					Detail: fmt.Sprintf("chunk #%d load not forwarded from same-chunk store", ch.Seq),
-				})
-			}
-			continue
-		}
-		if v, ok := c.seen.Get(a); ok {
-			// Re-read with no intervening same-chunk store: atomicity
-			// demands the same value.
-			if rec.Value != v {
-				c.report(Violation{
-					Kind: KindAtomicity, Proc: ch.Proc, Order: ch.CommitOrder, Addr: rec.Addr,
-					Got: rec.Value, Want: v,
-					Detail: fmt.Sprintf("chunk #%d re-read diverged: another commit interleaved", ch.Seq),
-				})
-			}
-			continue
-		}
-		// First read of the word: the witness memory as of this commit
-		// point must explain it.
-		want := c.words[a].val
-		if rec.Value != want {
-			w := c.words[a]
+// ChunkOp audits the open chunk's next access in program order: a store of
+// v to a, or a load that observed v. overlay replicates the chunk's
+// speculative write buffer; seen pins the first observed value of every
+// word read before it is locally written. It discharges the atomicity,
+// coherence and forwarding obligations.
+func (c *Checker) ChunkOp(store bool, a mem.Addr, v uint64) {
+	c.accesses++
+	aa := a.Align()
+	if store {
+		c.overlay.Put(aa, v)
+		return
+	}
+	if want, ok := c.overlay.Get(aa); ok {
+		// Same-chunk forwarding.
+		if v != want {
 			c.report(Violation{
-				Kind: KindCoherence, Proc: ch.Proc, Order: ch.CommitOrder, Addr: rec.Addr,
-				Got: rec.Value, Want: want,
-				Detail: fmt.Sprintf("chunk #%d load differs from last store (proc %d, order %d)",
-					ch.Seq, w.proc, w.order),
+				Kind: KindForwarding, Proc: c.cur.proc, Order: c.cur.order, Addr: a,
+				Got: v, Want: want,
+				Detail: fmt.Sprintf("chunk #%d load not forwarded from same-chunk store", c.cur.seq),
 			})
 		}
-		c.seen.Put(a, rec.Value)
+		return
 	}
+	if want, ok := c.seen.Get(aa); ok {
+		// Re-read with no intervening same-chunk store: atomicity demands
+		// the same value.
+		if v != want {
+			c.report(Violation{
+				Kind: KindAtomicity, Proc: c.cur.proc, Order: c.cur.order, Addr: a,
+				Got: v, Want: want,
+				Detail: fmt.Sprintf("chunk #%d re-read diverged: another commit interleaved", c.cur.seq),
+			})
+		}
+		return
+	}
+	// First read of the word: the witness memory as of this commit point
+	// must explain it.
+	if w := c.words[aa]; v != w.val {
+		c.report(Violation{
+			Kind: KindCoherence, Proc: c.cur.proc, Order: c.cur.order, Addr: a,
+			Got: v, Want: w.val,
+			Detail: fmt.Sprintf("chunk #%d load differs from last store (proc %d, order %d)",
+				c.cur.seq, w.proc, w.order),
+		})
+	}
+	c.seen.Put(aa, v)
+}
 
-	// Publish the chunk's writes into the witness memory at its commit
-	// point, then reset the scratch in place.
+// EndChunk closes the open chunk: its writes are published into the
+// witness memory at its commit point and the per-chunk scratch is reset in
+// place.
+func (c *Checker) EndChunk() {
 	c.overlay.ForEach(func(a mem.Addr, v uint64) {
-		c.words[a] = wordState{val: v, order: ch.CommitOrder, proc: ch.Proc}
+		c.words[a] = wordState{val: v, order: c.cur.order, proc: c.cur.proc}
 	})
 	c.overlay.Reset()
 	c.seen.Reset()
@@ -302,26 +338,25 @@ func (c *Checker) CommitChunk(ch *chunk.Chunk) {
 // Access discharges the witness obligations for one conventional-model
 // architectural access at its perform instant. po is the processor's
 // program-order index for the operation (assigned at dispatch, strictly
-// increasing per processor); fwd marks a load served from the processor's
-// own store buffer, which is exempt from the coherence check (its ordering
-// debt is collected when the buffered store itself performs, as a
-// program-order violation).
+// increasing per processor; the first access sets the baseline); fwd marks
+// a load served from the processor's own store buffer, which is exempt
+// from the coherence check (its ordering debt is collected when the
+// buffered store itself performs, as a program-order violation).
 //
 //sim:hotpath
 func (c *Checker) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, fwd bool) {
 	c.arrivals++
 	c.accesses++
-	c.grow(proc)
 	aa := a.Align()
 
-	if po <= c.procPO[proc] {
+	if ps := c.proc(proc); ps.seen && po <= ps.po {
 		c.report(Violation{
 			Kind: KindProgramOrder, Proc: proc, Order: c.arrivals, Addr: a, Got: v,
 			//lint:alloc violation-report formatting; runs only when an SC violation is detected
-			Detail: fmt.Sprintf("op po=%d performed after po=%d", po, c.procPO[proc]),
+			Detail: fmt.Sprintf("op po=%d performed after po=%d", po, ps.po),
 		})
 	} else {
-		c.procPO[proc] = po
+		ps.po, ps.seen = po, true
 	}
 
 	if store {
@@ -331,10 +366,9 @@ func (c *Checker) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, 
 	if fwd {
 		return
 	}
-	if want := c.words[aa].val; v != want {
-		w := c.words[aa]
+	if w := c.words[aa]; v != w.val {
 		c.report(Violation{
-			Kind: KindCoherence, Proc: proc, Order: c.arrivals, Addr: a, Got: v, Want: want,
+			Kind: KindCoherence, Proc: proc, Order: c.arrivals, Addr: a, Got: v, Want: w.val,
 			//lint:alloc violation-report formatting; runs only when an SC violation is detected
 			Detail: fmt.Sprintf("load differs from last store (proc %d, order %d)", w.proc, w.order),
 		})
