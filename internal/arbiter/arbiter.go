@@ -32,39 +32,11 @@ const DefaultMaxSimul = 8
 // Token identifies a granted, still-committing chunk in an arbiter's list.
 type Token uint64
 
-// Request is a permission-to-commit request. The processor fills W always;
-// under the RSig optimization R is nil and FetchR lets the arbiter pull it
-// only when its W list is non-empty.
-type Request struct {
-	Proc int
-	W    sig.Signature
-	// R is the chunk's read signature, or nil if withheld (RSig opt).
-	R sig.Signature
-	// FetchR asynchronously retrieves R from the processor, charging the
-	// extra round trip. Required when R is nil.
-	FetchR func(cb func(sig.Signature))
-	// TrueW is the chunk's exact write set, carried as simulation metadata
-	// (it rides the W message; no extra traffic is charged). The directory
-	// uses it to classify aliased lookups and invalidations.
-	TrueW *lineset.Set
-	// Reply is invoked exactly once at the arbiter's decision event.
-	// granted=true means the chunk is serialized at this instant; order is
-	// its position in the global commit order. The caller must treat the
-	// decision instant as the chunk's logical commit point and model its
-	// own notification latency.
-	Reply func(granted bool, order uint64)
-	// Hold is the requesting chunk's claim on W and TrueW. Every W-list
-	// entry (a grant or a G-arbiter reservation) takes it before the Reply
-	// and releases it when the entry leaves the list (Done or Abort), so
-	// the chunk cannot be recycled while the arbiter or the directory flow
-	// behind it still reads them. The zero Hold is inert.
-	Hold chunk.Hold
-}
-
-// pendingEntry is one W-list slot, stored by value in Arbiter.pending: a
-// granted or tentatively reserved W and the Hold that keeps its chunk
-// alive while the entry stands.
+// pendingEntry is one W-list slot: a granted or tentatively reserved W,
+// its token, and the Hold that keeps its chunk alive while the entry
+// stands.
 type pendingEntry struct {
+	tok  Token
 	w    sig.Signature
 	hold chunk.Hold
 }
@@ -82,11 +54,13 @@ type Arbiter struct {
 	//lint:poolsafe immutable machine-lifetime references wired at construction
 	st *stats.Stats
 
-	// pending holds one entry per granted, still-forwarding W; the
-	// directory's Done(tok) is the removal that keeps commit bandwidth
-	// from leaking (wait-queue pairing proven by the waiterpair pass).
+	// pending holds one entry per granted, still-forwarding W, in
+	// insertion order; grant and Reserve cap it at MaxSimul, so lookups
+	// are short linear scans. The directory's Done(tok) is the removal
+	// that keeps commit bandwidth from leaking (wait-queue pairing proven
+	// by the waiterpair pass).
 	//sim:waitq wlist
-	pending map[Token]pendingEntry
+	pending []pendingEntry
 	nextTok Token
 	//lint:poolsafe shared commit-order counter; the owning machine zeroes the pointee between runs
 	order    *uint64 // shared global commit-order counter
@@ -111,10 +85,13 @@ type Arbiter struct {
 	// waiter whose transaction dies must be removed (the PR-2 stale-waiter
 	// leak), which the waiterpair pass proves over EndPreArbitration.
 	//sim:waitq prearb
-	lockQueue []lockWaiter
+	lockQueue []*lockWaiter
 }
 
+// lockWaiter is one pre-arbitration request: the payload of its decision
+// event and, while the lock is taken, its place in lockQueue.
 type lockWaiter struct {
+	a       *Arbiter
 	proc    int
 	granted func()
 }
@@ -126,7 +103,6 @@ func New(id int, eng *sim.Engine, net *network.Network, st *stats.Stats, order *
 		eng:      eng,
 		net:      net,
 		st:       st,
-		pending:  make(map[Token]pendingEntry),
 		order:    order,
 		MaxSimul: DefaultMaxSimul,
 		lockProc: -1,
@@ -134,7 +110,7 @@ func New(id int, eng *sim.Engine, net *network.Network, st *stats.Stats, order *
 }
 
 // Reset returns the arbiter to its just-constructed state in place: the
-// pending W-list is emptied (retaining the map's buckets), the token
+// pending W-list is emptied (retaining its capacity), the token
 // counter restarts, the pre-arbitration lock is released and its queue
 // scrubbed (zeroing entries first so queued grant closures from a finished
 // run are released, not replayed), and the per-run fault plan is detached.
@@ -142,6 +118,7 @@ func New(id int, eng *sim.Engine, net *network.Network, st *stats.Stats, order *
 // sets it after Reset, exactly as it would after New.
 func (a *Arbiter) Reset() {
 	clear(a.pending)
+	a.pending = a.pending[:0]
 	a.nextTok = 0
 	a.MaxSimul = DefaultMaxSimul
 	a.Faults = nil
@@ -160,12 +137,8 @@ func (a *Arbiter) noteWList() { a.st.WListChanged(uint64(a.eng.Now()), len(a.pen
 //
 //sim:hotpath
 func (a *Arbiter) conflicts(r, w sig.Signature) bool {
-	// An ∃-query over side-effect-free Intersects: the answer is the same
-	// whatever order the pending entries are visited in, and no counter or
-	// state is touched along the way, so Go's randomized map order cannot
-	// reach simulation state.
-	//lint:deterministic order-independent existence query over pure Intersects
-	for _, p := range a.pending {
+	for i := range a.pending {
+		p := &a.pending[i]
 		if r != nil && p.w.Intersects(r) {
 			return true
 		}
@@ -176,61 +149,76 @@ func (a *Arbiter) conflicts(r, w sig.Signature) bool {
 	return false
 }
 
-// Request processes a permission-to-commit request after ProcessLat cycles
-// of decision latency. It implements the RSig optimization: if the W list
-// is empty, the request is granted without ever seeing R.
-func (a *Arbiter) Request(req *Request) {
-	a.st.CommitRequests++
-	a.eng.After(ProcessLat+sim.Time(a.Faults.ArbDelay(req.Proc)), func() { a.decide(req) })
+// Send delivers req to this arbiter one network hop from now, charging
+// wBytes for the W message. The arbiter owns req from here on.
+//
+//sim:hotpath
+func (a *Arbiter) Send(req *Request, wBytes int) {
+	req.arb = a
+	a.net.SendCall(stats.CatWrSig, wBytes, arbRequestCB, req)
 }
 
 //sim:hotpath
-func (a *Arbiter) decide(req *Request) {
-	if a.Faults.ArbDeny(req.Proc) {
-		a.deny(req)
-		return
-	}
-	if a.lockProc >= 0 && a.lockProc != req.Proc {
-		a.deny(req)
-		return
-	}
-	if len(a.pending) >= a.MaxSimul {
-		a.deny(req)
-		return
-	}
-	if len(a.pending) == 0 {
-		a.grant(req)
-		return
-	}
-	// Non-empty list: R is needed. Fetch it if the RSig optimization
-	// withheld it.
-	if req.R == nil {
-		if req.FetchR == nil {
-			panic("arbiter: request without R or FetchR")
-		}
-		a.st.RSigRequired++
-		//lint:alloc per-RSig-fetch callback; commit-request rate, not access rate
-		req.FetchR(func(r sig.Signature) {
-			req.R = r
-			a.decideWithR(req)
-		})
-		return
-	}
-	a.decideWithR(req)
+func arbRequestCB(arg any) {
+	r := arg.(*Request)
+	r.arb.Request(r)
 }
 
+// Request processes a permission-to-commit request after ProcessLat cycles
+// of decision latency. It implements the RSig optimization: if the W list
+// is empty, the request is granted without ever seeing R.
+//
+//sim:hotpath
+func (a *Arbiter) Request(req *Request) {
+	a.st.CommitRequests++
+	req.arb = a
+	a.eng.AfterCall(ProcessLat+sim.Time(a.Faults.ArbDelay(req.Proc)), decideCB, req)
+}
+
+//sim:hotpath
+func decideCB(arg any) {
+	r := arg.(*Request)
+	r.arb.decide(r)
+}
+
+// decide is the decision event. A request it denies or grants is at its
+// last use; one that needs a withheld R continues at decideWithR.
+//
+//sim:hotpath
+func (a *Arbiter) decide(req *Request) {
+	switch {
+	case a.Faults.ArbDeny(req.Proc),
+		a.lockProc >= 0 && a.lockProc != req.Proc,
+		len(a.pending) >= a.MaxSimul:
+		a.deny(req)
+	case len(a.pending) == 0:
+		a.grant(req)
+	case req.R == nil:
+		// Non-empty list: R is needed, and the RSig optimization withheld
+		// it.
+		a.st.RSigRequired++
+		req.fetchR(a.net)
+		return
+	default:
+		a.decideWithR(req)
+		return
+	}
+	putRequest(req)
+}
+
+// decideWithR decides a request whose R is at hand; the request is at its
+// last use afterwards.
+//
+//sim:hotpath
 func (a *Arbiter) decideWithR(req *Request) {
 	// Revalidate lock and capacity: they may have changed while R was in
 	// flight.
-	if (a.lockProc >= 0 && a.lockProc != req.Proc) || len(a.pending) >= a.MaxSimul {
+	if (a.lockProc >= 0 && a.lockProc != req.Proc) || len(a.pending) >= a.MaxSimul || a.conflicts(req.R, req.W) {
 		a.deny(req)
-		return
+	} else {
+		a.grant(req)
 	}
-	if a.conflicts(req.R, req.W) {
-		a.deny(req)
-		return
-	}
-	a.grant(req)
+	putRequest(req)
 }
 
 func (a *Arbiter) deny(req *Request) {
@@ -251,11 +239,7 @@ func (a *Arbiter) grant(req *Request) {
 		req.Reply(true, ord)
 		return
 	}
-	a.nextTok++
-	tok := a.nextTok
-	req.Hold.Take()
-	a.pending[tok] = pendingEntry{w: req.W, hold: req.Hold}
-	a.noteWList()
+	tok := a.insert(req)
 	req.Reply(true, ord)
 	if a.ForwardW == nil {
 		panic("arbiter: ForwardW not wired")
@@ -263,20 +247,55 @@ func (a *Arbiter) grant(req *Request) {
 	a.ForwardW(tok, req.Proc, req.W, req.TrueW)
 }
 
+// insert appends req's W to the list under a fresh token, taking the
+// request's Hold.
+//
+//sim:hotpath
+func (a *Arbiter) insert(req *Request) Token {
+	a.nextTok++
+	tok := a.nextTok
+	req.Hold.Take()
+	a.pending = append(a.pending, pendingEntry{tok: tok, w: req.W, hold: req.Hold})
+	a.noteWList()
+	return tok
+}
+
+// find returns tok's index in the W list, or -1.
+//
+//sim:hotpath
+func (a *Arbiter) find(tok Token) int {
+	for i := range a.pending {
+		if a.pending[i].tok == tok {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove drops tok's entry, keeping the list in insertion order, and
+// releases its Hold. An unknown token is a protocol error.
+//
+//sim:hotpath
+//sim:waitq deq wlist
+func (a *Arbiter) remove(tok Token, op string) {
+	i := a.find(tok)
+	if i < 0 {
+		panic(fmt.Sprintf("arbiter %d: %s for unknown token %d", a.ID, op, tok))
+	}
+	h := a.pending[i].hold
+	n := copy(a.pending[i:], a.pending[i+1:])
+	a.pending[i+n] = pendingEntry{}
+	a.pending = a.pending[:i+n]
+	a.noteWList()
+	h.Release()
+}
+
 // Done removes a fully-committed W from the list and releases the entry's
 // Hold on the chunk; called by the directory when all invalidation
 // acknowledgements have been collected.
 //
 //sim:waitq final wlist
-func (a *Arbiter) Done(tok Token) {
-	e, ok := a.pending[tok]
-	if !ok {
-		panic(fmt.Sprintf("arbiter %d: Done for unknown token %d", a.ID, tok))
-	}
-	delete(a.pending, tok)
-	a.noteWList()
-	e.hold.Release()
-}
+func (a *Arbiter) Done(tok Token) { a.remove(tok, "Done") }
 
 // PreArbitrate requests exclusive commit rights for proc (§3.3 forward
 // progress). granted fires (after arbitration latency) once the lock is
@@ -284,14 +303,20 @@ func (a *Arbiter) Done(tok Token) {
 // granted, or by EndPreArbitration.
 func (a *Arbiter) PreArbitrate(proc int, granted func()) {
 	a.st.PreArbitrations++
-	a.eng.After(ProcessLat, func() {
-		if a.lockProc < 0 {
-			a.lockProc = proc
-			granted()
-			return
-		}
-		a.lockQueue = append(a.lockQueue, lockWaiter{proc: proc, granted: granted})
-	})
+	a.eng.AfterCall(ProcessLat, lockArriveCB, &lockWaiter{a: a, proc: proc, granted: granted})
+}
+
+// lockArriveCB is a pre-arbitration request's decision event: take the
+// free lock, or queue behind its holder.
+func lockArriveCB(arg any) {
+	w := arg.(*lockWaiter)
+	a := w.a
+	if a.lockProc < 0 {
+		a.lockProc = w.proc
+		w.granted()
+		return
+	}
+	a.lockQueue = append(a.lockQueue, w)
 }
 
 // EndPreArbitration releases proc's exclusive lock without a commit (e.g.
@@ -309,6 +334,7 @@ func (a *Arbiter) EndPreArbitration(proc int) {
 			keep = append(keep, w)
 		}
 	}
+	clear(a.lockQueue[len(keep):])
 	a.lockQueue = keep
 	if a.lockProc == proc {
 		a.unlock()
@@ -320,6 +346,7 @@ func (a *Arbiter) unlock() {
 	a.lockProc = -1
 	if len(a.lockQueue) > 0 {
 		next := a.lockQueue[0]
+		a.lockQueue[0] = nil
 		a.lockQueue = a.lockQueue[1:]
 		a.lockProc = next.proc
 		next.granted()

@@ -31,6 +31,12 @@ func newHarness() *harness {
 	return h
 }
 
+// after schedules a plain func() d cycles from now through the engine's
+// one callback form.
+func after(eng *sim.Engine, d sim.Time, f func()) { eng.AfterCall(d, callFunc, f) }
+
+func callFunc(arg any) { arg.(func())() }
+
 func sigOf(lines ...mem.Line) sig.Signature {
 	s := sig.NewExact()
 	for _, l := range lines {
@@ -272,7 +278,7 @@ func TestWListStats(t *testing.T) {
 	h := newHarness()
 	h.arb.Request(req(0, sigOf(10), sigOf(), func(bool, uint64) {}))
 	h.eng.Run(nil)
-	h.eng.After(100, func() { h.arb.Done(h.fwd[0]) })
+	after(h.eng, 100, func() { h.arb.Done(h.fwd[0]) })
 	h.eng.Run(nil)
 	h.st.CloseWList(uint64(h.eng.Now()) + 100)
 	if h.st.NonEmptyWListPct() <= 0 {
@@ -611,5 +617,87 @@ func TestGArbShardQueueKeepsFIFOAcrossCompaction(t *testing.T) {
 	}
 	if cap(sh.queue) > 1024 {
 		t.Fatalf("queue storage grew to %d for a backlog of at most %d", cap(sh.queue), next)
+	}
+}
+
+// mustPanic runs f and fails unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestUnknownTokenPanics: Done, Confirm and Abort of a token the arbiter
+// does not hold are protocol errors. A double or stale Abort must not
+// silently release a zero Hold.
+func TestUnknownTokenPanics(t *testing.T) {
+	eng, _, arbs, g, fwd := newDistributed(2)
+	ch := &chunk.Chunk{}
+	r := req(0, sigOf(0, RangeGranule), sigOf(), func(bool, uint64) {})
+	r.Hold = ch.Hold()
+	g.Request(r, []int{0, 1})
+	eng.Run(nil)
+	if len(*fwd) != 2 {
+		t.Fatalf("ForwardW called %d times, want 2", len(*fwd))
+	}
+	tok := (*fwd)[0]
+	arbs[0].Abort(tok)
+	if ch.Holds != 1 || arbs[0].Pending() != 0 {
+		t.Fatalf("Abort left %d holds and %d entries, want 1 and 0", ch.Holds, arbs[0].Pending())
+	}
+	mustPanic(t, "double Abort", func() { arbs[0].Abort(tok) })
+	mustPanic(t, "Abort of a never-issued token", func() { arbs[1].Abort(99) })
+	mustPanic(t, "Done after Abort", func() { arbs[0].Done(tok) })
+	mustPanic(t, "Confirm after Abort", func() { arbs[0].Confirm(tok, r) })
+	if ch.Holds != 1 {
+		t.Fatalf("a rejected Abort or Done released a hold: %d left, want 1", ch.Holds)
+	}
+}
+
+// TestWListKeepsInsertionOrder removes entries from the middle, the front
+// and the back of a full W list: the survivors keep their order, each
+// removal releases exactly its own entry's hold, and the freed slots take
+// new entries.
+func TestWListKeepsInsertionOrder(t *testing.T) {
+	h := newHarness()
+	chunks := make([]*chunk.Chunk, DefaultMaxSimul)
+	for i := range chunks {
+		chunks[i] = &chunk.Chunk{}
+		r := req(i, sigOf(mem.Line(10*i)), sigOf(), func(bool, uint64) {})
+		r.Hold = chunks[i].Hold()
+		h.arb.Request(r)
+	}
+	h.eng.Run(nil)
+	if h.arb.Pending() != DefaultMaxSimul {
+		t.Fatalf("pending = %d, want a full list of %d", h.arb.Pending(), DefaultMaxSimul)
+	}
+	for _, i := range []int{3, 0, DefaultMaxSimul - 1} {
+		h.arb.Done(h.fwd[i])
+		if chunks[i].Holds != 0 {
+			t.Fatalf("Done of entry %d left %d holds", i, chunks[i].Holds)
+		}
+	}
+	var toks []Token
+	for i := range h.arb.pending {
+		toks = append(toks, h.arb.pending[i].tok)
+	}
+	want := []Token{h.fwd[1], h.fwd[2], h.fwd[4], h.fwd[5], h.fwd[6]}
+	if len(toks) != len(want) {
+		t.Fatalf("W list %v, want %v", toks, want)
+	}
+	for i := range want {
+		if toks[i] != want[i] {
+			t.Fatalf("W list %v, want %v", toks, want)
+		}
+	}
+	var g bool
+	h.arb.Request(req(9, sigOf(3), sigOf(), func(gr bool, _ uint64) { g = gr }))
+	h.eng.Run(nil)
+	if !g || h.arb.Pending() != len(want)+1 {
+		t.Fatalf("freed slot not reused: granted=%v pending=%d", g, h.arb.Pending())
 	}
 }

@@ -1,19 +1,14 @@
 package arbiter
 
 import (
+	"fmt"
+
 	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
 	"bulksc/internal/sim"
 	"bulksc/internal/stats"
 )
-
-// reservation pairs an arbiter with the tentative token it issued during
-// phase 1 of a G-arbiter transaction.
-type reservation struct {
-	arb *Arbiter
-	tok Token
-}
 
 // RangeGranule is the interleaving granule (in lines) that maps addresses
 // to arbiter/directory modules: 64 lines = 2 KB.
@@ -69,6 +64,8 @@ func RangesOfInto(out []int, sets []*lineset.Set, n int, seen []bool) []int {
 // takes the request's Hold, released at Abort or (once confirmed) Done.
 // The request must carry R (the RSig optimization does not apply to
 // multi-range commits in this model).
+//
+//sim:hotpath
 func (a *Arbiter) Reserve(req *Request) (Token, bool) {
 	if a.Faults.ArbDeny(req.Proc) {
 		return 0, false
@@ -82,39 +79,32 @@ func (a *Arbiter) Reserve(req *Request) (Token, bool) {
 	if a.conflicts(req.R, req.W) {
 		return 0, false
 	}
-	a.nextTok++
-	tok := a.nextTok
-	req.Hold.Take()
-	a.pending[tok] = pendingEntry{w: req.W, hold: req.Hold}
-	a.noteWList()
-	return tok, true
+	return a.insert(req), true
 }
 
 // Confirm firms a reservation and launches the directory flow for this
 // arbiter's module. Empty-W requests never reach Reserve/Confirm.
+//
+//sim:hotpath
 func (a *Arbiter) Confirm(tok Token, req *Request) {
-	if _, ok := a.pending[tok]; !ok {
-		panic("arbiter: Confirm of unknown token")
+	if a.find(tok) < 0 {
+		panic(fmt.Sprintf("arbiter %d: Confirm for unknown token %d", a.ID, tok))
 	}
 	a.ForwardW(tok, req.Proc, req.W, req.TrueW)
 }
 
 // Abort drops a reservation after a partner arbiter denied, releasing its
-// Hold.
-func (a *Arbiter) Abort(tok Token) {
-	e := a.pending[tok]
-	delete(a.pending, tok)
-	a.noteWList()
-	e.hold.Release()
-}
+// Hold. Like Done and Confirm it panics on a token it does not hold, so a
+// double or stale abort cannot pass unnoticed.
+//
+//sim:hotpath
+func (a *Arbiter) Abort(tok Token) { a.remove(tok, "Abort") }
 
 // garbTxn is one multi-range transaction parked in a shard's FIFO queue
-// while the shard is at its in-flight cap. The ranges slice must be stable
-// (callers copy scratch-backed lists before handing them to Request).
+// while the shard is at its in-flight cap; its ranges live on the request.
 type garbTxn struct {
-	req    *Request
-	ranges []int
-	since  sim.Time
+	req   *Request
+	since sim.Time
 }
 
 // garbShard is one independent coordinator of the sharded G-arbiter tier:
@@ -200,73 +190,151 @@ func (g *GArbiter) SetShards(n int) {
 // Shards reports the coordinator tier width, for tests.
 func (g *GArbiter) Shards() int { return len(g.shards) }
 
+// Send routes req to the G-arbiter over the given module ids, which are
+// copied into the record (the caller's slice may be scratch). A withheld R
+// is fetched first; the (R,W) message then reaches the coordinating shard
+// one hop later. The G-arbiter owns req from here on.
+//
+//sim:hotpath
+func (g *GArbiter) Send(req *Request, ranges []int) {
+	req.g = g
+	req.ranges = append(req.ranges[:0], ranges...)
+	if req.R == nil {
+		req.fetchR(g.net)
+		return
+	}
+	g.net.SendCall(stats.CatWrSig, network.SigBytes, garbRequestCB, req)
+}
+
+//sim:hotpath
+func garbRequestCB(arg any) {
+	r := arg.(*Request)
+	r.g.request(r)
+}
+
 // Request runs a multi-arbiter commit transaction across the given module
-// ids. req.R must be non-nil, and ranges must be stable storage — a queued
-// transaction holds it until a shard slot frees. The decision Reply fires
-// at the coordinating shard's combine event.
+// ids, copied into the record. req.R must be non-nil. The decision Reply
+// fires at the coordinating shard's combine event.
 func (g *GArbiter) Request(req *Request, ranges []int) {
+	req.ranges = append(req.ranges[:0], ranges...)
+	g.request(req)
+}
+
+//sim:hotpath
+func (g *GArbiter) request(req *Request) {
+	req.g = g
 	g.st.CommitRequests++
 	g.st.GArbTransactions++
-	if len(ranges) > 1 {
+	if len(req.ranges) > 1 {
 		g.st.MultiArbCommits++
 	}
-	sh := &g.shards[ranges[0]%len(g.shards)]
+	sh := &g.shards[req.ranges[0]%len(g.shards)]
 	if sh.inFlight >= g.MaxInFlight {
 		g.st.GArbQueued++
-		sh.push(garbTxn{req: req, ranges: ranges, since: g.eng.Now()})
+		sh.push(garbTxn{req: req, since: g.eng.Now()})
 		return
 	}
 	sh.inFlight++
-	g.launch(sh, req, ranges)
+	g.launch(sh, req)
 }
 
 // launch starts phase 1 of one transaction on its coordinating shard:
 // forward (R,W) to each involved arbiter (one hop each) and reserve;
 // replies return to the shard (another hop), and the last reply combines.
-func (g *GArbiter) launch(sh *garbShard, req *Request, ranges []int) {
-	var reserved []reservation
-	failed := false
-	replies := 0
-	for _, idx := range ranges {
-		arb := g.Arbs[idx]
-		g.net.SendAfter(ProcessLat, stats.CatWrSig, network.SigBytes, func() {
-			g.net.Account(stats.CatRdSig, network.SigBytes) // R rides along
-			tok, ok := arb.Reserve(req)
-			g.net.Send(stats.CatOther, network.CtrlBytes, func() {
-				replies++
-				if ok {
-					reserved = append(reserved, reservation{arb, tok})
-				} else {
-					failed = true
-				}
-				if replies == len(ranges) {
-					g.combine(sh, req, reserved, failed)
-				}
-			})
-		})
+// Each arbiter's part rides its leg of the record; the legs are laid out
+// before the first send, so their addresses are stable payloads.
+//
+//sim:hotpath
+func (g *GArbiter) launch(sh *garbShard, req *Request) {
+	req.sh = sh
+	for _, idx := range req.ranges {
+		req.legs = append(req.legs, leg{req: req, arb: g.Arbs[idx]})
+	}
+	for i := range req.legs {
+		g.net.SendAfterCall(ProcessLat, stats.CatWrSig, network.SigBytes, reserveCB, &req.legs[i])
 	}
 }
 
-func (g *GArbiter) combine(sh *garbShard, req *Request, reserved []reservation, failed bool) {
-	if failed {
-		for _, r := range reserved {
-			r := r
-			g.net.Send(stats.CatOther, network.CtrlBytes, func() { r.arb.Abort(r.tok) })
+// reserveCB runs at one involved arbiter: reserve, and reply to the shard.
+//
+//sim:hotpath
+func reserveCB(arg any) {
+	l := arg.(*leg)
+	g := l.req.g
+	g.net.Account(stats.CatRdSig, network.SigBytes) // R rides along
+	l.tok, l.ok = l.arb.Reserve(l.req)
+	g.net.SendCall(stats.CatOther, network.CtrlBytes, reserveReplyCB, l)
+}
+
+// reserveReplyCB collects one reply at the shard; the last one combines.
+//
+//sim:hotpath
+func reserveReplyCB(arg any) {
+	l := arg.(*leg)
+	r := l.req
+	r.replies++
+	if l.ok {
+		r.reserved = append(r.reserved, l)
+	} else {
+		r.failed = true
+	}
+	if r.replies == len(r.legs) {
+		r.g.combine(r)
+	}
+}
+
+// combine decides the transaction and sends each reservation its Confirm
+// or Abort, in reply-arrival order. The record's last use is the last of
+// those deliveries, or this event if nothing reserved.
+//
+//sim:hotpath
+func (g *GArbiter) combine(req *Request) {
+	sh := req.sh
+	req.confirms = len(req.reserved)
+	if req.failed {
+		for _, l := range req.reserved {
+			g.net.SendCall(stats.CatOther, network.CtrlBytes, abortCB, l)
 		}
 		g.st.CommitDenies++
 		req.Reply(false, 0)
-		g.release(sh)
-		return
+	} else {
+		g.st.CommitGrants++
+		*g.Arbs[0].order++
+		ord := *g.Arbs[0].order
+		for _, l := range req.reserved {
+			g.net.SendCall(stats.CatOther, network.CtrlBytes, confirmCB, l)
+		}
+		req.Reply(true, ord)
 	}
-	g.st.CommitGrants++
-	*g.Arbs[0].order++
-	ord := *g.Arbs[0].order
-	for _, r := range reserved {
-		r := r
-		g.net.Send(stats.CatOther, network.CtrlBytes, func() { r.arb.Confirm(r.tok, req) })
-	}
-	req.Reply(true, ord)
 	g.release(sh)
+	if req.confirms == 0 {
+		putRequest(req)
+	}
+}
+
+//sim:hotpath
+func abortCB(arg any) {
+	l := arg.(*leg)
+	l.arb.Abort(l.tok)
+	legDone(l.req)
+}
+
+//sim:hotpath
+func confirmCB(arg any) {
+	l := arg.(*leg)
+	l.arb.Confirm(l.tok, l.req)
+	legDone(l.req)
+}
+
+// legDone retires one Confirm/Abort delivery; the last one recycles the
+// record.
+//
+//sim:hotpath
+func legDone(r *Request) {
+	r.confirms--
+	if r.confirms == 0 {
+		putRequest(r)
+	}
 }
 
 // release frees the finished transaction's slot: the oldest queued
@@ -278,7 +346,7 @@ func (g *GArbiter) release(sh *garbShard) {
 	if len(sh.queue) > 0 {
 		t := sh.pop()
 		g.st.GArbQueueCycles += uint64(g.eng.Now() - t.since)
-		g.launch(sh, t.req, t.ranges)
+		g.launch(sh, t.req)
 		return
 	}
 	sh.inFlight--

@@ -43,7 +43,7 @@ func TestPropertySerializationInvariant(t *testing.T) {
 			pending[tok] = trueW
 			// Complete after a random delay.
 			nextDone = append(nextDone, tok)
-			eng.After(sim.Time(5+rng.Intn(40)), func() {
+			after(eng, sim.Time(5+rng.Intn(40)), func() {
 				delete(pending, tok)
 				arb.Done(tok)
 			})
@@ -69,7 +69,7 @@ func TestPropertySerializationInvariant(t *testing.T) {
 				Proc:   rng.Intn(8),
 				W:      w,
 				TrueW:  trueW,
-				FetchR: func(cb func(sig.Signature)) { eng.After(6, func() { cb(r) }) },
+				FetchR: func(cb func(sig.Signature)) { after(eng, 6, func() { cb(r) }) },
 				Reply: func(granted bool, ord uint64) {
 					if !granted {
 						denies++
@@ -108,7 +108,7 @@ func TestPropertySerializationInvariant(t *testing.T) {
 					}
 				},
 			}
-			eng.After(sim.Time(rng.Intn(15)), func() { arb.Request(req) })
+			after(eng, sim.Time(rng.Intn(15)), func() { arb.Request(req) })
 			if rng.Intn(4) == 0 {
 				eng.Run(nil)
 			}
@@ -136,7 +136,7 @@ func TestPropertyCommitOrderIsTotalAndGapFree(t *testing.T) {
 	var order uint64
 	arb := New(0, eng, nw, st, &order)
 	arb.ForwardW = func(tok Token, proc int, w sig.Signature, trueW *lineset.Set) {
-		eng.After(3, func() { arb.Done(tok) })
+		after(eng, 3, func() { arb.Done(tok) })
 	}
 	var got []uint64
 	for i := 0; i < 60; i++ {

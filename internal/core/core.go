@@ -354,15 +354,18 @@ type machine struct {
 	convPool []*proc.ConvProc
 
 	commits []*chunk.Chunk // commit-order log for the checker
+	// reqs recycles the arbiter request records routeCommit hands to the
+	// arbitration; the arbiters return them at their last use.
+	//lint:poolsafe recycled records are fully reinitialized at reuse and hold no references while parked
+	reqs arbiter.RequestPool
 	// rangeScratch is routeCommit's reusable set-list buffer; fully
 	// overwritten before every use, dead after every call.
 	//lint:poolsafe per-call scratch, fully overwritten before every use
 	rangeScratch []*lineset.Set
 	// rangeSeen/rangeIDs back the address-range computation in
 	// routeCommit (arbiter.RangesOfInto): per-call scratch, consumed
-	// synchronously — the multi-range path copies the result before it
-	// escapes into deferred network events.
-	//lint:poolsafe per-call scratch, fully overwritten before every use
+	// synchronously — GArbiter.Send copies the result into the request.
+	// Reset sizes rangeSeen to the module count.
 	rangeSeen []bool
 	//lint:poolsafe per-call scratch, fully overwritten before every use
 	rangeIDs []int
@@ -413,7 +416,7 @@ func (m *machine) buildModules(n int) {
 	m.dirs = m.dirs[:0]
 	m.arbs = m.arbs[:0]
 	for i := 0; i < n; i++ {
-		d := directory.New(i, n, m.eng, m.net, m.st, m.l2)
+		d := directory.New(i, m.eng, m.net, m.st, m.l2)
 		m.dirs = append(m.dirs, d)
 		a := arbiter.New(i, m.eng, m.net, m.st, &m.order)
 		m.arbs = append(m.arbs, a)
@@ -466,6 +469,9 @@ func (m *machine) Reset(cfg Config) {
 		sigFactory = sig.NewTunableFactory(*cfg.SigGeometry)
 	}
 	sigFactory = m.sigRec.Factory(sigFactory, stdBloom)
+	if len(m.rangeSeen) < cfg.NumArbiters {
+		m.rangeSeen = make([]bool, cfg.NumArbiters)
+	}
 	if len(m.dirs) != cfg.NumArbiters {
 		m.buildModules(cfg.NumArbiters)
 	} else {
@@ -569,60 +575,70 @@ func (m *machine) buildEnv() *proc.Env {
 				return
 			}
 			sent[idx] = true
-			d := m.dirs[idx]
 			// Each per-module record reads w and trueW until its last
 			// delivery; it holds the chunk from the send on.
 			h.Take()
-			m.net.Send(stats.CatWrSig, network.SigBytes, func() {
-				d.ProcessPrivCommit(d.NewCommit(0, p, w, trueW), h)
-			})
+			m.dirs[idx].SendPrivCommit(p, w, trueW, h)
 		})
 	}
 	env.PreArbitrate = func(p int, granted func()) {
-		m.net.Send(stats.CatOther, network.CtrlBytes, func() {
-			m.arbs[0].PreArbitrate(p, func() {
-				m.net.Send(stats.CatOther, network.CtrlBytes, granted)
-			})
-		})
+		m.net.SendCall(stats.CatOther, network.CtrlBytes, preArbArriveCB, &preArbMsg{m: m, proc: p, granted: granted})
 	}
 	env.EndPreArbitrate = func(p int) {
-		m.net.Send(stats.CatOther, network.CtrlBytes, func() {
-			m.arbs[0].EndPreArbitration(p)
-		})
+		m.net.SendCall(stats.CatOther, network.CtrlBytes, endPreArbArriveCB, &preArbMsg{m: m, proc: p})
 	}
 	return env
+}
+
+// preArbMsg is one pre-arbitration message (§3.3) of processor proc: a
+// request to arbiter 0, whose grant is relayed back to granted, or a
+// release. Pre-arbitration is the rare forward-progress path, so each
+// message is a fresh record.
+type preArbMsg struct {
+	m       *machine
+	proc    int
+	granted func() // the processor's grant continuation
+}
+
+func preArbArriveCB(arg any) {
+	pm := arg.(*preArbMsg)
+	pm.m.arbs[0].PreArbitrate(pm.proc, pm.relay)
+}
+
+// relay sends the arbiter's lock grant back to the processor.
+func (pm *preArbMsg) relay() {
+	pm.m.net.SendCall(stats.CatOther, network.CtrlBytes, preArbGrantedCB, pm)
+}
+
+func preArbGrantedCB(arg any) { arg.(*preArbMsg).granted() }
+
+func endPreArbArriveCB(arg any) {
+	pm := arg.(*preArbMsg)
+	pm.m.arbs[0].EndPreArbitration(pm.proc)
 }
 
 // routeCommit translates a processor's permission-to-commit request into
 // arbitration: straight to the single owning arbiter, or through the
 // G-arbiter when the chunk spans several address ranges (§4.2.3). It
 // consumes req synchronously: everything that travels onward, the chunk's
-// Hold included, is copied into areq (the FetchR wrapper captures the
-// func value, never req itself), which is what lets the processor recycle
-// its CommitReq records the moment Commit returns.
+// Hold and FetchR included, is copied into a pooled arbiter request, which
+// is what lets the processor recycle its CommitReq records the moment
+// Commit returns. The arbitration recycles the arbiter request at its last
+// use (DESIGN.md §12).
+//
+//sim:hotpath
 func (m *machine) routeCommit(req *proc.CommitReq) {
-	areq := &arbiter.Request{
-		Proc:  req.Proc,
-		W:     req.W,
-		R:     req.R,
-		TrueW: req.TrueW,
-		Reply: req.Reply,
-		Hold:  req.Hold,
-	}
+	areq := m.reqs.Get()
+	areq.Proc = req.Proc
+	areq.W = req.W
+	areq.R = req.R
+	areq.FetchR = req.FetchR
+	areq.TrueW = req.TrueW
+	areq.Reply = req.Reply
+	areq.Hold = req.Hold
 	if req.R != nil {
 		// R travels with the request (no RSig optimization).
 		m.net.Account(stats.CatRdSig, network.SigBytes)
-	}
-	if req.FetchR != nil {
-		fetch := req.FetchR
-		areq.FetchR = func(cb func(sig.Signature)) {
-			// Arbiter → processor → arbiter round trip for R.
-			m.net.Send(stats.CatOther, network.CtrlBytes, func() {
-				fetch(func(r sig.Signature) {
-					m.net.Send(stats.CatRdSig, network.SigBytes, func() { cb(r) })
-				})
-			})
-		}
 	}
 	// An empty W signature compresses to nothing: the permission-to-commit
 	// request is a plain control message.
@@ -631,35 +647,19 @@ func (m *machine) routeCommit(req *proc.CommitReq) {
 		wBytes = network.CtrlBytes
 	}
 	if len(m.arbs) == 1 {
-		m.net.Send(stats.CatWrSig, wBytes, func() { m.arbs[0].Request(areq) })
+		m.arbs[0].Send(areq, wBytes) //lint:owner the arbitration recycles the request at its last use
 		return
 	}
 	m.rangeScratch = append(append(m.rangeScratch[:0], req.RSets...), req.WSets...)
-	if len(m.rangeSeen) < len(m.arbs) {
-		m.rangeSeen = make([]bool, len(m.arbs))
-	}
 	m.rangeIDs = arbiter.RangesOfInto(m.rangeIDs[:0], m.rangeScratch, len(m.arbs), m.rangeSeen[:len(m.arbs)])
-	ranges := m.rangeIDs
-	if len(ranges) == 1 {
-		// Resolve the arbiter now: the send callback fires after this
-		// scratch may have been overwritten by a later commit.
-		arb := m.arbs[ranges[0]]
-		m.net.Send(stats.CatWrSig, wBytes, func() { arb.Request(areq) })
+	if ranges := m.rangeIDs; len(ranges) == 1 {
+		m.arbs[ranges[0]].Send(areq, wBytes) //lint:owner the arbitration recycles the request at its last use
 		return
 	}
-	// Multi-range: the range list escapes into deferred events (and may be
-	// queued at a busy G-arbiter shard), so it needs a stable copy of the
-	// per-call scratch. Multi-arb commits are the rare case — single-range
-	// routing above stays allocation-free. The G-arbiter needs R upfront.
-	stable := append(make([]int, 0, len(ranges)), ranges...)
-	if areq.R == nil {
-		areq.FetchR(func(r sig.Signature) {
-			areq.R = r
-			m.net.Send(stats.CatWrSig, network.SigBytes, func() { m.garb.Request(areq, stable) })
-		})
-		return
-	}
-	m.net.Send(stats.CatWrSig, network.SigBytes, func() { m.garb.Request(areq, stable) })
+	// Multi-range: Send copies the range list into the request, which
+	// keeps the copy's capacity across reuse. The G-arbiter needs R
+	// upfront, so a withheld one is fetched first.
+	m.garb.Send(areq, m.rangeIDs) //lint:owner the arbitration recycles the request at its last use
 }
 
 func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
@@ -799,6 +799,35 @@ func (m *machine) allDone() bool {
 	return true
 }
 
+// warmup is one run's warm-up exclusion: once the committed-instruction
+// count passes target, the counters are snapshotted into base at cycle,
+// and the final stats subtract the snapshot so Table 3/4 metrics describe
+// steady state only.
+type warmup struct {
+	m      *machine
+	target uint64
+	base   *stats.Stats
+	cycle  uint64
+}
+
+// warmupPoll is the warm-up check interval in cycles.
+const warmupPoll sim.Time = 5000
+
+func warmupPollCB(arg any) {
+	w := arg.(*warmup)
+	m := w.m
+	if m.allDone() {
+		return
+	}
+	if m.st.CommittedInstrs >= w.target {
+		snap := m.st.Snapshot()
+		w.base = &snap
+		w.cycle = uint64(m.eng.Now())
+		return
+	}
+	m.eng.AfterCall(warmupPoll, warmupPollCB, w)
+}
+
 func (m *machine) run(cfg Config) (*Result, error) {
 	for _, p := range m.bulkProcs {
 		p.Start()
@@ -806,27 +835,11 @@ func (m *machine) run(cfg Config) (*Result, error) {
 	for _, p := range m.convProcs {
 		p.Start()
 	}
-	// Warmup exclusion: once the committed-instruction count passes the
-	// warmup fraction, snapshot the counters; the final stats subtract the
-	// snapshot so Table 3/4 metrics describe steady state only.
-	var warmBase *stats.Stats
-	var warmCycle uint64
+	// Warmup exclusion (see warmup).
+	var wu *warmup
 	if cfg.WarmupFrac > 0 {
-		target := uint64(cfg.WarmupFrac * float64(cfg.Work) * float64(cfg.Procs))
-		var poll func()
-		poll = func() {
-			if m.allDone() {
-				return
-			}
-			if m.st.CommittedInstrs >= target {
-				snap := m.st.Snapshot()
-				warmBase = &snap
-				warmCycle = uint64(m.eng.Now())
-				return
-			}
-			m.eng.After(5000, poll)
-		}
-		m.eng.After(5000, poll)
+		wu = &warmup{m: m, target: uint64(cfg.WarmupFrac * float64(cfg.Work) * float64(cfg.Procs))}
+		m.eng.AfterCall(warmupPoll, warmupPollCB, wu)
 	}
 	if cfg.Watchdog {
 		startWatchdog(m, cfg.WatchdogWindow)
@@ -862,8 +875,8 @@ func (m *machine) run(cfg Config) (*Result, error) {
 	res.Cycles = uint64(last)
 	m.st.Cycles = res.Cycles
 	m.st.CloseWList(res.Cycles)
-	if warmBase != nil {
-		m.st.SubtractBase(warmBase, warmCycle)
+	if wu != nil && wu.base != nil {
+		m.st.SubtractBase(wu.base, wu.cycle)
 	}
 	// The Result must not alias the machine: a warm Runner scrubs its
 	// stats on the next Reset, which would retroactively zero any Result

@@ -192,3 +192,36 @@ func TestZeroFaultBitIdentity(t *testing.T) {
 		t.Errorf("nil plan reported injections: %+v", b.FaultCounters)
 	}
 }
+
+// garbFaultHashes pins 16-proc radix cells on 4 arbiters and 2 G-arbiter
+// shards under faults that stress the G-arbiter's transaction path:
+// delay-jitter reorders reserve replies and Confirm/Abort deliveries, and
+// denial-storm aborts reservations. The values were recorded when every
+// commit-pipeline event was still a closure, so the pooled request and
+// fan-out records must reproduce them bit for bit.
+var garbFaultHashes = map[string]uint64{
+	"delay-jitter": 0x9133934a619fa8da,
+	"denial-storm": 0xf4870c75a34d6462,
+}
+
+func TestGArbiterFaultCellsPinned(t *testing.T) {
+	for _, name := range []string{"delay-jitter", "denial-storm"} {
+		cfg := DefaultConfig("radix")
+		cfg.Procs = 16
+		cfg.Work = 4000
+		cfg.NumArbiters = 4
+		cfg.GArbShards = 2
+		cfg.CheckSC = false
+		cfg.Faults = fault.NewPlan(fault.MustGet(name), 5)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.MultiArbCommits == 0 {
+			t.Fatalf("%s: no multi-range commits", name)
+		}
+		if got := res.DeterminismHash(); got != garbFaultHashes[name] {
+			t.Errorf("%s: hash %#016x, want %#016x", name, got, garbFaultHashes[name])
+		}
+	}
+}

@@ -23,7 +23,7 @@ func BenchmarkDirectoryReset(b *testing.B) {
 	st := stats.New()
 	net := network.New(eng, st)
 	l2 := cache.NewL2(1024, 8)
-	d := New(0, 1, eng, net, st, l2)
+	d := New(0, eng, net, st, l2)
 
 	const lines = 2048
 	fill := func() {

@@ -63,6 +63,11 @@ type Commit struct {
 	// lines but skip disambiguation (private data is exempt from
 	// consistency enforcement).
 	Priv bool
+	// d is the module the record is in flight at, and acks counts its
+	// fan-out deliveries still out: sharer acks of an arbitrated commit,
+	// ApplyCommit deliveries of a Wpriv propagation.
+	d    *Directory
+	acks int
 	// Hold is the committing chunk's claim on W and TrueW, taken by the
 	// sender and released when the record is recycled. Only Wpriv
 	// propagations carry one: an arbitrated commit is covered by its
@@ -105,9 +110,9 @@ type CachePort interface {
 // entry is one directory entry: a sparse sharer set plus the dirty/owner
 // state. Entries are recycled through the directory's free list; their
 // pointers must stay stable while a transaction is in flight (multi-event
-// paths like readShared capture the entry across network hops), which is
-// why buckets hold *entry rather than inline values and why only non-busy
-// entries are ever displaced. Every path that frees an entry (remove,
+// paths like readShared keep the entry on their readTxn across network
+// hops), which is why buckets hold *entry rather than inline values and
+// why only non-busy entries are ever displaced. Every path that frees an entry (remove,
 // drainBuckets) must Clear its sharer set first so overflow bitmaps return
 // to the module's arena.
 type entry struct {
@@ -315,8 +320,6 @@ func (m *entryMap) grow() {
 type Directory struct {
 	//lint:poolsafe stable identity fixed at construction
 	ID int
-	//lint:poolsafe stable identity fixed at construction
-	nmods int
 	//lint:poolsafe immutable machine-lifetime references wired at construction
 	eng *sim.Engine
 	//lint:poolsafe immutable machine-lifetime references wired at construction
@@ -366,6 +369,9 @@ type Directory struct {
 	// signature or set references (putCommit drops them).
 	//lint:poolsafe recycled records are fully reinitialized at reuse and hold no references while parked
 	cFree []*Commit
+	// foFree recycles fan-out delivery records (see fanout).
+	//lint:poolsafe recycled records are fully reinitialized at reuse and hold no references while parked
+	foFree []*fanout
 
 	// OnDone reports commit completion to the owning arbiter.
 	//lint:poolsafe stable machine wiring to the owning arbiter, installed once at construction
@@ -384,11 +390,10 @@ type Directory struct {
 	tick       uint64
 }
 
-// New returns directory module id of nmods, fronting l2.
-func New(id, nmods int, eng *sim.Engine, net *network.Network, st *stats.Stats, l2 *cache.L2) *Directory {
+// New returns directory module id, fronting l2.
+func New(id int, eng *sim.Engine, net *network.Network, st *stats.Stats, l2 *cache.L2) *Directory {
 	d := &Directory{
 		ID:      id,
-		nmods:   nmods,
 		eng:     eng,
 		net:     net,
 		st:      st,
@@ -499,6 +504,18 @@ func (d *Directory) remove(l mem.Line) {
 // Entries returns the number of directory entries, for tests.
 func (d *Directory) Entries() int { return d.numEntries }
 
+// ForEachLine calls f with the line of every entry the module holds, in
+// bucket order, for tests.
+func (d *Directory) ForEachLine(f func(l mem.Line)) {
+	for bi := range d.buckets {
+		for _, k := range d.buckets[bi].keys {
+			if k != 0 {
+				f(mem.Line(k - 1))
+			}
+		}
+	}
+}
+
 // State returns the sharing state of l, for tests: sharer bitmask (valid
 // for machines of at most 64 processors — the legacy full-bit-vector
 // view), dirty flag, owner.
@@ -567,10 +584,8 @@ func (d *Directory) l2Latency(l mem.Line) sim.Time {
 // readTxn is one pooled demand-read transaction. The record carries the
 // request from the requester-side Read call through the module-arrival
 // event (readArriveCB), bounce retries, the entry wait queue (startFn) and
-// — on the common clean path — the data delivery (readDeliverCB), all
-// without per-request closures. The rarer multi-hop paths (owner forward,
-// sharer invalidation) release the record up front and fall back to
-// closures.
+// the data delivery, all without per-request closures. The multi-hop
+// paths (owner forward, sharer invalidation) keep their state here too.
 type readTxn struct {
 	d       *Directory
 	proc    int
@@ -579,6 +594,12 @@ type readTxn struct {
 	done    func(stateHint int)
 	st      int            // granted state for the clean delivery path
 	startFn func(e *entry) // bound t.start, reused across the pool
+	// Multi-hop state: the busy entry, the snooped owner, whether the
+	// owner still holds the line, and the invalidation acks still out.
+	e     *entry
+	owner int
+	holds bool
+	acks  int
 }
 
 func readArriveCB(arg any)  { arg.(*readTxn).arrive() }
@@ -600,6 +621,7 @@ func (d *Directory) newReadTxn(proc int, l mem.Line, excl bool, done func(int)) 
 
 func (d *Directory) freeReadTxn(t *readTxn) {
 	t.done = nil
+	t.e = nil
 	d.rtFree = append(d.rtFree, t)
 }
 
@@ -657,13 +679,10 @@ func (d *Directory) bounced(l mem.Line) bool {
 func (d *Directory) readShared(t *readTxn, e *entry) {
 	proc := t.proc
 	if e.dirty && int(e.owner) != proc {
-		// Owner-forward path: multi-hop, rare — release the pooled record
-		// and let the closures carry the state.
-		done := t.done
-		d.freeReadTxn(t)
+		// Owner-forward path: multi-hop, rare.
 		e.busy = true
-		owner := int(e.owner)
-		l := e.line
+		t.e = e
+		t.owner = int(e.owner)
 		// The transaction's outcome is decided now: the line becomes
 		// shared by the requester. Commit-signature expansion may observe
 		// the entry while the snoop is in flight, so the state must never
@@ -673,31 +692,7 @@ func (d *Directory) readShared(t *readTxn, e *entry) {
 		e.dirty = false
 		e.sharers.Add(proc, &d.shar)
 		// Forward to owner; owner supplies the line and downgrades.
-		d.net.SendAfter(dirAccess, stats.CatOther, network.CtrlBytes, func() {
-			had, holds := d.ports[owner].SnoopDirty(l)
-			if had {
-				// Owner sends the line to the requester directly and a
-				// writeback copy to the directory.
-				d.st.AddTraffic(stats.CatData, network.DataBytes)
-				d.st.Writebacks++
-			}
-			d.eng.After(cacheProc, func() {
-				d.net.Send(stats.CatData, network.DataBytes, func() {
-					if !holds && !(e.dirty && int(e.owner) == owner) {
-						// False owner (aliased directory update): the
-						// owner silently lacked the line; memory is
-						// current. Removing the stale sharer late is
-						// conservative — unless a commit re-dirtied the
-						// entry under this same owner while the snoop
-						// was in flight, in which case the bit is the
-						// new ownership and must stay.
-						e.sharers.Remove(owner)
-					}
-					d.release(e)
-					done(int(cache.Shared))
-				})
-			})
-		})
+		d.net.SendAfterCall(dirAccess, stats.CatOther, network.CtrlBytes, ownerSnoopCB, t)
 		return
 	}
 	// Clean path — the overwhelmingly common one: the module answers from
@@ -715,59 +710,125 @@ func (d *Directory) readShared(t *readTxn, e *entry) {
 	d.net.SendAfterCall(lat, stats.CatData, network.DataBytes, readDeliverCB, t)
 }
 
-func (d *Directory) readExcl(t *readTxn, e *entry) {
-	proc, done := t.proc, t.done
-	d.freeReadTxn(t) // multi-hop path: closures carry the state
-	e.busy = true
-	l := e.line
-	finish := func(extra sim.Time) {
-		d.eng.After(extra, func() {
-			e.sharers.Only(proc, &d.shar)
-			e.dirty = true
-			e.owner = uint16(proc)
-			d.net.Send(stats.CatData, network.DataBytes, func() {
-				d.release(e)
-				done(int(cache.Dirty))
-			})
-		})
+// ownerSnoopCB runs at the owner of a read-shared line.
+func ownerSnoopCB(arg any) {
+	t := arg.(*readTxn)
+	d := t.d
+	had, holds := d.ports[t.owner].SnoopDirty(t.e.line)
+	if had {
+		// Owner sends the line to the requester directly and a
+		// writeback copy to the directory.
+		d.st.AddTraffic(stats.CatData, network.DataBytes)
+		d.st.Writebacks++
 	}
+	t.holds = holds
+	d.eng.AfterCall(cacheProc, ownerSupplyCB, t)
+}
+
+func ownerSupplyCB(arg any) {
+	t := arg.(*readTxn)
+	t.d.net.SendCall(stats.CatData, network.DataBytes, ownerDeliverCB, t)
+}
+
+// ownerDeliverCB completes an owner-forwarded read at the requester.
+func ownerDeliverCB(arg any) {
+	t := arg.(*readTxn)
+	d, e, owner, done := t.d, t.e, t.owner, t.done
+	if !t.holds && !(e.dirty && int(e.owner) == owner) {
+		// False owner (aliased directory update): the owner silently
+		// lacked the line; memory is current. Removing the stale sharer
+		// late is conservative — unless a commit re-dirtied the entry
+		// under this same owner while the snoop was in flight, in which
+		// case the bit is the new ownership and must stay.
+		e.sharers.Remove(owner)
+	}
+	d.freeReadTxn(t)
+	d.release(e)
+	done(int(cache.Shared))
+}
+
+func (d *Directory) readExcl(t *readTxn, e *entry) {
+	proc := t.proc
+	e.busy = true
+	t.e = e
 	if e.dirty && int(e.owner) != proc {
-		owner := int(e.owner)
-		d.net.SendAfter(dirAccess, stats.CatInv, network.CtrlBytes, func() {
-			had := d.ports[owner].SnoopInvalidate(l)
-			if had {
-				d.st.AddTraffic(stats.CatData, network.DataBytes)
-				d.st.Writebacks++
-			}
-			d.st.ConvInvalidations++
-			d.net.Send(stats.CatInv, network.CtrlBytes, func() { finish(0) })
-		})
+		t.owner = int(e.owner)
+		d.net.SendAfterCall(dirAccess, stats.CatInv, network.CtrlBytes, exclSnoopCB, t)
 		return
 	}
 	// Invalidate every other sharer, collect acks. ForEach is ascending
 	// proc id — the same visit order as the full-bit-vector port loop it
 	// replaces, which the golden event streams pin.
-	pendingAcks := 0
+	t.acks = 0
 	e.sharers.ForEach(func(p int) {
 		if p == proc {
 			return
 		}
-		pendingAcks++
-		pp := p
-		d.net.SendAfter(dirAccess, stats.CatInv, network.CtrlBytes, func() {
-			d.ports[pp].ApplyInvalidate(l)
-			d.st.ConvInvalidations++
-			d.net.Send(stats.CatInv, network.CtrlBytes, func() {
-				pendingAcks--
-				if pendingAcks == 0 {
-					finish(d.l2Latency(l))
-				}
-			})
-		})
+		t.acks++
+		d.net.SendAfterCall(dirAccess, stats.CatInv, network.CtrlBytes, exclInvCB, d.getFanout(nil, t, p))
 	})
-	if pendingAcks == 0 {
-		finish(d.l2Latency(l))
+	if t.acks == 0 {
+		t.finish(d.l2Latency(e.line))
 	}
+}
+
+// exclSnoopCB invalidates the dirty owner of a read-exclusive line.
+func exclSnoopCB(arg any) {
+	t := arg.(*readTxn)
+	d := t.d
+	had := d.ports[t.owner].SnoopInvalidate(t.e.line)
+	if had {
+		d.st.AddTraffic(stats.CatData, network.DataBytes)
+		d.st.Writebacks++
+	}
+	d.st.ConvInvalidations++
+	d.net.SendCall(stats.CatInv, network.CtrlBytes, exclOwnerAckCB, t)
+}
+
+func exclOwnerAckCB(arg any) { arg.(*readTxn).finish(0) }
+
+// exclInvCB invalidates one sharer of a read-exclusive line.
+func exclInvCB(arg any) {
+	f := arg.(*fanout)
+	d := f.d
+	d.ports[f.p].ApplyInvalidate(f.t.e.line)
+	d.st.ConvInvalidations++
+	d.net.SendCall(stats.CatInv, network.CtrlBytes, exclInvAckCB, f)
+}
+
+// exclInvAckCB collects one sharer's ack; the last one finishes.
+func exclInvAckCB(arg any) {
+	f := arg.(*fanout)
+	t := f.t
+	f.d.putFanout(f)
+	t.acks--
+	if t.acks == 0 {
+		t.finish(t.d.l2Latency(t.e.line))
+	}
+}
+
+// finish grants the requester ownership extra cycles from now and sends
+// the data.
+func (t *readTxn) finish(extra sim.Time) {
+	t.d.eng.AfterCall(extra, exclGrantCB, t)
+}
+
+func exclGrantCB(arg any) {
+	t := arg.(*readTxn)
+	e := t.e
+	e.sharers.Only(t.proc, &t.d.shar)
+	e.dirty = true
+	e.owner = uint16(t.proc)
+	t.d.net.SendCall(stats.CatData, network.DataBytes, exclDeliverCB, t)
+}
+
+// exclDeliverCB completes a read-exclusive at the requester.
+func exclDeliverCB(arg any) {
+	t := arg.(*readTxn)
+	d, e, done := t.d, t.e, t.done
+	d.freeReadTxn(t)
+	d.release(e)
+	done(int(cache.Dirty))
 }
 
 // wbTxn is one pooled writeback in flight from a cache to this module.
@@ -862,19 +923,28 @@ func (d *Directory) displaceOne() {
 	}
 	one := f()
 	one.Add(l)
-	c := &Commit{Proc: -1, W: one, TrueW: lineset.NewSetOf(l)}
+	c := &Commit{Proc: -1, W: one, TrueW: lineset.NewSetOf(l), d: d}
 	victim.sharers.ForEach(func(p int) {
-		pp := p
-		d.net.Send(stats.CatWrSig, network.SigBytes, func() {
-			d.ports[pp].ApplyCommit(c)
-			d.net.Send(stats.CatInv, network.CtrlBytes, func() {})
-		})
+		d.net.SendCall(stats.CatWrSig, network.SigBytes, evictArriveCB, d.getFanout(c, nil, p))
 	})
 	if victim.dirty {
 		d.st.Writebacks++
 		d.l2.Install(l)
 	}
 	d.remove(l)
+}
+
+// evictArriveCB delivers a displacement signature to one sharer, which
+// acknowledges it.
+func evictArriveCB(arg any) {
+	f := arg.(*fanout)
+	f.d.ports[f.p].ApplyCommit(f.c)
+	f.d.net.SendCall(stats.CatInv, network.CtrlBytes, evictAckCB, f)
+}
+
+func evictAckCB(arg any) {
+	f := arg.(*fanout)
+	f.d.putFanout(f)
 }
 
 func (d *Directory) String() string {

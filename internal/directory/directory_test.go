@@ -49,7 +49,7 @@ func newDirHarness(nprocs int) *dirHarness {
 	h := &dirHarness{eng: sim.NewEngine(1), st: stats.New()}
 	nw := network.New(h.eng, h.st)
 	l2 := cache.NewL2(1024, 8)
-	h.dir = New(0, 1, h.eng, nw, h.st, l2)
+	h.dir = New(0, h.eng, nw, h.st, l2)
 	var ports []CachePort
 	for i := 0; i < nprocs; i++ {
 		fp := newFakePort()

@@ -62,24 +62,12 @@ func (n *Network) hopLat() sim.Time {
 	return n.HopLat + sim.Time(n.Faults.NetDelay())
 }
 
-// Send charges a message of b bytes to category c and delivers it (runs f)
-// one hop later.
-func (n *Network) Send(c stats.Category, b int, f func()) {
-	n.st.AddTraffic(c, b)
-	n.eng.After(n.hopLat(), f)
-}
-
-// SendAfter is Send with extra cycles of source-side occupancy or
-// processing delay before the hop.
-func (n *Network) SendAfter(extra sim.Time, c stats.Category, b int, f func()) {
-	n.st.AddTraffic(c, b)
-	n.eng.After(n.hopLat()+extra, f)
-}
-
-// SendCall is the allocation-free form of Send: it delivers cb(arg) one
-// hop later through the engine's typed-callback path, so hot protocol
-// layers can reuse one long-lived callback and thread per-message state
-// through a pooled record instead of capturing it in a closure.
+// SendCall charges a message of b bytes to category c and delivers cb(arg)
+// one hop later through the engine's typed-callback path: protocol layers
+// reuse one long-lived callback and thread per-message state through a
+// pooled record instead of capturing it in a closure.
+//
+//sim:hotpath
 func (n *Network) SendCall(c stats.Category, b int, cb func(any), arg any) {
 	n.st.AddTraffic(c, b)
 	n.eng.AfterCall(n.hopLat(), cb, arg)
@@ -87,6 +75,8 @@ func (n *Network) SendCall(c stats.Category, b int, cb func(any), arg any) {
 
 // SendAfterCall is SendCall with extra cycles of source-side occupancy or
 // processing delay before the hop.
+//
+//sim:hotpath
 func (n *Network) SendAfterCall(extra sim.Time, c stats.Category, b int, cb func(any), arg any) {
 	n.st.AddTraffic(c, b)
 	n.eng.AfterCall(n.hopLat()+extra, cb, arg)

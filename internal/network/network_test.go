@@ -13,10 +13,14 @@ func newNet() (*Network, *sim.Engine, *stats.Stats) {
 	return New(eng, st), eng, st
 }
 
+// callFunc runs a func() payload, so tests can deliver closures through
+// the typed-callback form.
+func callFunc(arg any) { arg.(func())() }
+
 func TestSendDeliversAfterHop(t *testing.T) {
 	n, eng, _ := newNet()
 	var at sim.Time
-	n.Send(stats.CatData, DataBytes, func() { at = eng.Now() })
+	n.SendCall(stats.CatData, DataBytes, callFunc, func() { at = eng.Now() })
 	eng.Run(nil)
 	if at != n.HopLat {
 		t.Fatalf("delivered at %d, want %d", at, n.HopLat)
@@ -26,7 +30,7 @@ func TestSendDeliversAfterHop(t *testing.T) {
 func TestSendAfterAddsDelay(t *testing.T) {
 	n, eng, _ := newNet()
 	var at sim.Time
-	n.SendAfter(10, stats.CatOther, CtrlBytes, func() { at = eng.Now() })
+	n.SendAfterCall(10, stats.CatOther, CtrlBytes, callFunc, func() { at = eng.Now() })
 	eng.Run(nil)
 	if at != n.HopLat+10 {
 		t.Fatalf("delivered at %d, want %d", at, n.HopLat+10)
@@ -35,8 +39,8 @@ func TestSendAfterAddsDelay(t *testing.T) {
 
 func TestTrafficCharged(t *testing.T) {
 	n, eng, st := newNet()
-	n.Send(stats.CatWrSig, SigBytes, func() {})
-	n.Send(stats.CatInv, CtrlBytes, func() {})
+	n.SendCall(stats.CatWrSig, SigBytes, callFunc, func() {})
+	n.SendCall(stats.CatInv, CtrlBytes, callFunc, func() {})
 	n.Account(stats.CatRdSig, SigBytes)
 	eng.Run(nil)
 	if st.TrafficBytes[stats.CatWrSig] != SigBytes {
@@ -56,8 +60,8 @@ func TestTrafficCharged(t *testing.T) {
 func TestMessagesOrderedByLatency(t *testing.T) {
 	n, eng, _ := newNet()
 	var order []int
-	n.SendAfter(20, stats.CatOther, CtrlBytes, func() { order = append(order, 2) })
-	n.Send(stats.CatOther, CtrlBytes, func() { order = append(order, 1) })
+	n.SendAfterCall(20, stats.CatOther, CtrlBytes, callFunc, func() { order = append(order, 2) })
+	n.SendCall(stats.CatOther, CtrlBytes, callFunc, func() { order = append(order, 1) })
 	eng.Run(nil)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("delivery order %v", order)

@@ -86,10 +86,16 @@ type BulkProc struct {
 	// re-walked from pooled storage instead of the allocator.
 	//lint:poolsafe size-class storage recycler; recycled arrays are zeroed and identity-neutral
 	arena slab.Pool[uint64]
-	// stepFn is p.step captured once; rebuilding the method value on every
-	// kick allocates, and kick is the single most scheduled event.
+	// retryFree recycles denial-retry records (see commitRetry).
+	//lint:poolsafe recycled records are fully reinitialized at reuse
+	retryFree []*commitRetry
+	// grantFn is the bound grantCB, the grant delivery's callback.
 	//lint:poolsafe bound method value captured once at construction
-	stepFn func()
+	grantFn func(any)
+	// preArbGrantFn is the bound pre-arbitration grant continuation,
+	// handed to Env.PreArbitrate on every request.
+	//lint:poolsafe bound method value captured once at construction
+	preArbGrantFn func()
 	// privScratch is the reusable drain buffer for PrivateBuffer.DrainSlot.
 	privScratch []bdm.PrivEntry
 
@@ -209,7 +215,8 @@ func NewBulkProc(id int, env *Env, par Params, opts Opts, ins []workload.Instr) 
 		privBuf:     bdm.NewPrivateBuffer(bdm.DefaultPrivBufLines),
 		inflight:    make([]*fetchReq, 0, par.MSHRs),
 	}
-	p.stepFn = p.step
+	p.grantFn = p.grantCB
+	p.preArbGrantFn = p.preArbGrant
 	p.pool.SigRecycler = env.SigRecycle
 	p.liveSum = env.Sigs()
 	p.inflightSig = env.Sigs()
@@ -327,7 +334,7 @@ func (p *BulkProc) kick() {
 		return
 	}
 	p.scheduled = true
-	p.env.Eng.After(0, p.stepFn)
+	p.env.Eng.AfterCall(0, bulkStepCB, p)
 }
 
 func (p *BulkProc) kickAt(d sim.Time) {
@@ -335,8 +342,11 @@ func (p *BulkProc) kickAt(d sim.Time) {
 		return
 	}
 	p.scheduled = true
-	p.env.Eng.After(d, p.stepFn)
+	p.env.Eng.AfterCall(d, bulkStepCB, p)
 }
+
+//sim:hotpath
+func bulkStepCB(arg any) { arg.(*BulkProc).step() }
 
 // ---------------------------------------------------------------------------
 // Dispatch loop
@@ -753,9 +763,12 @@ func (p *BulkProc) getCommitReq() *CommitReq {
 		p.commitReqFree = p.commitReqFree[:n-1]
 		return r
 	}
-	//lint:alloc one-time freelist seeding, amortized to zero by recycling
-	return &CommitReq{}
+	return seedCommitReq()
 }
+
+// seedCommitReq builds a fresh record; the free list absorbs it at its
+// first release.
+func seedCommitReq() *CommitReq { return &CommitReq{} }
 
 // putCommitReq recycles r once Env.Commit has consumed it. References are
 // dropped so a parked record cannot pin a dead run's signatures or sets.

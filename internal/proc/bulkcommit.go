@@ -152,20 +152,58 @@ func (p *BulkProc) commitReply(ch *chunk.Chunk, granted bool, order uint64) {
 	if !granted {
 		p.denyCount++
 		p.trail.noteDenied(ch.Seq, uint64(p.env.Eng.Now()))
-		// Retry after a jittered backoff. The closure may outlive a squash
+		// Retry after a jittered backoff. The record may outlive a squash
 		// and even a recycling of ch; the Gen guard defuses it then.
 		back := sim.Time(20 + p.env.Eng.Rand().Intn(25))
-		gen := ch.Gen
-		p.env.Eng.After(p.env.Net.HopLat+back, func() {
-			if ch.Gen == gen && ch.State == chunk.Arbitrating {
-				p.sendCommit(ch)
-			}
-		})
+		p.env.Eng.AfterCall(p.env.Net.HopLat+back, commitRetryCB, p.getRetry(ch))
 		return
 	}
 	p.applyCommit(ch, order)
-	p.env.Eng.After(p.env.Net.HopLat, func() { p.grantArrived(ch) })
+	p.env.Eng.AfterCall(p.env.Net.HopLat, p.grantFn, ch)
 }
+
+// commitRetry is one scheduled re-send of a denied request: the chunk and
+// the generation it had at the denial.
+type commitRetry struct {
+	p   *BulkProc
+	ch  *chunk.Chunk
+	gen uint64
+}
+
+//sim:hotpath
+func (p *BulkProc) getRetry(ch *chunk.Chunk) *commitRetry {
+	var r *commitRetry
+	if n := len(p.retryFree); n > 0 {
+		r = p.retryFree[n-1]
+		p.retryFree[n-1] = nil
+		p.retryFree = p.retryFree[:n-1]
+	} else {
+		r = p.seedRetry()
+	}
+	r.ch, r.gen = ch, ch.Gen
+	return r
+}
+
+func (p *BulkProc) seedRetry() *commitRetry { return &commitRetry{p: p} }
+
+// commitRetryCB re-sends the request unless the chunk died (or was
+// recycled) since the denial.
+//
+//sim:hotpath
+func commitRetryCB(arg any) {
+	r := arg.(*commitRetry)
+	p, ch, gen := r.p, r.ch, r.gen
+	r.ch = nil
+	p.retryFree = append(p.retryFree, r)
+	if ch.Gen == gen && ch.State == chunk.Arbitrating {
+		p.sendCommit(ch)
+	}
+}
+
+// grantCB is the grant's arrival at the processor (bound as p.grantFn).
+//
+//sim:hotpath
+func (p *BulkProc) grantCB(arg any) { p.grantArrived(arg.(*chunk.Chunk)) }
 
 // applyCommit makes ch's updates the committed memory state at the
 // arbiter's decision instant — the chunk's serialization point.
@@ -348,33 +386,7 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 	p.squashStreak++
 	if p.squashStreak >= p.opts.PreArbThreshold && !p.preArbing {
 		p.preArbing = true
-		p.env.PreArbitrate(p.id, func() {
-			if !p.preArbing {
-				// Stale grant: the request sat in the arbiter's queue
-				// while we committed (or timed out) and stopped wanting
-				// exclusivity. Hand the lock straight back or it leaks
-				// forever.
-				p.env.EndPreArbitrate(p.id)
-				return
-			}
-			p.preArbGranted = true
-			if p.OnPreArb != nil {
-				p.OnPreArb()
-			}
-			// Deadlock guard: if we are spin-waiting on a lock whose
-			// holder now cannot commit its release (we block every other
-			// commit), nothing ever frees us. Release the exclusive
-			// window if we fail to commit within a generous bound.
-			commitsAtGrant := p.commitCount
-			p.env.Eng.After(sim.Time(8*p.par.ChunkSize+20000), func() {
-				if p.preArbing && p.commitCount == commitsAtGrant {
-					p.preArbing = false
-					p.preArbGranted = false
-					p.squashStreak = 0
-					p.env.EndPreArbitrate(p.id)
-				}
-			})
-		})
+		p.env.PreArbitrate(p.id, p.preArbGrantFn)
 	}
 	// Recycle the victims. Chunks with a commit request still in flight are
 	// skipped here: commitReply recycles them on a posthumous denial, and
@@ -387,6 +399,47 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 	}
 	// Pipeline refill before re-execution.
 	p.kickAt(p.par.SquashPenalty)
+}
+
+// preArbGrant is the pre-arbitration lock grant's arrival (bound as
+// p.preArbGrantFn).
+func (p *BulkProc) preArbGrant() {
+	if !p.preArbing {
+		// Stale grant: the request sat in the arbiter's queue while we
+		// committed (or timed out) and stopped wanting exclusivity. Hand
+		// the lock straight back or it leaks forever.
+		p.env.EndPreArbitrate(p.id)
+		return
+	}
+	p.preArbGranted = true
+	if p.OnPreArb != nil {
+		p.OnPreArb()
+	}
+	// Deadlock guard: if we are spin-waiting on a lock whose holder now
+	// cannot commit its release (we block every other commit), nothing
+	// ever frees us. Release the exclusive window if we fail to commit
+	// within a generous bound.
+	p.env.Eng.AfterCall(sim.Time(8*p.par.ChunkSize+20000), preArbTimeoutCB, &preArbTimer{p: p, commits: p.commitCount})
+}
+
+// preArbTimer is one pre-arbitration deadlock guard: the commit count at
+// the grant it was armed by.
+type preArbTimer struct {
+	p       *BulkProc
+	commits uint64
+}
+
+// preArbTimeoutCB gives the exclusive window back if no commit happened
+// since the grant that armed it.
+func preArbTimeoutCB(arg any) {
+	t := arg.(*preArbTimer)
+	p := t.p
+	if p.preArbing && p.commitCount == t.commits {
+		p.preArbing = false
+		p.preArbGranted = false
+		p.squashStreak = 0
+		p.env.EndPreArbitrate(p.id)
+	}
 }
 
 // dropSpecLine unpins a squashed chunk's line. Lines written under the

@@ -98,11 +98,12 @@ type ConvProc struct {
 	// instruction.
 	serialBusy bool
 
-	// Bound continuations, captured once at construction. Method values
-	// (p.step, p.performSerial, …) allocate a closure at every use; these
-	// fields make the hot dispatch/perform/drain events allocation-free.
+	// Bound fill-waiter continuations, captured once at construction.
+	// Method values (p.performSerial, …) allocate a closure at every use;
+	// these fields make the hot miss paths allocation-free. Engine events
+	// use the package-level conv*CB callbacks with p as payload.
 	//lint:poolsafe bound method values captured once at construction
-	stepFn, performSerialFn, drainPerformFn, drainNextFn, kickFn func()
+	performSerialFn, drainPerformFn, kickFn func()
 }
 
 type convStore struct {
@@ -143,10 +144,8 @@ func NewConvProc(id int, env *Env, par Params, model Model, ins []workload.Instr
 		fwdCounts: make(map[mem.Addr]int),
 		specLines: make(map[mem.Line]uint64),
 	}
-	p.stepFn = p.step
 	p.performSerialFn = p.performSerial
 	p.drainPerformFn = p.drainPerform
-	p.drainNextFn = p.drainNext
 	p.kickFn = p.kick
 	return p
 }
@@ -201,7 +200,7 @@ func (p *ConvProc) kick() {
 		return
 	}
 	p.scheduled = true
-	p.env.Eng.After(0, p.stepFn)
+	p.env.Eng.AfterCall(0, convStepCB, p)
 }
 
 func (p *ConvProc) kickAt(d sim.Time) {
@@ -212,8 +211,20 @@ func (p *ConvProc) kickAt(d sim.Time) {
 		d = 1
 	}
 	p.scheduled = true
-	p.env.Eng.After(d, p.stepFn)
+	p.env.Eng.AfterCall(d, convStepCB, p)
 }
+
+//sim:hotpath
+func convStepCB(arg any) { arg.(*ConvProc).step() }
+
+//sim:hotpath
+func convPerformSerialCB(arg any) { arg.(*ConvProc).performSerial() }
+
+//sim:hotpath
+func convDrainPerformCB(arg any) { arg.(*ConvProc).drainPerform() }
+
+//sim:hotpath
+func convDrainNextCB(arg any) { arg.(*ConvProc).drainNext() }
 
 func (p *ConvProc) finish() {
 	p.finished = true
@@ -464,10 +475,10 @@ func (p *ConvProc) scStep() {
 		p.kickAt(sim.Time(n) / sim.Time(p.par.IssueWidth))
 	case workload.OpLoad:
 		p.serialBusy = true
-		p.scAccess(in.Addr, false, p.performSerialFn)
+		p.scAccess(in.Addr, false)
 	case workload.OpStore, workload.OpRelease, workload.OpAcquire:
 		p.serialBusy = true
-		p.scAccess(in.Addr, true, p.performSerialFn)
+		p.scAccess(in.Addr, true)
 	case workload.OpBarrier:
 		p.serialBusy = true
 		p.convBarrier()
@@ -536,21 +547,21 @@ func (p *ConvProc) performSerial() {
 	}
 }
 
-// scAccess brings the line in (counting hit/miss) and runs perform when
-// the operation may complete.
-func (p *ConvProc) scAccess(a mem.Addr, excl bool, perform func()) {
+// scAccess brings the line in (counting hit/miss) and runs performSerial
+// when the operation may complete.
+func (p *ConvProc) scAccess(a mem.Addr, excl bool) {
 	l := a.LineOf()
 	p.noteAccess(l)
 	w := p.l1.Access(l)
 	if w != nil && (!excl || w.State == cache.Dirty || w.State == cache.Excl) {
 		p.env.St.L1Hits++
 		p.prefetchAhead(p.par.MSHRs)
-		p.env.Eng.After(p.par.L1Hit, perform)
+		p.env.Eng.AfterCall(p.par.L1Hit, convPerformSerialCB, p)
 		return
 	}
 	p.env.St.L1Misses++
 	p.prefetchAhead(p.par.MSHRs)
-	p.fetch(l, excl, perform)
+	p.fetch(l, excl, p.performSerialFn)
 }
 
 func (p *ConvProc) markDirty(l mem.Line) {
@@ -572,10 +583,10 @@ func (p *ConvProc) retire(n int) {
 func (p *ConvProc) convBarrier() {
 	in := p.f.current()
 	if p.f.barPhase == 0 {
-		p.scAccess(barrierCount(in), true, p.performSerialFn)
+		p.scAccess(barrierCount(in), true)
 		return
 	}
-	p.scAccess(barrierGen(in), false, p.performSerialFn)
+	p.scAccess(barrierGen(in), false)
 }
 
 // barArrive is the barrier arrival block, run at the perform event of the
@@ -783,7 +794,7 @@ func (p *ConvProc) drainStores() {
 	l := p.storeQ[p.sqHead].addr.LineOf()
 	if p.owner(l) {
 		p.env.St.L1Hits++
-		p.env.Eng.After(p.par.L1Hit, p.drainPerformFn)
+		p.env.Eng.AfterCall(p.par.L1Hit, convDrainPerformCB, p)
 		return
 	}
 	p.env.St.L1Misses++
@@ -813,7 +824,7 @@ func (p *ConvProc) drainPerform() {
 		delete(p.fwdCounts, a)
 	}
 	p.draining = false
-	p.env.Eng.After(1, p.drainNextFn)
+	p.env.Eng.AfterCall(1, convDrainNextCB, p)
 }
 
 func (p *ConvProc) drainNext() {

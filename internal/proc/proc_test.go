@@ -28,6 +28,12 @@ type fakeEnv struct {
 	requests []mem.Line
 }
 
+// after schedules a plain func() d cycles from now through the engine's
+// one callback form.
+func after(eng *sim.Engine, d sim.Time, f func()) { eng.AfterCall(d, callFunc, f) }
+
+func callFunc(arg any) { arg.(func())() }
+
 func newFakeEnv() *fakeEnv {
 	fe := &fakeEnv{eng: sim.NewEngine(1), st: stats.New(), lat: 13}
 	net := network.New(fe.eng, fe.st)
@@ -42,7 +48,7 @@ func newFakeEnv() *fakeEnv {
 	}
 	fe.env.ReadLine = func(p int, l mem.Line, excl bool, done func(int)) {
 		fe.requests = append(fe.requests, l)
-		fe.eng.After(fe.lat, func() { done(int(cache.Shared)) })
+		after(fe.eng, fe.lat, func() { done(int(cache.Shared)) })
 	}
 	fe.env.WritebackLine = func(p int, l mem.Line, drop bool) {}
 	fe.env.Commit = func(req *CommitReq) {
@@ -51,7 +57,7 @@ func newFakeEnv() *fakeEnv {
 		// what the deferred reply needs instead of retaining req.
 		reply := req.Reply
 		emptyW := req.W.Empty()
-		fe.eng.After(10, func() {
+		after(fe.eng, 10, func() {
 			if fe.denied > 0 {
 				fe.denied--
 				reply(false, 0)
@@ -65,7 +71,7 @@ func newFakeEnv() *fakeEnv {
 		})
 	}
 	fe.env.PrivCommit = func(p int, w sig.Signature, trueW *lineset.Set, h chunk.Hold) {}
-	fe.env.PreArbitrate = func(p int, granted func()) { fe.eng.After(10, granted) }
+	fe.env.PreArbitrate = func(p int, granted func()) { after(fe.eng, 10, granted) }
 	fe.env.EndPreArbitrate = func(p int) {}
 	return fe
 }
@@ -299,7 +305,7 @@ func TestSCppViolationDetection(t *testing.T) {
 	p := NewConvProc(0, fe.env, DefaultParams(), SCpp, ins)
 	p.Start()
 	// Deliver an invalidation for a speculatively-read line mid-run.
-	fe.eng.After(40, func() { p.ApplyInvalidate(mem.HeapAddr(0).LineOf()) })
+	after(fe.eng, 40, func() { p.ApplyInvalidate(mem.HeapAddr(0).LineOf()) })
 	fe.eng.Run(func() bool { return p.Finished() })
 	if fe.st.SHiQViolations != 1 {
 		t.Fatalf("SHiQViolations = %d, want 1", fe.st.SHiQViolations)
@@ -466,12 +472,12 @@ func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
 			var stale chunk.Hold
 			fe.env.Commit = func(req *CommitReq) {
 				reply, h := req.Reply, req.Hold
-				fe.eng.After(10, func() {
+				after(fe.eng, 10, func() {
 					stale = h
 					for _, d := range tc.releases {
 						h.Take()
 						hp.pending++
-						fe.eng.After(d, func() {
+						after(fe.eng, d, func() {
 							h.Release()
 							hp.pending--
 							hp.check("release")
@@ -479,7 +485,7 @@ func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
 					}
 					fe.order++
 					reply(true, fe.order)
-					fe.eng.After(hop, func() { hp.check("grant arrival") })
+					after(fe.eng, hop, func() { hp.check("grant arrival") })
 				})
 			}
 			opts := DefaultOpts()
@@ -533,14 +539,14 @@ func TestPosthumousGrantRecycledAfterLastHold(t *testing.T) {
 	fe.env.Commit = func(req *CommitReq) {
 		reply, h := req.Reply, req.Hold
 		if !first {
-			fe.eng.After(10, func() { fe.order++; reply(true, fe.order) })
+			after(fe.eng, 10, func() { fe.order++; reply(true, fe.order) })
 			return
 		}
 		first = false
 		hp.ch = p.chunks[0]
 		hp.gen = hp.ch.Gen
 		// A remote commit to the chunk's line squashes it in flight.
-		fe.eng.After(5, func() {
+		after(fe.eng, 5, func() {
 			w := fe.env.Sigs()
 			w.Add(a.LineOf())
 			p.ApplyCommit(&directory.Commit{Proc: 1, W: w, TrueW: lineset.NewSetOf(a.LineOf())})
@@ -548,11 +554,11 @@ func TestPosthumousGrantRecycledAfterLastHold(t *testing.T) {
 				t.Fatalf("chunk not squashed by the remote commit: %v", hp.ch.State)
 			}
 		})
-		fe.eng.After(10, func() {
+		after(fe.eng, 10, func() {
 			for _, d := range []sim.Time{3, 40} {
 				h.Take()
 				hp.pending++
-				fe.eng.After(d, func() {
+				after(fe.eng, d, func() {
 					h.Release()
 					hp.pending--
 					hp.check("release")

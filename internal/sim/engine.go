@@ -20,11 +20,13 @@
 // onto a LIFO spare stack and the next slot to fill takes the most recent
 // one, so the few live slots reuse cache-hot storage. Both tiers are
 // allocation-free in steady state: slot arrays and the heap slice are the
-// pool, and append reuses their capacity. The one record form is the
-// typed callback + payload word (AtCall/AfterCall), letting hot
-// schedulers avoid per-event closure captures entirely by reusing one
-// callback and threading state through the payload; At/After store their
-// func() as the payload of a shared trampoline.
+// pool, and append reuses their capacity.
+//
+// There is one callback form: an event is a typed callback func(any) and
+// its payload word (AtCall/AfterCall). Schedulers reuse one long-lived
+// callback and thread per-event state through a pointer payload, usually
+// a pooled record, so no event captures a closure and a steady-state
+// event allocates nothing.
 //
 // Ordering across the tiers is exact (see DESIGN.md §16): an event is
 // heap-resident only if its time was ≥ now+wheelSize when scheduled, and
@@ -61,11 +63,6 @@ type event struct {
 	seq uint64
 	call
 }
-
-// runFunc is the trampoline behind At/After: the scheduled func() rides
-// as the payload of one package-level callback. A func value is
-// pointer-shaped, so storing it in the interface word does not allocate.
-func runFunc(arg any) { arg.(func())() }
 
 // arity of the overflow event heap. 4-ary trades slightly more comparisons
 // per sift-down for half the tree depth and much better cache locality
@@ -142,21 +139,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // livelocks into loud test failures instead of hangs.
 func (e *Engine) SetLimit(t Time) { e.limit = t }
 
-// At schedules f to run at absolute time t. Scheduling in the past is a
-// programming error and panics.
-//
-//sim:hotpath
-func (e *Engine) At(t Time, f func()) { e.AtCall(t, runFunc, f) }
-
-// After schedules f to run d cycles from now.
-//
-//sim:hotpath
-func (e *Engine) After(d Time, f func()) { e.AtCall(e.now+d, runFunc, f) }
-
-// AtCall schedules cb(arg) at absolute time t. It is the allocation-free
-// scheduling form: hot callers keep one long-lived cb (typically a bound
-// method) and pass per-event state through arg — a pointer-shaped payload
-// does not allocate when stored in the interface word.
+// AtCall schedules cb(arg) at absolute time t. It is the engine's one
+// scheduling form: callers keep one long-lived cb (a package-level
+// function or a method value bound once) and pass per-event state through
+// arg — a pointer-shaped payload does not allocate when stored in the
+// interface word. Scheduling in the past is a programming error and
+// panics.
 //
 // An event within the wheel horizon is an O(1) append to its cycle's FIFO
 // slot; one beyond it goes to the overflow heap.
@@ -199,7 +187,7 @@ func (e *Engine) Pending() int { return e.wcount + len(e.heap) }
 // (core.Runner) pays no event-queue reallocation. Leftover events are
 // dropped: Run can stop with events still queued (the all-procs-done
 // condition), and a recycled engine must not fire a previous run's
-// callbacks. Occupied slots' records are zeroed, so dead closures and
+// callbacks. Occupied slots' records are zeroed, so dead callbacks and
 // payloads are released to the GC, and their arrays move to the spare
 // stack; the RNG is re-seeded so the next run draws the exact stream a
 // cold NewEngine would — the determinism contract of warm reuse.
@@ -208,14 +196,14 @@ func (e *Engine) Reset(seed int64) {
 		for word != 0 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			clear(e.slots[i].recs) // release closures/payloads held by the records
+			clear(e.slots[i].recs) // release callbacks/payloads held by the records
 			e.spare = append(e.spare, e.slots[i].recs[:0])
 			e.slots[i] = slot{}
 		}
 		e.occ[w] = 0
 	}
 	e.wcount = 0
-	clear(e.heap) // release closures/payloads from any undrained events
+	clear(e.heap) // release callbacks/payloads from any undrained events
 	e.heap = e.heap[:0]
 	e.now = 0
 	e.seq = 0
@@ -280,7 +268,7 @@ func (e *Engine) wheelNext() Time {
 
 // popWheel removes and returns the head of cycle t's FIFO slot. A fully
 // drained slot's records are zeroed, so its array retains no dead
-// closures or payloads, and the array goes onto the spare stack.
+// callbacks or payloads, and the array goes onto the spare stack.
 //
 //sim:hotpath
 func (e *Engine) popWheel(t Time) call {
@@ -289,7 +277,7 @@ func (e *Engine) popWheel(t Time) call {
 	c := sl.recs[sl.head]
 	sl.head++
 	if sl.head == len(sl.recs) {
-		clear(sl.recs) // release closures/payloads held by the records
+		clear(sl.recs) // release callbacks/payloads held by the records
 		e.spare = append(e.spare, sl.recs[:0])
 		*sl = slot{}
 		e.occ[i>>6] &^= 1 << uint(i&63)
@@ -316,7 +304,7 @@ func (e *Engine) pop() (Time, call) {
 }
 
 // popHeap removes and returns the earliest overflow-heap event. The
-// vacated tail slot is zeroed so the slice does not retain dead closures
+// vacated tail slot is zeroed so the slice does not retain dead callbacks
 // or payloads.
 //
 //sim:hotpath

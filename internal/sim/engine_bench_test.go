@@ -26,29 +26,6 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineClosure is the closure-form control: the same loop
-// through After with a fresh capture per event, for comparing the two
-// scheduling forms. It reports the capture's allocation per event.
-func BenchmarkEngineClosure(b *testing.B) {
-	const population = 64
-	e := NewEngine(1)
-	n := 0
-	var fire func(k int)
-	fire = func(k int) {
-		n += k
-		e.After(Time(1+n%7), func() { fire(k) })
-	}
-	for i := 0; i < population; i++ {
-		k := i
-		e.After(Time(i%5+1), func() { fire(k) })
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
 // wideDelays reproduces the scheduling-delay histogram measured on a
 // 256-proc BSC_dypvt radix/sjbb2k run: per 1000 events, 25 fire in the
 // same cycle, 490 three cycles ahead, 250 six, 90 seven or eight, 60

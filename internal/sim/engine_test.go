@@ -12,7 +12,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		schedAt(e, at, func() { got = append(got, at) })
 	}
 	e.Run(nil)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -28,7 +28,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { got = append(got, i) })
+		schedAt(e, 100, func() { got = append(got, i) })
 	}
 	e.Run(nil)
 	for i, v := range got {
@@ -41,9 +41,9 @@ func TestSameCycleFIFO(t *testing.T) {
 func TestAfterAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	e.After(7, func() {
+	schedAfter(e, 7, func() {
 		at = e.Now()
-		e.After(3, func() { at = e.Now() })
+		schedAfter(e, 3, func() { at = e.Now() })
 	})
 	e.Run(nil)
 	if at != 10 {
@@ -53,13 +53,13 @@ func TestAfterAdvancesClock(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, func() {
+	schedAt(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		schedAt(e, 5, func() {})
 	})
 	e.Run(nil)
 }
@@ -67,8 +67,8 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	e.At(5, func() { fired++ })
-	e.At(15, func() { fired++ })
+	schedAt(e, 5, func() { fired++ })
+	schedAt(e, 15, func() { fired++ })
 	e.RunUntil(10)
 	if fired != 1 {
 		t.Fatalf("fired %d events by t=10, want 1", fired)
@@ -86,7 +86,7 @@ func TestStopPredicateHaltsRun(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
 	for i := Time(1); i <= 100; i++ {
-		e.At(i, func() { n++ })
+		schedAt(e, i, func() { n++ })
 	}
 	e.Run(func() bool { return n >= 10 })
 	if n != 10 {
@@ -98,8 +98,8 @@ func TestLimitPanicsOnRunaway(t *testing.T) {
 	e := NewEngine(1)
 	e.SetLimit(100)
 	var tick func()
-	tick = func() { e.After(10, tick) }
-	e.After(10, tick)
+	tick = func() { schedAfter(e, 10, tick) }
+	schedAfter(e, 10, tick)
 	defer func() {
 		if recover() == nil {
 			t.Error("cycle limit exceeded without panic")
@@ -115,10 +115,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		r := rand.New(rand.NewSource(99))
 		for i := 0; i < 200; i++ {
 			i := i
-			e.At(Time(r.Intn(50)), func() {
+			schedAt(e, Time(r.Intn(50)), func() {
 				order = append(order, i)
 				if e.Rand().Intn(2) == 0 {
-					e.After(Time(e.Rand().Intn(5)), func() { order = append(order, -i) })
+					schedAfter(e, Time(e.Rand().Intn(5)), func() { order = append(order, -i) })
 				}
 			})
 		}
@@ -144,7 +144,7 @@ func TestQuickOrdering(t *testing.T) {
 		var got []Time
 		for _, s := range stamps {
 			at := Time(s)
-			e.At(at, func() { got = append(got, at) })
+			schedAt(e, at, func() { got = append(got, at) })
 		}
 		e.Run(nil)
 		if len(got) != len(stamps) {
@@ -160,7 +160,7 @@ func TestQuickOrdering(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 17; i++ {
-		e.At(Time(i), func() {})
+		schedAt(e, Time(i), func() {})
 	}
 	e.Run(nil)
 	if e.Fired() != 17 {

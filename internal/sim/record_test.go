@@ -17,27 +17,19 @@ func TestRecordLayout(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingAllocFree: once the slot arrays are warm,
-// scheduling through either form allocates nothing — At/After store the
-// func() itself as the trampoline's payload — and a Reset keeps it so.
+// scheduling a typed callback with a pointer payload allocates nothing,
+// and a Reset keeps it so.
 func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
-	f := func() { n++ }
 	cb := func(arg any) { *arg.(*int)++ }
 	warm := func() {
 		for i := 0; i < 64; i++ {
-			e.After(Time(i%8), f)
 			e.AfterCall(Time(i%8), cb, &n)
 		}
 		e.Run(nil)
 	}
 	measure := func(phase string) {
-		if a := testing.AllocsPerRun(100, func() {
-			e.After(3, f)
-			e.Step()
-		}); a != 0 {
-			t.Errorf("%s: After allocates %.1f per event", phase, a)
-		}
 		if a := testing.AllocsPerRun(100, func() {
 			e.AfterCall(3, cb, &n)
 			e.Step()
@@ -45,17 +37,17 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 			t.Errorf("%s: AfterCall allocates %.1f per event", phase, a)
 		}
 		if a := testing.AllocsPerRun(100, func() {
-			e.At(e.Now()+1, f)
+			e.AtCall(e.Now()+1, cb, &n)
 			e.AtCall(e.Now()+1, cb, &n)
 			e.Step()
 			e.Step()
 		}); a != 0 {
-			t.Errorf("%s: At/AtCall allocate %.1f per pair", phase, a)
+			t.Errorf("%s: AtCall allocates %.1f per pair", phase, a)
 		}
 	}
 	warm()
 	measure("cold engine")
-	e.After(5, f) // leave an undrained slot for Reset to retire
+	e.AfterCall(5, cb, &n) // leave an undrained slot for Reset to retire
 	e.Reset(1)
 	warm()
 	measure("after Reset")
@@ -70,9 +62,9 @@ func sliceData(s []call) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceDat
 func TestDrainedSlotArrayReusedLIFO(t *testing.T) {
 	e := NewEngine(1)
 	f := func() {}
-	e.At(5, f)
-	e.At(6, f)
-	e.At(50, f)
+	schedAt(e, 5, f)
+	schedAt(e, 6, f)
+	schedAt(e, 50, f)
 	a5, a6 := sliceData(e.slots[5].recs), sliceData(e.slots[6].recs)
 	if a5 == a6 {
 		t.Fatal("two slots share one array")
@@ -85,8 +77,8 @@ func TestDrainedSlotArrayReusedLIFO(t *testing.T) {
 	if len(e.spare) != 2 {
 		t.Fatalf("spare stack holds %d arrays, want 2", len(e.spare))
 	}
-	e.At(9, f) // first fill: takes slot 6's array
-	e.At(7, f) // next first fill: takes slot 5's array
+	schedAt(e, 9, f) // first fill: takes slot 6's array
+	schedAt(e, 7, f) // next first fill: takes slot 5's array
 	if got := sliceData(e.slots[9].recs); got != a6 {
 		t.Errorf("slot 9 did not reuse the most recently drained array")
 	}
@@ -108,9 +100,9 @@ func TestResetReleasesAllCallbacks(t *testing.T) {
 	f := func() { n++ }
 	cb := func(arg any) { *arg.(*int)++ }
 	for i := 0; i < 4; i++ {
-		e.At(10, f) // partially drained below
+		schedAt(e, 10, f) // partially drained below
 		e.AtCall(11, cb, &n)
-		e.At(Time(20+i), f)
+		schedAt(e, Time(20+i), f)
 		e.AtCall(Time(10000+i), cb, &n) // heap tier
 	}
 	e.Step()

@@ -101,7 +101,7 @@ func (h *diffHarness) schedule(tm Time, children []Time) {
 	id := h.next
 	h.next++
 	h.ref.at(tm, id)
-	h.eng.At(tm, func() {
+	schedAt(h.eng, tm, func() {
 		h.got = append(h.got, firing{at: h.eng.Now(), id: id})
 		for _, d := range children {
 			h.schedule(h.eng.Now()+d, nil)
@@ -227,8 +227,8 @@ func TestWheelResetDropsPendingEverywhere(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	for i := 0; i < 4; i++ {
-		e.At(10, func() { fired++ })            // same-cycle burst (partial drain below)
-		e.At(Time(10000+i), func() { fired++ }) // heap tier
+		schedAt(e, 10, func() { fired++ })            // same-cycle burst (partial drain below)
+		schedAt(e, Time(10000+i), func() { fired++ }) // heap tier
 	}
 	e.Step() // drain one of the four cycle-10 events, leaving a nonzero head
 	if fired != 1 {
@@ -252,12 +252,12 @@ func TestWheelHorizonTieOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	target := Time(wheelSize + 5) // beyond horizon at schedule time
-	e.At(target, func() { got = append(got, 0) })
+	schedAt(e, target, func() { got = append(got, 0) })
 	// Advance the clock so target enters the wheel window, then schedule
 	// more events for the very same cycle (they land in the wheel).
-	e.At(10, func() {
-		e.At(target, func() { got = append(got, 1) })
-		e.At(target, func() { got = append(got, 2) })
+	schedAt(e, 10, func() {
+		schedAt(e, target, func() { got = append(got, 1) })
+		schedAt(e, target, func() { got = append(got, 2) })
 	})
 	e.Run(nil)
 	want := []int{0, 1, 2}
@@ -290,7 +290,7 @@ func FuzzEngine(f *testing.F) {
 			next++
 			at := eng.Now() + d
 			ref.at(at, id)
-			eng.At(at, func() { got = append(got, firing{at: eng.Now(), id: id}) })
+			schedAt(eng, at, func() { got = append(got, firing{at: eng.Now(), id: id}) })
 		}
 		stepBoth := func() {
 			rev, ok := ref.step()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"bulksc/internal/mem"
 )
@@ -271,5 +272,12 @@ func TestBuilderComputeCoalesces(t *testing.T) {
 func TestOpKindStrings(t *testing.T) {
 	if OpLoad.String() != "load" || OpBarrier.String() != "barrier" || OpEnd.String() != "end" {
 		t.Fatal("OpKind strings wrong")
+	}
+}
+
+// TestInstrIs16Bytes pins the packed instruction layout.
+func TestInstrIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 16 {
+		t.Fatalf("sizeof(Instr) = %d, want 16", got)
 	}
 }
