@@ -95,6 +95,20 @@ type Chunk struct {
 	// visible to other chunks until commit).
 	WriteBuf lineset.Map
 
+	// lastLoad is line+1 of the most recent shared-line load (0: none),
+	// the key of RecordLoad's repeat-load fast path.
+	lastLoad uint64
+
+	// Ranges is the commit's memoized address-range list (the arbiter
+	// modules its RSet and WSet span). Core computes and stores it on a
+	// request; RangesCurrent tells whether it still holds. The storage
+	// survives recycling like Log's; the key does not.
+	Ranges []int
+	// rangesR/rangesW are the RSet/WSet sizes Ranges was computed at
+	// (rangesR < 0: nothing memoized). Both sets only grow within an
+	// incarnation, so equal sizes mean equal contents.
+	rangesR, rangesW int
+
 	// Log is the program-order access log for the replay checker.
 	Log []AccessRec
 
@@ -210,20 +224,34 @@ func (c *Chunk) init(proc int, seq uint64, slot, pos, target int) {
 	c.ReqsOut = 0
 	c.Holds = 0
 	c.CommitOrder = 0
+	c.lastLoad = 0
+	c.rangesR = -1
 }
 
 // RecordLoad notes a load of a and the value it observed. The R signature
 // is updated unless private (the stpvt optimization skips R updates for
 // statically-private data).
 //
+// Only a line new to RSet is inserted into R and the live summary: both
+// already hold every RSet line (R since the line's first load, the summary
+// since then or since its last rebuild from R), and re-inserting a present
+// line sets no bit. A load of the same line as the previous load skips the
+// RSet probe too, but only while the probe could not grow the table: Add
+// grows at the threshold even for a present line, and the table's
+// capacity history fixes its iteration order.
+//
 //sim:hotpath
 func (c *Chunk) RecordLoad(a mem.Addr, v uint64, private bool) {
 	if !private {
 		l := a.LineOf()
-		c.R.Add(l)
-		c.RSet.Add(l)
-		if c.Sum != nil {
-			c.Sum.Add(l)
+		if k := uint64(l) + 1; k != c.lastLoad || c.RSet.AtGrowth() {
+			c.lastLoad = k
+			if c.RSet.Add(l) {
+				c.R.Add(l)
+				if c.Sum != nil {
+					c.Sum.Add(l)
+				}
+			}
 		}
 	}
 	c.Log = append(c.Log, AccessRec{Addr: a, Value: v})
@@ -276,6 +304,19 @@ func (c *Chunk) PromoteToW(l mem.Line) bool {
 func (c *Chunk) Forward(a mem.Addr) (uint64, bool) {
 	return c.WriteBuf.Get(a.Align())
 }
+
+// RangesCurrent reports whether Ranges was computed for the chunk's
+// current RSet and WSet.
+//
+//sim:hotpath
+func (c *Chunk) RangesCurrent() bool {
+	return c.rangesR == c.RSet.Len() && c.rangesW == c.WSet.Len()
+}
+
+// MarkRanges records that Ranges now matches the current RSet and WSet.
+//
+//sim:hotpath
+func (c *Chunk) MarkRanges() { c.rangesR, c.rangesW = c.RSet.Len(), c.WSet.Len() }
 
 // WroteLine reports whether the chunk speculatively wrote any word of l
 // (through either W or Wpriv).
@@ -389,6 +430,7 @@ func (p *Pool) strip(c *Chunk) {
 	c.PrivSet.Release()
 	c.WriteBuf.Release()
 	c.Log = c.Log[:0]
+	c.lastLoad = 0
 }
 
 // Get returns a ready chunk: a squashed one from the free list, else a
@@ -432,6 +474,7 @@ func (p *Pool) Put(c *Chunk) {
 	c.PrivSet.Reset()
 	c.WriteBuf.Reset()
 	c.Log = c.Log[:0]
+	c.lastLoad = 0
 	c.Sum = nil // the summary outlives the chunk; drop the proc's wiring
 	p.free = append(p.free, c)
 }

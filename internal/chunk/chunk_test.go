@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -347,5 +348,80 @@ func TestPoolAdopt(t *testing.T) {
 	}
 	if _, ok := r.Forward(0); ok {
 		t.Fatal("adopted chunk forwards a stale value")
+	}
+}
+
+// TestRepeatLoadsMatchAlwaysInsert: RecordLoad's repeat-load fast paths
+// (no signature insert for a line already in RSet, no RSet probe for a
+// repeat of the previous load's line) leave the chunk exactly as inserting
+// every load would. RSet must grow at the same load — including a repeat
+// of the previous line that lands on the growth threshold — and iterate in
+// the same order, and R and the live summary must hold the same bits.
+func TestRepeatLoadsMatchAlwaysInsert(t *testing.T) {
+	c := New(sig.NewFactory(sig.KindBloom), nil, 0, 1, 0, 0, 1000)
+	c.Sum = sig.NewBloom()
+	var refSet lineset.Set
+	refR, refSum := sig.NewBloom(), sig.NewBloom()
+	load := func(l mem.Line) {
+		t.Helper()
+		c.RecordLoad(mem.Addr(uint64(l)*mem.LineBytes), 0, false)
+		refSet.Add(l)
+		refR.Add(l)
+		refSum.Add(l)
+		if got, want := c.RSet.AppendTo(nil), refSet.AppendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("after load of line %d: RSet order %v, want %v", l, got, want)
+		}
+		if c.RSet.AtGrowth() != refSet.AtGrowth() {
+			t.Fatalf("after load of line %d: RSet capacity differs from the always-insert set", l)
+		}
+	}
+	// Twelve distinct lines fill the initial 16-slot table to its growth
+	// threshold; the repeat of the twelfth must still grow it.
+	for i := 0; i < 11; i++ {
+		load(mem.Line(1000 + 37*i))
+		load(mem.Line(1000 + 37*i)) // consecutive repeat below the threshold
+	}
+	load(mem.Line(1000 + 37*11))
+	if !refSet.AtGrowth() {
+		t.Fatal("test setup: the reference set is not at its growth threshold")
+	}
+	load(mem.Line(1000 + 37*11))
+	// Non-consecutive repeats, private loads and stores in between, and the
+	// next threshold (24 of 32 slots).
+	for i := 0; i < 16; i++ {
+		load(mem.Line(5000 + 101*i))
+		c.RecordLoad(mem.Addr(0x77000), 0, true)
+		c.RecordStore(mem.Addr(uint64(5000+101*i)*mem.LineBytes), 1, false)
+		load(mem.Line(1000 + 37*(i%12)))
+		load(mem.Line(1000 + 37*(i%12)))
+	}
+	for name, pair := range map[string][2]sig.Signature{"R": {c.R, refR}, "summary": {c.Sum, refSum}} {
+		got, want := pair[0], pair[1]
+		if got.CandidateSets(sig.BankBits) != want.CandidateSets(sig.BankBits) {
+			t.Errorf("%s: bank-0 bits differ from the always-insert signature", name)
+		}
+		for l := mem.Line(0); l < 1<<16; l++ {
+			if got.MayContain(l) != want.MayContain(l) {
+				t.Fatalf("%s: MayContain(%d) = %v, always-insert signature says %v", name, l, got.MayContain(l), want.MayContain(l))
+			}
+		}
+	}
+}
+
+// TestRepeatLoadMemoClearedOnReuse: a recycled chunk does not inherit the
+// previous incarnation's repeat-load memo — the first load of a reused
+// chunk always lands in its (emptied) RSet and R.
+func TestRepeatLoadMemoClearedOnReuse(t *testing.T) {
+	var p Pool
+	f := sig.NewFactory(sig.KindBloom)
+	c := p.Get(f, nil, 0, 1, 0, 0, 1000)
+	c.RecordLoad(0x1000, 0, false)
+	p.Put(c)
+	if c2 := p.Get(f, nil, 0, 2, 0, 0, 1000); c2 != c {
+		t.Fatal("pool did not hand back the squashed chunk")
+	}
+	c.RecordLoad(0x1000, 0, false)
+	if l := mem.Addr(0x1000).LineOf(); !c.RSet.Has(l) || !c.R.MayContain(l) {
+		t.Fatal("first load after reuse skipped RSet or R")
 	}
 }

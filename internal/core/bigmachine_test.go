@@ -92,7 +92,18 @@ func TestBigMachineRadixSmoke(t *testing.T) {
 	if res.Stats.GArbTransactions == 0 {
 		t.Error("256-proc radix: G-arbiter never used (multi-range commits expected)")
 	}
+	// The 256-proc spin path is part of the golden contract.
+	if h := res.DeterminismHash(); h != bigRadixHash {
+		t.Errorf("256-proc radix: DeterminismHash = %#016x, want %#016x", h, bigRadixHash)
+	}
 }
+
+// Determinism hashes of the two 256-proc radix smokes, pinned like the
+// goldens: a behavioral change must move them deliberately.
+const (
+	bigRadixHash        uint64 = 0x9b55eeec66f218aa
+	bigRadixRecycleHash uint64 = 0xa6aaf350b62232af
+)
 
 // TestBigMachineRadixRecycleSmoke is TestBigMachineRadixSmoke with the
 // replay checker off, so committed chunks are recycled within the run
@@ -124,6 +135,9 @@ func TestBigMachineRadixRecycleSmoke(t *testing.T) {
 	}
 	if res.Stats.GArbTransactions == 0 {
 		t.Error("256-proc radix: G-arbiter never used (multi-range commits expected)")
+	}
+	if h := res.DeterminismHash(); h != bigRadixRecycleHash {
+		t.Errorf("256-proc radix: DeterminismHash = %#016x, want %#016x", h, bigRadixRecycleHash)
 	}
 }
 

@@ -358,17 +358,13 @@ type machine struct {
 	// arbitration; the arbiters return them at their last use.
 	//lint:poolsafe recycled records are fully reinitialized at reuse and hold no references while parked
 	reqs arbiter.RequestPool
-	// rangeScratch is routeCommit's reusable set-list buffer; fully
+	// rangeScratch is commitRanges's reusable set-list buffer; fully
 	// overwritten before every use, dead after every call.
 	//lint:poolsafe per-call scratch, fully overwritten before every use
 	rangeScratch []*lineset.Set
-	// rangeSeen/rangeIDs back the address-range computation in
-	// routeCommit (arbiter.RangesOfInto): per-call scratch, consumed
-	// synchronously — GArbiter.Send copies the result into the request.
-	// Reset sizes rangeSeen to the module count.
+	// rangeSeen backs the address-range computation in commitRanges
+	// (arbiter.RangesOfInto); Reset sizes it to the module count.
 	rangeSeen []bool
-	//lint:poolsafe per-call scratch, fully overwritten before every use
-	rangeIDs []int
 	// privSent marks directory modules already targeted by the current
 	// stpvt Wpriv propagation; sized to the module count per call.
 	//lint:poolsafe per-call scratch, fully cleared before every use
@@ -503,6 +499,7 @@ func (m *machine) Reset(cfg Config) {
 	m.env.Sigs = m.sigRec.Factory(m.env.Sigs, stdBloom)
 	m.env.NProcs = cfg.Procs
 	m.env.Faults = cfg.Faults
+	m.env.Unfinished = 0 // run counts the processors it starts
 
 	clear(m.bulkProcs) // active lists are rebuilt by addProc
 	m.bulkProcs = m.bulkProcs[:0]
@@ -650,16 +647,31 @@ func (m *machine) routeCommit(req *proc.CommitReq) {
 		m.arbs[0].Send(areq, wBytes) //lint:owner the arbitration recycles the request at its last use
 		return
 	}
-	m.rangeScratch = append(append(m.rangeScratch[:0], req.RSets...), req.WSets...)
-	m.rangeIDs = arbiter.RangesOfInto(m.rangeIDs[:0], m.rangeScratch, len(m.arbs), m.rangeSeen[:len(m.arbs)])
-	if ranges := m.rangeIDs; len(ranges) == 1 {
+	ranges := m.commitRanges(req.Chunk)
+	if len(ranges) == 1 {
 		m.arbs[ranges[0]].Send(areq, wBytes) //lint:owner the arbitration recycles the request at its last use
 		return
 	}
 	// Multi-range: Send copies the range list into the request, which
 	// keeps the copy's capacity across reuse. The G-arbiter needs R
 	// upfront, so a withheld one is fetched first.
-	m.garb.Send(areq, m.rangeIDs) //lint:owner the arbitration recycles the request at its last use
+	m.garb.Send(areq, ranges) //lint:owner the arbitration recycles the request at its last use
+}
+
+// commitRanges returns the address ranges ch's RSet and WSet span, in
+// ascending module order. The list is memoized on the chunk: most
+// requests are re-sends after a denial, and a chunk's sets only grow, so
+// the list is recomputed only when one of their sizes moved (PromoteToW
+// can add to WSet while the chunk arbitrates) or the chunk was reused.
+//
+//sim:hotpath
+func (m *machine) commitRanges(ch *chunk.Chunk) []int {
+	if !ch.RangesCurrent() {
+		m.rangeScratch = append(m.rangeScratch[:0], &ch.RSet, &ch.WSet)
+		ch.Ranges = arbiter.RangesOfInto(ch.Ranges[:0], m.rangeScratch, len(m.arbs), m.rangeSeen[:len(m.arbs)])
+		ch.MarkRanges()
+	}
+	return ch.Ranges
 }
 
 func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
@@ -785,19 +797,10 @@ func (m *machine) wirePorts() {
 	}
 }
 
-func (m *machine) allDone() bool {
-	for _, p := range m.bulkProcs {
-		if !p.Finished() {
-			return false
-		}
-	}
-	for _, p := range m.convProcs {
-		if !p.Finished() {
-			return false
-		}
-	}
-	return true
-}
+// allDone reports whether every processor of the run has finished: each
+// one counts itself off Env.Unfinished when it does, so the engine's
+// per-event stop test is O(1).
+func (m *machine) allDone() bool { return m.env.Unfinished == 0 }
 
 // warmup is one run's warm-up exclusion: once the committed-instruction
 // count passes target, the counters are snapshotted into base at cycle,
@@ -829,6 +832,7 @@ func warmupPollCB(arg any) {
 }
 
 func (m *machine) run(cfg Config) (*Result, error) {
+	m.env.Unfinished = len(m.bulkProcs) + len(m.convProcs)
 	for _, p := range m.bulkProcs {
 		p.Start()
 	}

@@ -120,13 +120,17 @@ func (d *Directory) expandBucket(c *Commit, b *entryMap) {
 		// state are read) — Table 4's "Lookups per Commit"; entries
 		// the chunk did not truly write are the aliasing cost. The
 		// full membership test (∈, all banks) then gates the action.
+		// It goes first: W ⊇ TrueW (every exact-set insert also goes
+		// into the signature, and fault amplification only adds), so a
+		// line W rejects was not truly written and needs no TrueW probe.
 		d.st.DirLookups++
+		if !c.W.MayContain(l) {
+			d.st.DirUnnecessary++
+			continue
+		}
 		trulyWritten := c.TrueW.Has(l)
 		if !trulyWritten {
 			d.st.DirUnnecessary++
-		}
-		if !c.W.MayContain(l) {
-			continue
 		}
 		// Table 1 case analysis.
 		switch {

@@ -107,6 +107,12 @@ func (s *Set) Add(l mem.Line) bool {
 	}
 }
 
+// AtGrowth reports whether the next Add grows the table, whether or not
+// its line is present.
+//
+//sim:hotpath
+func (s *Set) AtGrowth() bool { return s.slots != nil && s.n*4 >= len(s.slots)*3 }
+
 // Remove deletes l, reporting whether it was present. Deletion is
 // tombstone-free: the probe chain after the vacated slot is compacted by
 // backward shifting, so lookups never degrade.

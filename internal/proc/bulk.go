@@ -49,6 +49,26 @@ const batchInstrs = 32
 
 // BulkProc is one BulkSC processor: core, checkpoints, L1 and BDM.
 type BulkProc struct {
+	// The fields every step event reads come first, so one dispatch
+	// touches as few host cache lines of the processor as possible.
+	scheduled    bool
+	finished     bool
+	pendingClose bool         // set-overflow requested an early chunk close
+	cur          *chunk.Chunk // the executing chunk, nil between chunks
+	// inflight holds the outstanding line fetches, at most par.MSHRs (a
+	// handful) at a time — a linear scan over the slice beats the map it
+	// replaced, and its insertion order is deterministic for the poison
+	// walk in ApplyCommit.
+	inflight []*fetchReq
+	// misses is a head-indexed FIFO (see ConvProc.misses).
+	misses   []missEntry
+	missHead int
+	dispatch uint64 // instructions dispatched (incl. later squashed)
+	f        fetcher
+	// fwd memoizes the last negative store-forwarding lookup of a sync
+	// micro-op (see readValue).
+	fwd fwdMemo
+
 	//lint:poolsafe stable identity fixed at construction
 	id   int
 	env  *Env
@@ -56,12 +76,10 @@ type BulkProc struct {
 	opts Opts
 	l1   *cache.L1
 
-	f           fetcher
 	checkpoints []fetchState // per slot
 
 	chunks   []*chunk.Chunk // live chunks, oldest first (incl. committing)
 	slotBusy []bool
-	cur      *chunk.Chunk
 	chunkSeq uint64
 	storeSeq uint64
 
@@ -115,11 +133,6 @@ type BulkProc struct {
 	// the per-commit poison scan when the incoming W cannot intersect it.
 	inflightSig sig.Signature
 
-	// inflight holds the outstanding line fetches, at most par.MSHRs (a
-	// handful) at a time — a linear scan over the slice beats the map it
-	// replaced, and its insertion order is deterministic for the poison
-	// walk in ApplyCommit.
-	inflight []*fetchReq
 	// reqFree recycles fetch-request records together with their bound
 	// arrival callbacks and waiter storage. Safe across runs: every record
 	// in the pool has had its waiters emptied by freeReq, and newReq
@@ -127,16 +140,11 @@ type BulkProc struct {
 	// field is written in arrive before the retry path can read it).
 	//lint:poolsafe recycled records are fully reinitialized at reuse
 	reqFree []*fetchReq
-	// misses is a head-indexed FIFO (see ConvProc.misses).
-	misses   []missEntry
-	missHead int
-	dispatch uint64 // instructions dispatched (incl. later squashed)
 
 	squashStreak  int
 	preArbing     bool
 	preArbGranted bool
 	commitCount   uint64 // chunks this processor has committed
-	pendingClose  bool   // set-overflow requested an early chunk close
 
 	// Liveness bookkeeping for the core watchdog: monotone per-processor
 	// counters plus short diagnostic trails. Pure observation — updating
@@ -146,9 +154,7 @@ type BulkProc struct {
 	squashCount uint64 // squash events (not victims)
 	trail       livenessTrail
 
-	scheduled bool
-	finished  bool
-	doneAt    sim.Time
+	doneAt sim.Time
 
 	// OnCommit is invoked at each chunk's commit instant (arbiter
 	// decision time), in global commit order — the replay checker hook.
@@ -272,6 +278,7 @@ func (p *BulkProc) Reset(ins []workload.Instr, par Params, opts Opts) {
 	p.misses = p.misses[:0]
 	p.missHead = 0
 	p.dispatch = 0
+	p.fwd = fwdMemo{}
 	p.squashStreak = 0
 	p.preArbing = false
 	p.preArbGranted = false
@@ -549,13 +556,79 @@ func (p *BulkProc) forwardValue(a mem.Addr) (uint64, bool) {
 	return 0, false
 }
 
-// readValue returns the value a load of addr observes right now:
-// forwarding first, then committed memory.
+// fwdMemoChunks is how many live chunks a forwarding memo key covers:
+// Table 2's two chunks in flight. Longer lists always take the full scan.
+const fwdMemoChunks = 2
+
+// fwdMemo is one negative store-forwarding result: no active chunk
+// buffers a word at address a. Its key is the live chunk list as it was
+// then, each chunk by pointer, Gen, State and write-buffer size. The key
+// is exact: a write buffer only grows between resets, every reset is a
+// Put or Adopt that bumps Gen, and buffering a's word would grow it — so
+// an unchanged key proves a is still unbuffered. Positive results are not
+// memoized (a later store to a overwrites the value without growing the
+// buffer).
+//
+// n is the key's chunk count, -1 for no memo. The zero memo claims only
+// that an empty chunk list buffers nothing, which is always true.
+type fwdMemo struct {
+	a   mem.Addr
+	n   int
+	key [fwdMemoChunks]fwdKey
+}
+
+type fwdKey struct {
+	ch    *chunk.Chunk
+	gen   uint64
+	state chunk.State
+	wlen  int
+}
+
+// holds reports whether the memo answers a for the live list chunks.
+//
+//sim:hotpath
+func (m *fwdMemo) holds(a mem.Addr, chunks []*chunk.Chunk) bool {
+	if m.n != len(chunks) || m.a != a {
+		return false
+	}
+	for i := range m.key[:m.n] {
+		k, ch := &m.key[i], chunks[i]
+		if k.ch != ch || k.gen != ch.Gen || k.state != ch.State || k.wlen != ch.WriteBuf.Len() {
+			return false
+		}
+	}
+	return true
+}
+
+// remember records that a is unbuffered across chunks, if the list fits
+// the key.
+//
+//sim:hotpath
+func (m *fwdMemo) remember(a mem.Addr, chunks []*chunk.Chunk) {
+	if len(chunks) > fwdMemoChunks {
+		m.n = -1
+		return
+	}
+	m.a, m.n = a, len(chunks)
+	for i, ch := range chunks {
+		m.key[i] = fwdKey{ch: ch, gen: ch.Gen, state: ch.State, wlen: ch.WriteBuf.Len()}
+	}
+}
+
+// readValue returns the value a sync micro-op's load of addr observes
+// right now: forwarding first, then committed memory. A spin re-check
+// repeats this load of the same unbuffered lock or flag word while nothing
+// in the chunk list changes, so a negative forwarding result is memoized
+// (fwdMemo). Ordinary loads (doLoad) take the plain scan: a static load
+// runs once per chunk execution and does not repeat back to back.
 //
 //sim:hotpath
 func (p *BulkProc) readValue(a mem.Addr) uint64 {
-	if v, ok := p.forwardValue(a); ok {
-		return v
+	if !p.fwd.holds(a, p.chunks) {
+		if v, ok := p.forwardValue(a); ok {
+			return v
+		}
+		p.fwd.remember(a, p.chunks)
 	}
 	return p.env.Mem.Load(a)
 }
@@ -777,10 +850,7 @@ func seedCommitReq() *CommitReq { return &CommitReq{} }
 //sim:pool release
 func (p *BulkProc) putCommitReq(r *CommitReq) {
 	r.W, r.R = nil, nil
-	clear(r.RSets)
-	r.RSets = r.RSets[:0]
-	clear(r.WSets)
-	r.WSets = r.WSets[:0]
+	r.Chunk = nil
 	r.FetchR, r.Reply = nil, nil
 	r.TrueW = nil
 	r.Hold = chunk.Hold{}

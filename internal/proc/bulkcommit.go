@@ -110,8 +110,7 @@ func (p *BulkProc) sendCommit(ch *chunk.Chunk) {
 	req := p.getCommitReq()
 	req.Proc = p.id
 	req.W = ch.W
-	req.RSets = append(req.RSets, &ch.RSet)
-	req.WSets = append(req.WSets, &ch.WSet)
+	req.Chunk = ch
 	req.TrueW = &ch.WSet
 	if p.opts.RSigOpt {
 		req.FetchR = ch.FetchRFn
@@ -278,8 +277,7 @@ func (p *BulkProc) grantArrived(ch *chunk.Chunk) {
 		p.tryRequestCommit(p.chunks[0])
 	}
 	if p.f.done() && p.cur == nil && len(p.chunks) == 0 {
-		p.finished = true
-		p.doneAt = p.env.Eng.Now()
+		p.finish()
 		return
 	}
 	p.kick()
@@ -333,9 +331,16 @@ func (p *BulkProc) endOfStream() {
 		}
 	}
 	if len(p.chunks) == 0 {
-		p.finished = true
-		p.doneAt = p.env.Eng.Now()
+		p.finish()
 	}
+}
+
+// finish marks the stream fully committed and counts the processor off
+// Env.Unfinished.
+func (p *BulkProc) finish() {
+	p.finished = true
+	p.doneAt = p.env.Eng.Now()
+	p.env.Unfinished--
 }
 
 // ---------------------------------------------------------------------------

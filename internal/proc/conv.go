@@ -229,6 +229,7 @@ func convDrainNextCB(arg any) { arg.(*ConvProc).drainNext() }
 func (p *ConvProc) finish() {
 	p.finished = true
 	p.doneAt = p.env.Eng.Now()
+	p.env.Unfinished--
 }
 
 // step is the dispatch event. SC serializes memory operations; RC/SC++

@@ -74,6 +74,12 @@ type Env struct {
 	Sigs   sig.Factory
 	NProcs int
 
+	// Unfinished counts the run's processors whose stream has not fully
+	// committed. The machine sets it at the start of a run; each processor
+	// decrements it once, where it marks itself finished, so the engine's
+	// stop test is O(1) instead of a scan over every processor.
+	Unfinished int
+
 	// SigRecycle, when non-nil, receives the signatures a processor's
 	// chunk pool drops at warm reset (chunk.Pool.SigRecycler); core wires
 	// it to the machine's sig.Recycler so cleared standard Blooms feed
@@ -93,9 +99,7 @@ type Env struct {
 	// WritebackLine retires a dirty line to its home module.
 	WritebackLine func(proc int, l mem.Line, drop bool)
 	// Commit routes a permission-to-commit request to the arbitration
-	// system (single arbiter or G-arbiter, per configuration). rset and
-	// wset are the chunk's exact line sets, used only for routing and
-	// simulation metadata.
+	// system (single arbiter or G-arbiter, per configuration).
 	//
 	// Commit must consume req SYNCHRONOUSLY: the processor pools its
 	// request records and recycles them the moment the call returns, so
@@ -115,11 +119,13 @@ type Env struct {
 // CommitReq is the processor-side view of a permission-to-commit request;
 // core translates it into arbiter requests.
 type CommitReq struct {
-	Proc  int
-	W     sig.Signature
-	R     sig.Signature // nil under the RSig optimization
-	RSets []*lineset.Set
-	WSets []*lineset.Set
+	Proc int
+	W    sig.Signature
+	R    sig.Signature // nil under the RSig optimization
+	// Chunk is the requesting chunk, read for routing only: its RSet and
+	// WSet decide the address ranges the commit spans, and the range list
+	// is memoized on it (chunk.Ranges) across denial re-sends.
+	Chunk *chunk.Chunk
 	// FetchR retrieves R with its round-trip cost.
 	FetchR func(cb func(sig.Signature))
 	TrueW  *lineset.Set
@@ -146,15 +152,29 @@ type fetchState struct {
 type fetcher struct {
 	ins []workload.Instr
 	fetchState
+	// in caches ins[inPos], the instruction last read: a spin re-check
+	// reads the same entry again, and at 256 procs each read of the
+	// per-proc stream array tends to miss the host cache. It lives outside
+	// fetchState, so checkpoints neither carry nor restore it.
+	inPos int
+	in    workload.Instr
 }
 
-func newFetcher(ins []workload.Instr) fetcher { return fetcher{ins: ins} }
+func newFetcher(ins []workload.Instr) fetcher { return fetcher{ins: ins, inPos: -1} }
 
 // current returns the instruction at the interpreter position.
-func (f *fetcher) current() workload.Instr { return f.ins[f.pos] }
+//
+//sim:hotpath
+func (f *fetcher) current() workload.Instr {
+	if f.inPos != f.pos {
+		f.in = f.ins[f.pos]
+		f.inPos = f.pos
+	}
+	return f.in
+}
 
 // done reports end of stream.
-func (f *fetcher) done() bool { return f.ins[f.pos].Kind == workload.OpEnd }
+func (f *fetcher) done() bool { return f.current().Kind == workload.OpEnd }
 
 // checkpoint captures the interpreter position.
 func (f *fetcher) checkpoint() fetchState { return f.fetchState }

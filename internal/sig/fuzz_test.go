@@ -18,8 +18,6 @@ import (
 //     the simulated machine.
 //   - CandidateSets is a superset decode: every encoded line's set index
 //     must be selected.
-//   - EstimateCount never exceeds the insertion count and never reports
-//     zero for a non-empty signature.
 //   - Clear restores a genuinely empty signature (the pool-reuse path:
 //     chunks recycle signatures in place).
 //   - Exact signatures are exact: membership and intersection equal the
@@ -59,7 +57,6 @@ func runSigOps(t *testing.T, name string, mk Factory, exact bool, data []byte) {
 	a, b := mk(), mk()
 	modelA := map[mem.Line]bool{}
 	modelB := map[mem.Line]bool{}
-	insertsA, insertsB := 0, 0
 
 	modelsIntersect := func() bool {
 		for l := range modelA {
@@ -77,11 +74,9 @@ func runSigOps(t *testing.T, name string, mk Factory, exact bool, data []byte) {
 		case 0:
 			a.Add(l)
 			modelA[l] = true
-			insertsA++
 		case 1:
 			b.Add(l)
 			modelB[l] = true
-			insertsB++
 		case 2:
 			if modelA[l] && !a.MayContain(l) {
 				t.Fatalf("%s: false negative: MayContain(%d) = false, line was inserted", name, l)
@@ -103,27 +98,15 @@ func runSigOps(t *testing.T, name string, mk Factory, exact bool, data []byte) {
 			for l := range modelB {
 				modelA[l] = true
 			}
-			insertsA += insertsB
 		case 5:
 			a.Clear()
 			modelA = map[mem.Line]bool{}
-			insertsA = 0
 			if !a.Empty() {
 				t.Fatalf("%s: not Empty after Clear", name)
 			}
 		case 6:
 			if a.Empty() != (len(modelA) == 0) {
 				t.Fatalf("%s: Empty() = %v with %d model lines", name, a.Empty(), len(modelA))
-			}
-			est := a.EstimateCount()
-			if est > insertsA {
-				t.Fatalf("%s: EstimateCount %d exceeds %d insertions", name, est, insertsA)
-			}
-			if len(modelA) > 0 && est < 1 {
-				t.Fatalf("%s: EstimateCount %d for a non-empty signature", name, est)
-			}
-			if exact && est != len(modelA) {
-				t.Fatalf("%s: EstimateCount %d, want exactly %d", name, est, len(modelA))
 			}
 		case 7:
 			const nsets = 512 // ≤ BankBits for every tested geometry

@@ -29,7 +29,6 @@ package sig
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"bulksc/internal/lineset"
@@ -87,8 +86,6 @@ type Signature interface {
 	// two and at most BankBits. The result is a bitmap with bit i set if
 	// set i may hold an encoded line.
 	CandidateSets(nsets int) SetMask
-	// EstimateCount approximates the number of distinct lines inserted.
-	EstimateCount() int
 	// TransferBytes is the size charged to the network for shipping this
 	// signature.
 	TransferBytes() int
@@ -140,7 +137,7 @@ func NewFactory(k Kind) Factory {
 type Bloom struct {
 	banks [Banks][BankWords]uint64
 	sum   [Banks]uint16 // nonempty-word summary, one bit per bank word
-	n     int           // insertions (not distinct lines)
+	n     int           // insert count; only zero vs nonzero is read
 }
 
 // NewBloom returns an empty Bloom signature.
@@ -279,36 +276,6 @@ func (s *Bloom) CandidateSets(nsets int) SetMask {
 	return m
 }
 
-// EstimateCount estimates distinct insertions from bank-0 occupancy using
-// the standard Bloom inversion; cheap and good enough for sizing stats.
-func (s *Bloom) EstimateCount() int {
-	ones := 0
-	for _, w := range s.banks[0] {
-		ones += bits.OnesCount64(w)
-	}
-	return estimateFromOccupancy(BankBits, ones, s.n)
-}
-
-// estimateFromOccupancy inverts one-hash-per-bank Bloom occupancy into a
-// distinct-insertion estimate: n ≈ -m·ln(1 - ones/m) with m = bankBits.
-// The true insertion count n caps the estimate (the estimator can only
-// undercount aliasing, never invent insertions) and backstops the
-// saturated case. The previous implementation approximated -ln(1-x) with a
-// fixed 32-term power series, which converges like x^33 and so
-// systematically undercounted dense signatures — at 99% occupancy the
-// series yields ~2.63 where the true value is ~4.61, halving the estimate
-// exactly in the regime where aliasing statistics matter most.
-func estimateFromOccupancy(bankBits, ones, n int) int {
-	if ones >= bankBits {
-		return n
-	}
-	est := int(-float64(bankBits)*math.Log(1-float64(ones)/float64(bankBits)) + 0.5)
-	if est > n {
-		return n
-	}
-	return est
-}
-
 // TransferBytes returns the compressed on-network size.
 func (s *Bloom) TransferBytes() int { return CompressedBytes }
 
@@ -379,9 +346,6 @@ func (s *Exact) CandidateSets(nsets int) SetMask {
 	s.lines.ForEach(func(l mem.Line) { m.set(int(uint64(l) & uint64(nsets-1))) })
 	return m
 }
-
-// EstimateCount is the exact count.
-func (s *Exact) EstimateCount() int { return s.lines.Len() }
 
 // TransferBytes matches the Bloom cost: BSC_exact isolates aliasing
 // effects, not transfer-size effects.

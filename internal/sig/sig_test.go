@@ -1,7 +1,6 @@
 package sig
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -236,82 +235,6 @@ func TestBloomAliasingRate(t *testing.T) {
 	}
 	if clean > polluted/4 {
 		t.Errorf("clean-W rate %.4f not much lower than polluted %.4f", clean, polluted)
-	}
-}
-
-func TestEstimateCount(t *testing.T) {
-	s := NewBloom()
-	for i := 0; i < 30; i++ {
-		s.Add(mem.Line(i * 1009))
-	}
-	est := s.EstimateCount()
-	if est < 20 || est > 30 {
-		t.Errorf("EstimateCount = %d for 30 distinct lines", est)
-	}
-	e := NewExact()
-	e.Add(1)
-	e.Add(1)
-	e.Add(2)
-	if e.EstimateCount() != 2 {
-		t.Errorf("exact EstimateCount = %d, want 2", e.EstimateCount())
-	}
-}
-
-// TestEstimateFromOccupancyAccuracy pins the Bloom-inversion estimator to
-// the analytic value -m·ln(1-x) across the full occupancy range. The old
-// 32-term power series for -ln(1-x) converges like x^33 and undercounted
-// badly once signatures densified: at x=0.99 it returned m·2.63 instead of
-// m·4.61. Dense signatures are exactly where the aliasing statistics the
-// estimator feeds (Table 3's set sizes for BSC_base) are interesting.
-func TestEstimateFromOccupancyAccuracy(t *testing.T) {
-	const m = BankBits
-	for _, x := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
-		ones := int(x * m)
-		want := int(-float64(m)*math.Log(1-float64(ones)/float64(m)) + 0.5)
-		got := estimateFromOccupancy(m, ones, 1<<30) // n cap out of the way
-		if got != want {
-			t.Errorf("occupancy %.2f: estimate %d, want %d", x, got, want)
-		}
-		// The estimate must never exceed the known insertion count...
-		if capped := estimateFromOccupancy(m, ones, want-1); capped != want-1 {
-			t.Errorf("occupancy %.2f: cap not applied: %d", x, capped)
-		}
-	}
-	// ...and saturation falls back to the insertion count.
-	if got := estimateFromOccupancy(m, m, 777); got != 777 {
-		t.Errorf("saturated estimate = %d, want 777", got)
-	}
-	// Empty signature estimates zero.
-	if got := estimateFromOccupancy(m, 0, 0); got != 0 {
-		t.Errorf("empty estimate = %d, want 0", got)
-	}
-}
-
-// TestEstimateCountDenseSignature: end-to-end check that a densely loaded
-// Bloom signature's estimate tracks the true distinct-line count within the
-// estimator's statistical error, instead of collapsing to roughly half as
-// the truncated series did. Tunable shares the same inversion.
-func TestEstimateCountDenseSignature(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, distinct := range []int{200, 800, 2000, 3000} {
-		s := NewBloom()
-		tn := NewTunable(DefaultGeometry())
-		seen := map[mem.Line]bool{}
-		for len(seen) < distinct {
-			l := mem.Line(rng.Intn(1 << 20))
-			if seen[l] {
-				continue
-			}
-			seen[l] = true
-			s.Add(l)
-			tn.Add(l)
-		}
-		for _, est := range []int{s.EstimateCount(), tn.EstimateCount()} {
-			lo := distinct - distinct/4
-			if est < lo || est > distinct {
-				t.Errorf("%d distinct lines: estimate %d, want within [%d,%d]", distinct, est, lo, distinct)
-			}
-		}
 	}
 }
 

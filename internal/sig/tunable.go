@@ -176,15 +176,6 @@ func (s *Tunable) CandidateSets(nsets int) SetMask {
 	return m
 }
 
-// EstimateCount approximates distinct insertions from bank-0 occupancy.
-func (s *Tunable) EstimateCount() int {
-	ones := 0
-	for _, w := range s.banks[0] {
-		ones += bits.OnesCount64(w)
-	}
-	return estimateFromOccupancy(s.g.BankBits, ones, s.n)
-}
-
 // TransferBytes scales the compressed transfer with the geometry relative
 // to the production 2 Kbit instance.
 func (s *Tunable) TransferBytes() int {
