@@ -481,8 +481,9 @@ func (p *Pool) Put(c *Chunk) {
 
 // Adopt retires a chunk onto the cold list, stripped to the shape Drain
 // produces. The caller asserts nothing can read c any more: within a run
-// that means the chunk has no Holds left and no request in flight, and
-// the run does not export it (Result.Commits, under CheckSC). The Gen
+// that means the chunk has no Holds left and no request in flight. Commit
+// observers (the replay checker's records, the witness, the tracer) copy
+// what they need at the commit instant and keep no reference. The Gen
 // bump defuses every callback and Hold of the retired incarnation.
 //
 //sim:pool release

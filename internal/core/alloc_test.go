@@ -15,12 +15,20 @@ import (
 // per chunk; the bound is a tenth of that.
 const maxAllocsPerChunk = 3.8
 
+// maxAllocsPerCheckedChunk bounds the same run with the replay checker
+// on. Its commit records and log blocks are the Result's own storage and
+// grow geometrically; the chunks themselves recycle as in any other run.
+// A run that kept its committed chunks instead would construct every
+// chunk anew, with its signatures, sets and log, at many allocations
+// each.
+const maxAllocsPerCheckedChunk = 1
+
 // TestCommitPipelineAllocs runs radix at 64 procs with 8 arbiters and a
 // sharded G-arbiter, so both single-arbiter and multi-range commits
 // occur, twice on one Runner, and bounds the second run's allocations per
 // committed chunk: a steady-state commit (request, arbitration, R fetch,
 // G-arbiter reserve/confirm, directory fan-out and acks) allocates
-// nothing.
+// nothing, with or without the replay checker.
 func TestCommitPipelineAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
@@ -28,12 +36,27 @@ func TestCommitPipelineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	for _, tc := range []struct {
+		name    string
+		checkSC bool
+		bound   float64
+	}{
+		{"no-checker", false, maxAllocsPerChunk},
+		{"checker", true, maxAllocsPerCheckedChunk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			commitPipelineAllocs(t, tc.checkSC, tc.bound)
+		})
+	}
+}
+
+func commitPipelineAllocs(t *testing.T, checkSC bool, bound float64) {
 	cfg := DefaultConfig("radix")
 	cfg.Procs = 64
 	cfg.Work = 20000
 	cfg.NumArbiters = 8
 	cfg.GArbShards = DefaultGArbShardsFor(cfg.NumArbiters)
-	cfg.CheckSC = false
+	cfg.CheckSC = checkSC
 	cfg.Witness = false
 	if cfg.GArbShards < 2 {
 		t.Fatalf("GArbShards = %d, want a sharded G-arbiter", cfg.GArbShards)
@@ -65,8 +88,11 @@ func TestCommitPipelineAllocs(t *testing.T) {
 	perChunk := float64(after.Mallocs-before.Mallocs) / float64(chunks)
 	t.Logf("%d allocations over %d committed chunks (%d multi-range): %.2f per chunk",
 		after.Mallocs-before.Mallocs, chunks, res.Stats.MultiArbCommits, perChunk)
-	if perChunk > maxAllocsPerChunk {
-		t.Errorf("%.2f allocations per committed chunk, want ≤ %.1f", perChunk, maxAllocsPerChunk)
+	if perChunk > bound {
+		t.Errorf("%.2f allocations per committed chunk, want ≤ %.1f", perChunk, bound)
+	}
+	if checkSC && (len(res.SCViolations) > 0 || res.ChunksChecked == 0) {
+		t.Fatalf("replay checker: %d chunks checked, findings %v", res.ChunksChecked, res.SCViolations)
 	}
 }
 

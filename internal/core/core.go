@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"bulksc/internal/arbiter"
@@ -93,7 +92,8 @@ type Config struct {
 	DirCacheEntries int
 
 	// CheckSC runs the replay checker over every committed chunk
-	// (BulkSC only). Costs memory proportional to the access count.
+	// (BulkSC only) and exports the commit records in Result.Commits.
+	// Costs memory proportional to the access count.
 	CheckSC bool
 	// Witness runs the online SC-witness checker (internal/sccheck) over
 	// the execution: chunk commits under BulkSC, architectural accesses
@@ -199,9 +199,10 @@ type Result struct {
 	SCViolations []string
 	// ChunksChecked is how many committed chunks the checker replayed.
 	ChunksChecked int
-	// Commits holds the committed chunks in commit order when
-	// Config.CheckSC was set; tests and debugging tools inspect it.
-	Commits []*chunk.Chunk
+	// Commits holds one record per committed chunk, in commit order, when
+	// Config.CheckSC was set; tests and debugging tools inspect it. The
+	// Result owns the records and the log blocks their Logs point into.
+	Commits []CommitRecord
 	// WitnessViolations lists online SC-witness checker findings when
 	// Config.Witness was set (empty = all witness obligations held).
 	// Deliberately excluded from DeterminismHash: golden hashes pin the
@@ -353,7 +354,14 @@ type machine struct {
 	//lint:poolsafe processor arena; each entry is fully Reset at reacquisition in addProc
 	convPool []*proc.ConvProc
 
-	commits []*chunk.Chunk // commit-order log for the checker
+	// commits is the run's commit log for the replay checker (CheckSC),
+	// and logBlock the log block recordCommit is filling. Both are handed
+	// to the run's Result.
+	commits  []CommitRecord
+	logBlock []chunk.AccessRec
+	// replay is the replay checker's storage, kept across runs.
+	//lint:poolsafe checker scratch; verify resets it before every use
+	replay replayer
 	// reqs recycles the arbiter request records routeCommit hands to the
 	// arbitration; the arbiters return them at their last use.
 	//lint:poolsafe recycled records are fully reinitialized at reuse and hold no references while parked
@@ -506,10 +514,11 @@ func (m *machine) Reset(cfg Config) {
 	clear(m.convProcs)
 	m.convProcs = m.convProcs[:0]
 
-	// commits and timeline were handed to the previous run's Result; they
-	// must be dropped, not truncated — truncating would scrub the caller's
-	// slice in place.
+	// commits, the log block and timeline were handed to the previous
+	// run's Result; they must be dropped, not truncated — truncating would
+	// scrub the caller's slice in place.
 	m.commits = nil
+	m.logBlock = nil
 	m.timeline = nil
 	m.witness = nil
 	if cfg.Witness {
@@ -689,11 +698,6 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 			Dypvt:           cfg.Dypvt,
 			Stpvt:           cfg.Stpvt,
 			PreArbThreshold: 6,
-			// Committed chunks are recycled within the run unless it
-			// exports them through Result.Commits (CheckSC). A recycled
-			// chunk is indistinguishable from a new one, so the flag can
-			// never affect simulated behavior or the determinism hashes.
-			RecycleCommitted: !cfg.CheckSC,
 		}
 		var p *proc.BulkProc
 		if id < len(m.bulkPool) && m.bulkPool[id] != nil {
@@ -708,7 +712,9 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 		}
 		onCommit := func(ch *chunk.Chunk) {
 			if cfg.CheckSC {
-				m.commits = append(m.commits, ch)
+				// The record copies what the checker and the hash read,
+				// so the chunk is recycled like any other.
+				m.recordCommit(ch)
 			}
 			if m.witness != nil {
 				// OnCommit fires at the arbiter's grant event, so chunks
@@ -888,7 +894,7 @@ func (m *machine) run(cfg Config) (*Result, error) {
 	final := m.st.Snapshot()
 	res.Stats = &final
 	if cfg.CheckSC && cfg.Model == ModelBulk {
-		res.SCViolations = verifySC(m.commits)
+		res.SCViolations = m.replay.verify(m.commits)
 		res.ChunksChecked = len(m.commits)
 		res.Commits = m.commits
 	}
@@ -909,40 +915,4 @@ func (m *machine) run(cfg Config) (*Result, error) {
 		res.Timeline = m.timeline
 	}
 	return res, nil
-}
-
-// verifySC replays every committed chunk in global commit order and checks
-// that each logged load observed exactly the value the sequential replay
-// produces. This validates chunk atomicity, isolation, per-processor
-// order, forwarding, squash recovery and the private-data optimizations
-// end to end: any hole would surface as a mismatched load.
-func verifySC(commits []*chunk.Chunk) []string {
-	sorted := make([]*chunk.Chunk, len(commits))
-	copy(sorted, commits)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].CommitOrder < sorted[j].CommitOrder })
-	replay := make(map[mem.Addr]uint64)
-	var bad []string
-	perProc := make(map[int]uint64)
-	for _, ch := range sorted {
-		if ch.CommitOrder <= perProc[ch.Proc] && perProc[ch.Proc] != 0 {
-			bad = append(bad, fmt.Sprintf("proc %d chunk %d committed out of per-processor order", ch.Proc, ch.Seq))
-		}
-		perProc[ch.Proc] = ch.CommitOrder
-		for _, rec := range ch.Log {
-			a := rec.Addr.Align()
-			if rec.IsStore {
-				replay[a] = rec.Value
-				continue
-			}
-			if got := replay[a]; got != rec.Value {
-				bad = append(bad, fmt.Sprintf(
-					"proc %d chunk %d (order %d): load %#x observed %d, replay has %d",
-					ch.Proc, ch.Seq, ch.CommitOrder, uint64(rec.Addr), rec.Value, got))
-				if len(bad) >= 20 {
-					return bad
-				}
-			}
-		}
-	}
-	return bad
 }

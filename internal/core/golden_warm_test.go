@@ -133,8 +133,8 @@ func TestRunnerResultIsolation(t *testing.T) {
 	if first.Cycles != cycles || first.Stats.Chunks != chunks || len(first.Commits) != ncommits {
 		t.Fatalf("reusing the Runner mutated an already-returned Result")
 	}
-	for i, ch := range first.Commits {
-		if ch == nil {
+	for i, rec := range first.Commits {
+		if rec.CommitOrder == 0 {
 			t.Fatalf("commit %d of the first Result was scrubbed by reuse", i)
 		}
 	}

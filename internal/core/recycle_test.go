@@ -1,21 +1,24 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"bulksc/internal/chunk"
 	"bulksc/internal/fault"
+	"bulksc/internal/mem"
 	"bulksc/internal/workload"
 )
 
 // maxChunksBuiltPerProc bounds how many chunks one processor's pool may
-// construct in a CheckSC-off run: the chunks in flight (MaxChunks) plus
+// construct in a run: the chunks in flight (MaxChunks) plus
 // committed ones still held by arbiter W-lists or stpvt propagations, with
 // margin. Without in-run recycling every commit constructs a chunk.
 const maxChunksBuiltPerProc = 16
 
 // TestCommittedChunkRecyclingIsInvisible runs 64-proc radix with 8
-// arbiters and CheckSC off — the configuration that recycles committed
-// chunks within the run — with and without late network delivery (so
+// arbiters, recycling committed chunks within the run, with and without
+// late network delivery (so
 // Abort and Done messages, and with them Hold releases, trail the grants).
 // A cold run and two warm runs of the cell on one Runner must agree on
 // both hashes, and each processor must commit hundreds of chunks from a
@@ -100,5 +103,70 @@ func TestCommittedChunkRecyclingIsInvisible(t *testing.T) {
 				t.Fatalf("a processor constructed %d chunks over two runs, want ≤ %d", most, maxChunksBuiltPerProc)
 			}
 		})
+	}
+}
+
+// TestCommitRecordsOutliveChunkReuse: a CheckSC run's commit records copy
+// each chunk's log at the commit instant, so once the chunk is recycled
+// nothing it does reaches the Result. The run reuses its chunks, and after
+// it every committed chunk's log storage is overwritten; the records and
+// DeterminismHash must still equal a cold run's.
+func TestCommitRecordsOutliveChunkReuse(t *testing.T) {
+	cfg := DefaultConfig("radix")
+	cfg.Work = 8000
+	cfg.Witness = false
+	gen, err := workload.Get(cfg.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := gen(cfg.Procs, cfg.Work, cfg.Seed)
+	cold, err := RunProgram(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]CommitRecord, len(cold.Commits))
+	for i, rec := range cold.Commits {
+		want[i] = rec
+		want[i].Log = append([]chunk.AccessRec(nil), rec.Log...)
+	}
+
+	// runProgram, with every processor's commit hook wrapped to collect
+	// the chunks it commits.
+	m := newMachine()
+	m.Reset(cfg)
+	for id, ins := range prog.Threads {
+		m.addProc(cfg, id, ins)
+	}
+	m.wirePorts()
+	var committed []*chunk.Chunk
+	for _, p := range m.bulkProcs {
+		record := p.OnCommit
+		p.OnCommit = func(ch *chunk.Chunk) {
+			record(ch)
+			committed = append(committed, ch)
+		}
+	}
+	res, err := m.run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[*chunk.Chunk]bool)
+	for _, ch := range committed {
+		distinct[ch] = true
+	}
+	if len(distinct) >= len(committed) {
+		t.Fatalf("%d commits used %d distinct chunks: nothing was recycled", len(committed), len(distinct))
+	}
+	for ch := range distinct {
+		log := ch.Log[:cap(ch.Log)]
+		for i := range log {
+			log[i] = chunk.AccessRec{IsStore: true, Addr: mem.Addr(0xdead0), Value: ^uint64(0)}
+		}
+	}
+	if got, want := res.DeterminismHash(), cold.DeterminismHash(); got != want {
+		t.Fatalf("DeterminismHash %#x after overwriting the chunks' logs, cold run %#x", got, want)
+	}
+	if !reflect.DeepEqual(res.Commits, want) {
+		t.Fatal("commit records changed when the recycled chunks' logs were overwritten")
 	}
 }

@@ -43,9 +43,9 @@ func TestWitnessCleanOnRealRuns(t *testing.T) {
 }
 
 // TestWitnessDetectsMutatedRealRun is the end-to-end mutation gate: take a
-// real execution's commit stream, seed an SC violation into it, and verify
-// a fresh checker flags the replayed stream. A checker that cannot fail
-// proves nothing.
+// real execution's commit records, seed an SC violation into them, and
+// verify a fresh checker flags the replayed stream. A checker that cannot
+// fail proves nothing.
 func TestWitnessDetectsMutatedRealRun(t *testing.T) {
 	res := runWitnessed(t, "radix", 11)
 	if len(res.Commits) < 2 {
@@ -54,8 +54,12 @@ func TestWitnessDetectsMutatedRealRun(t *testing.T) {
 
 	replay := func() *sccheck.Checker {
 		c := sccheck.New()
-		for _, ch := range res.Commits {
-			c.CommitChunk(ch)
+		for _, rec := range res.Commits {
+			c.BeginChunk(rec.Proc, rec.Seq, rec.CommitOrder)
+			for _, op := range rec.Log {
+				c.ChunkOp(op.IsStore, op.Addr, op.Value)
+			}
+			c.EndChunk()
 		}
 		return c
 	}
@@ -86,7 +90,7 @@ func TestWitnessDetectsMutatedRealRun(t *testing.T) {
 
 	// Mutation 2: break the claimed serialization by swapping two commit
 	// orders (the footprint of an arbiter ordering bug).
-	a, b := res.Commits[0], res.Commits[len(res.Commits)/2]
+	a, b := &res.Commits[0], &res.Commits[len(res.Commits)/2]
 	a.CommitOrder, b.CommitOrder = b.CommitOrder, a.CommitOrder
 	c := replay()
 	a.CommitOrder, b.CommitOrder = b.CommitOrder, a.CommitOrder // restore

@@ -27,13 +27,6 @@ type Opts struct {
 	Stpvt bool
 	// PreArbThreshold is the squash streak that triggers pre-arbitration.
 	PreArbThreshold int
-	// RecycleCommitted makes the processor retire each committed chunk to
-	// its pool's cold list as soon as nothing can read it: the grant has
-	// arrived and the chunk's last Hold has dropped. The machine sets it
-	// only when the run exports no chunk references into its Result (i.e.
-	// CheckSC is off). A cold chunk is indistinguishable from a new one,
-	// so the flag cannot change simulated behavior.
-	RecycleCommitted bool
 }
 
 // DefaultOpts returns the BSC_base configuration: RSig on, private-data
@@ -84,12 +77,11 @@ type BulkProc struct {
 	storeSeq uint64
 
 	// pool recycles chunks. A squashed chunk is Put once no commit request
-	// of its is still in flight; a committed one (under
-	// opts.RecycleCommitted) is Adopted once its grant has arrived and its
-	// last Hold has dropped (see retire). All callbacks that can outlive a
-	// squash carry a Gen guard. Across warm machine resets the pool is
-	// Drained, not dropped: chunk structs and Log storage survive,
-	// set/write-buffer arrays return to arena.
+	// of its is still in flight; a committed one is Adopted once its grant
+	// has arrived and its last Hold has dropped (see retire). All callbacks
+	// that can outlive a squash carry a Gen guard. Across warm machine
+	// resets the pool is Drained, not dropped: chunk structs and Log
+	// storage survive, set/write-buffer arrays return to arena.
 	pool chunk.Pool
 	// commitReqFree recycles permission-to-commit request records.
 	// Env.Commit consumes its argument synchronously (core.routeCommit
@@ -158,6 +150,8 @@ type BulkProc struct {
 
 	// OnCommit is invoked at each chunk's commit instant (arbiter
 	// decision time), in global commit order — the replay checker hook.
+	// The chunk is recycled once its grant arrives and its last Hold
+	// drops, so an observer copies what it needs and keeps no reference.
 	OnCommit func(ch *chunk.Chunk)
 	// OnSquash is invoked at each squash with the victim count, the
 	// instructions discarded, and whether the conflict was genuine — the

@@ -285,11 +285,10 @@ func (p *BulkProc) grantArrived(ch *chunk.Chunk) {
 
 // retire adopts ch into the pool's cold list once nothing can read it any
 // more: no Hold is outstanding, and either the chunk committed and its
-// grant has arrived (only under opts.RecycleCommitted — otherwise the run
-// exports committed chunks and they stay out of the pool), or it squashed
-// and its posthumous grant has replied. It runs at each of those events
-// and at the last Hold release, so whichever comes last recycles the
-// chunk, exactly once. ch must not be touched after the call.
+// grant has arrived, or it squashed and its posthumous grant has replied.
+// It runs at each of those events and at the last Hold release, so
+// whichever comes last recycles the chunk, exactly once. ch must not be
+// touched after the call.
 //
 //sim:pool release
 func (p *BulkProc) retire(ch *chunk.Chunk) {
@@ -298,9 +297,7 @@ func (p *BulkProc) retire(ch *chunk.Chunk) {
 	}
 	switch ch.State {
 	case chunk.Committed:
-		if !p.opts.RecycleCommitted {
-			return
-		}
+		// State turns Committed at the grant's arrival.
 	case chunk.Squashed:
 		// A squashed chunk with no request out was already Put (squashFrom
 		// or a posthumous denial), which bumped its Gen and defused the

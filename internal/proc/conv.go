@@ -5,6 +5,7 @@ import (
 
 	"bulksc/internal/cache"
 	"bulksc/internal/directory"
+	"bulksc/internal/lineset"
 	"bulksc/internal/mem"
 	"bulksc/internal/network"
 	"bulksc/internal/sim"
@@ -86,8 +87,13 @@ type ConvProc struct {
 	storeFwd  map[mem.Addr]uint64
 	fwdCounts map[mem.Addr]int
 
-	// SC++ speculative window: line → last access index.
-	specLines map[mem.Line]uint64
+	// SC++ speculative window: line → last access index + 1, keyed by
+	// the line number; 0 marks a line the window no longer holds. Nothing
+	// iterates it.
+	specLines lineset.Map
+
+	// cov is the prefetch-coverage memo (see prefetchAhead).
+	cov coverMemo
 
 	scheduled bool
 	finished  bool
@@ -104,6 +110,22 @@ type ConvProc struct {
 	// use the package-level conv*CB callbacks with p as payload.
 	//lint:poolsafe bound method values captured once at construction
 	performSerialFn, drainPerformFn, kickFn func()
+}
+
+// coverMemo remembers which upcoming memory ops prefetchAhead found
+// covered, so the next scan need not probe them again. An op is covered
+// when its line is resident in a state sufficient for it, or a fetch for
+// its line is in flight. Only three events can take coverage away, and
+// each bumps gen: a fill completion (its MSHR drops, and its insert may
+// evict), an invalidation of a resident line, and SnoopDirty's Dirty →
+// Shared downgrade. New fetches, markDirty upgrades and LRU touches only
+// add coverage. Reset clears the memo with the rest of the processor.
+type coverMemo struct {
+	gen uint64
+	// at is the generation at which every memory op at a stream position
+	// in [from, to) was covered; the memo holds while at == gen.
+	at       uint64
+	from, to int
 }
 
 type convStore struct {
@@ -142,7 +164,6 @@ func NewConvProc(id int, env *Env, par Params, model Model, ins []workload.Instr
 		inflight:  make([]*convReq, 0, par.MSHRs),
 		storeFwd:  make(map[mem.Addr]uint64),
 		fwdCounts: make(map[mem.Addr]int),
-		specLines: make(map[mem.Line]uint64),
 	}
 	p.performSerialFn = p.performSerial
 	p.drainPerformFn = p.drainPerform
@@ -172,7 +193,8 @@ func (p *ConvProc) Reset(ins []workload.Instr, par Params, model Model) {
 	p.draining = false
 	clear(p.storeFwd)
 	clear(p.fwdCounts)
-	clear(p.specLines)
+	p.specLines.Reset()
+	p.cov = coverMemo{}
 	p.scheduled = false
 	p.finished = false
 	p.doneAt = 0
@@ -288,6 +310,7 @@ func (r *convReq) arrive(stateHint int) {
 	if !ok {
 		panic("conv proc: insert failed (no pinning in conventional mode)")
 	}
+	p.cov.gen++ // the MSHR is gone, and the line may have evicted another
 	if victim.Valid() && victim.State == cache.Dirty {
 		p.env.St.AddTraffic(stats.CatData, network.DataBytes)
 		p.env.WritebackLine(p.id, victim.Line, true)
@@ -376,9 +399,18 @@ func (p *ConvProc) missComplete(idx uint64) {
 // prefetchAhead scans the upcoming stream and issues read/exclusive
 // prefetches for the next few memory operations — the SC baseline's
 // optimization (reads) and the exclusive-prefetch optimization shared by
-// SC and RC.
+// SC and RC. Ops the coverage memo vouches for are counted without being
+// probed; every other op is probed, so the prefetches issued, and their
+// order, are those of a scan that probes everything.
+//
+//sim:hotpath
 func (p *ConvProc) prefetchAhead(k int) {
 	pos := p.f.pos
+	start, gen := pos, p.cov.gen
+	covered := pos // ops before covered are known covered
+	if p.cov.at == gen && p.cov.from <= pos && pos < p.cov.to {
+		covered = p.cov.to
+	}
 	for n := 0; n < k && pos < len(p.f.ins); pos++ {
 		in := p.f.ins[pos]
 		var l mem.Line
@@ -391,11 +423,15 @@ func (p *ConvProc) prefetchAhead(k int) {
 		case workload.OpAcquire, workload.OpRelease:
 			l, excl = in.Addr.LineOf(), true
 		case workload.OpEnd:
+			p.rememberCovered(start, pos, gen)
 			return
 		default:
 			continue
 		}
 		n++
+		if pos < covered {
+			continue
+		}
 		if w := p.l1.Probe(l); w != nil {
 			if !excl || w.State == cache.Dirty || w.State == cache.Excl {
 				continue
@@ -405,11 +441,27 @@ func (p *ConvProc) prefetchAhead(k int) {
 			continue
 		}
 		if len(p.inflight) >= p.par.MSHRs {
+			p.rememberCovered(start, pos, gen)
 			return
 		}
 		p.env.St.Prefetches++
 		p.fetch(l, excl, nil)
 	}
+	p.rememberCovered(start, pos, gen)
+}
+
+// rememberCovered records that every memory op in [from, to) was covered
+// at generation gen, the generation the scan started at, keeping the
+// memo's longer reach when from lies inside it. If an uncovering event
+// fired during the scan's own requests, gen is already stale and so is
+// the memo.
+//
+//sim:hotpath
+func (p *ConvProc) rememberCovered(from, to int, gen uint64) {
+	if p.cov.at == gen && p.cov.from <= from && from < p.cov.to && to < p.cov.to {
+		to = p.cov.to
+	}
+	p.cov.at, p.cov.from, p.cov.to = gen, from, to
 }
 
 // owner reports whether the cache can complete a store locally.
@@ -424,9 +476,11 @@ func (p *ConvProc) token() uint64 {
 }
 
 // noteAccess records a line in the SC++ speculative window.
+//
+//sim:hotpath
 func (p *ConvProc) noteAccess(l mem.Line) {
 	if p.model == SCpp {
-		p.specLines[l] = p.dispatch
+		p.specLines.Put(mem.Addr(l), p.dispatch+1)
 	}
 }
 
@@ -864,18 +918,21 @@ func (p *ConvProc) rcAcquire(lock mem.Addr) bool {
 // speculative window forces a rollback (timing and statistics; the
 // re-execution reads the same sequentially-consistent values).
 func (p *ConvProc) ApplyInvalidate(l mem.Line) {
-	p.l1.Invalidate(l)
+	if p.l1.Invalidate(l) != cache.Invalid {
+		p.cov.gen++ // the line no longer covers its ops
+	}
 	if p.model != SCpp {
 		return
 	}
-	if idx, ok := p.specLines[l]; ok && p.dispatch-idx < uint64(p.par.SHiQ) {
+	if v, _ := p.specLines.Get(mem.Addr(l)); v != 0 && p.dispatch-(v-1) < uint64(p.par.SHiQ) {
+		idx := v - 1
 		p.env.St.SHiQViolations++
 		wasted := p.dispatch - idx
 		if wasted > uint64(p.par.SHiQ) {
 			wasted = uint64(p.par.SHiQ)
 		}
 		p.env.St.SquashedInstrs += wasted
-		delete(p.specLines, l)
+		p.specLines.Put(mem.Addr(l), 0)
 		// Rollback penalty: refill plus re-execution time.
 		p.kickAt(p.par.SquashPenalty + sim.Time(wasted)/sim.Time(p.par.IssueWidth))
 	}
@@ -894,6 +951,7 @@ func (p *ConvProc) SnoopDirty(l mem.Line) (supplied, holds bool) {
 	}
 	if w.State == cache.Dirty {
 		w.State = cache.Shared
+		p.cov.gen++ // the line no longer covers exclusive ops
 		return true, true
 	}
 	return false, true

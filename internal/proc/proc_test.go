@@ -447,11 +447,11 @@ func drainPool(p *BulkProc, c *chunk.Chunk) (seen int, last *chunk.Chunk) {
 	return seen, last
 }
 
-// TestCommittedChunkRecycledAfterLastHold: with RecycleCommitted, a
-// granted chunk whose arbitration entry holds it k times returns to the
-// pool exactly once, after the later of its grant arrival and its last
-// Hold release, whatever the order of the two; and a release made against
-// a recycled incarnation is ignored.
+// TestCommittedChunkRecycledAfterLastHold: a granted chunk whose
+// arbitration entry holds it k times returns to the pool exactly once,
+// after the later of its grant arrival and its last Hold release, whatever
+// the order of the two; and a release made against a recycled incarnation
+// is ignored.
 func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
 	hop := newFakeEnv().env.Net.HopLat
 	cases := []struct {
@@ -488,9 +488,7 @@ func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
 					after(fe.eng, hop, func() { hp.check("grant arrival") })
 				})
 			}
-			opts := DefaultOpts()
-			opts.RecycleCommitted = true
-			p := NewBulkProc(0, fe.env, DefaultParams(), opts, buildStream(func(b *workload.Builder) {
+			p := NewBulkProc(0, fe.env, DefaultParams(), DefaultOpts(), buildStream(func(b *workload.Builder) {
 				b.Store(mem.HeapAddr(0))
 				b.Compute(100)
 			}))
@@ -528,8 +526,7 @@ func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
 // TestPosthumousGrantRecycledAfterLastHold: a chunk squashed while its
 // commit request is in flight and then granted (stats.CommitCancels) is
 // neither recycled while the arbitration entry still holds it nor leaked:
-// it returns to the pool exactly once, at its last Hold release. It is not
-// a committed chunk, so this holds even without RecycleCommitted.
+// it returns to the pool exactly once, at its last Hold release.
 func TestPosthumousGrantRecycledAfterLastHold(t *testing.T) {
 	fe := newFakeEnv()
 	a := mem.HeapAddr(0)
