@@ -184,8 +184,9 @@ func BenchmarkArbiterScaling(b *testing.B) {
 // aliasing-sensitive applications.
 func BenchmarkSigSpace(b *testing.B) {
 	p := benchParams()
+	p.Apps = []string{"radix", "water-sp"}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SigSpace(p, []string{"radix", "water-sp"})
+		rows, err := experiments.SigSpace(p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,11 +9,16 @@
 //	sweep -exp table4               # Table 4: commit & coherence
 //	sweep -exp fig11                # Figure 11: traffic breakdown
 //	sweep -exp arbiters -procs 16   # §4.2.3 distributed-arbiter ablation
+//	sweep -exp sigspace             # §6 signature design-space ablation
 //	sweep -exp scaling -procs 8,16,64,256   # big-machine scaling curves
 //	sweep -exp faults               # fault-injection campaign report
 //	sweep -exp all                  # everything, in order
 //	sweep -exp trace -apps radix -trace-out trace.ndjson
 //	                                # export one run's SC history as NDJSON
+//
+// The experiments, in -exp all order, and each one's default application
+// suite, machine sizes and arbiter counts come from experiments.Catalog;
+// -apps and -procs override the defaults.
 //
 // The trace experiment simulates a single (app, model) cell with history
 // export on and streams the NDJSON history (internal/history format) to
@@ -24,10 +29,10 @@
 // The -work flag sets the per-thread instruction budget; larger runs give
 // steadier statistics (the first 30% is always excluded as warmup).
 //
-// Sweeps execute on a fixed pool of -parallel workers (default NumCPU; -j
-// is an alias), each owning one warm machine that is reset in place
-// between simulations; workload programs are generated once per (app,
-// procs, work, seed) and shared. The -cold flag disables the reuse and
+// Sweeps execute on a fixed pool of -parallel workers (default NumCPU),
+// each owning one warm machine that is reset in place between
+// simulations; workload programs are generated once per (app, procs,
+// work, seed) and shared. The -cold flag disables the reuse and
 // constructs a fresh machine per simulation — results are bit-identical
 // either way (golden-tested), so -cold exists only to isolate a suspected
 // reuse bug or to measure the reuse win.
@@ -59,15 +64,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 
 	"bulksc"
 	"bulksc/experiments"
 )
-
-// expNames lists the experiments in "all" execution order. "faults" is
-// deliberately last: it multiplies the matrix by every campaign.
-var expNames = []string{"fig9", "fig10", "table3", "table4", "fig11", "arbiters", "sigspace", "scaling", "faults"}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -79,13 +81,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: "+strings.Join(expNames, ", ")+", all")
+		exp       = fs.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), ", ")+", trace, all")
 		work      = fs.Int("work", 120_000, "dynamic instructions per thread")
 		seed      = fs.Int64("seed", 1, "simulation seed")
-		apps      = fs.String("apps", "", "comma-separated subset of applications (default: all)")
-		procs     = fs.String("procs", "16", "comma-separated core counts: the scaling study runs every value; the arbiter ablation uses the first")
+		apps      = fs.String("apps", "", "comma-separated subset of applications (default: the experiment's own suite)")
+		procs     = fs.String("procs", "", "comma-separated core counts: the scaling study runs every value; the arbiter ablation uses the first (default: the experiment's own)")
 		par       = fs.Int("parallel", 0, "parallel workers, one warm machine each (default: NumCPU)")
-		parAlias  = fs.Int("j", 0, "alias for -parallel")
 		cold      = fs.Bool("cold", false, "construct a fresh machine per simulation instead of reusing one warm machine per worker (bit-identical results; reuse-debugging escape hatch)")
 		scchk     = fs.Bool("sccheck", false, "run the online SC-witness checker on every SC-claiming simulation (fails the sweep on a violation)")
 		faults    = fs.String("faults", "none", "fault-injection campaign: "+strings.Join(bulksc.FaultCampaigns(), ", "))
@@ -102,49 +103,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Validate every enumerated flag before any simulation starts: a typo
-	// must fail fast with the list of valid values, not run half a sweep.
-	if *exp != "all" && *exp != "trace" && !contains(expNames, *exp) {
-		fmt.Fprintf(stderr, "sweep: unknown experiment %q (valid: %s, trace, all)\n", *exp, strings.Join(expNames, ", "))
-		return 2
+	// Validate every flag before any simulation starts: a typo must fail
+	// fast with the list of valid values, not run half a sweep.
+	var selected []experiments.Experiment
+	switch *exp {
+	case "all":
+		for _, e := range experiments.Catalog() {
+			if e.OwnCampaigns && *faults != "none" {
+				// The whole sweep already runs under the campaign; a
+				// report iterating every campaign would rerun it again.
+				continue
+			}
+			selected = append(selected, e)
+		}
+	case "trace":
+		if !slices.Contains(experiments.TraceModels(), strings.ToLower(*traceModel)) {
+			fmt.Fprintf(stderr, "sweep: unknown trace model %q (valid: %s)\n", *traceModel, strings.Join(experiments.TraceModels(), ", "))
+			return 2
+		}
+	default:
+		e, ok := experiments.Lookup(*exp)
+		if !ok {
+			fmt.Fprintf(stderr, "sweep: unknown experiment %q (valid: %s, trace, all)\n", *exp, strings.Join(experiments.Names(), ", "))
+			return 2
+		}
+		selected = append(selected, e)
 	}
-	if *exp == "trace" && !contains(experiments.TraceModels(), strings.ToLower(*traceModel)) {
-		fmt.Fprintf(stderr, "sweep: unknown trace model %q (valid: %s)\n", *traceModel, strings.Join(experiments.TraceModels(), ", "))
-		return 2
-	}
-	if _, err := bulksc.NewFaultPlan(*faults, *faultSeed); err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	procCounts, err := parseProcs(*procs)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	if *par < 0 || *parAlias < 0 {
+	if *par < 0 {
 		fmt.Fprintf(stderr, "sweep: -parallel must be >= 0 (0 = NumCPU)\n")
 		return 2
 	}
 	if *par == 0 {
-		*par = *parAlias // -j is the historical spelling
+		*par = runtime.NumCPU()
 	}
-	effPar := *par
-	if effPar == 0 {
-		effPar = runtime.NumCPU()
-	}
-	p := experiments.Params{
+	in := experiments.Inputs{Params: experiments.Params{
 		Work: *work, Seed: *seed, Parallelism: *par, Witness: *scchk, Cold: *cold,
 		FaultCampaign: *faults, FaultSeed: *faultSeed,
-	}
+	}}
 	if *apps != "" {
-		valid := bulksc.Apps()
-		for _, a := range strings.Split(*apps, ",") {
-			if !contains(valid, a) {
-				fmt.Fprintf(stderr, "sweep: unknown application %q (valid: %s)\n", a, strings.Join(valid, ", "))
-				return 2
-			}
-			p.Apps = append(p.Apps, a)
+		in.Apps = strings.Split(*apps, ",")
+	}
+	if *procs != "" {
+		var err error
+		if in.Procs, err = experiments.ParseProcs(*procs); err != nil {
+			fmt.Fprintf(stderr, "sweep: -%v\n", err)
+			return 2
 		}
+	}
+	if err := in.Validate(); err != nil {
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
+		return 2
 	}
 
 	if *cpuprofile != "" {
@@ -191,8 +199,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// NDJSON goes to stdout the human-readable report moves to stderr
 		// so `sweep -exp trace | scchk` sees only the history.
 		app := "radix"
-		if len(p.Apps) > 0 {
-			app = p.Apps[0]
+		if len(in.Apps) > 0 {
+			app = in.Apps[0]
 		}
 		out, report := io.Writer(nil), stdout
 		if *traceOut == "-" {
@@ -206,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer f.Close()
 			out = f
 		}
-		res, err := experiments.TraceRun(p, app, *traceModel, out)
+		res, err := experiments.TraceRun(in.Params, app, *traceModel, out)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
 			return 1
@@ -222,124 +230,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *cold {
 		mode = "cold (fresh machine per simulation)"
 	}
-	fmt.Fprintf(stdout, "sweep: %d parallel workers, %s\n\n", effPar, mode)
+	fmt.Fprintf(stdout, "sweep: %d parallel workers, %s\n\n", *par, mode)
 
-	runOne := func(name string) int {
-		switch name {
-		case "fig9":
-			rows, err := experiments.Fig9(p)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Figure 9: performance normalized to RC (higher is better) ===")
-			fmt.Fprint(stdout, experiments.FormatFig9(rows))
-		case "fig10":
-			rows, err := experiments.Fig10(p)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Figure 10: BSC_dypvt chunk-size sensitivity (vs RC) ===")
-			fmt.Fprint(stdout, experiments.FormatFig10(rows))
-		case "table3":
-			rows, err := experiments.Table3(p)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Table 3: BulkSC characterization ===")
-			fmt.Fprint(stdout, experiments.FormatTable3(rows))
-		case "table4":
-			rows, err := experiments.Table4(p)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Table 4: commit and coherence operations (BSC_dypvt) ===")
-			fmt.Fprint(stdout, experiments.FormatTable4(rows))
-		case "fig11":
-			rows, err := experiments.Fig11(p)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Figure 11: traffic normalized to RC (R=RC, E=exact, N=no-RSig, B=BSC_dypvt) ===")
-			fmt.Fprint(stdout, experiments.FormatFig11(rows))
-		case "sigspace":
-			rows, err := experiments.SigSpace(p, []string{"radix", "ocean", "water-sp", "sjbb2k"})
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== §6 ablation: signature design space (BSC_dypvt) ===")
-			fmt.Fprint(stdout, experiments.FormatSigSpace(rows))
-		case "arbiters":
-			counts := []int{1, 2, 4, 8}
-			rows, err := experiments.ArbScale(p, procCounts[0], counts)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "=== §4.2.3 ablation: distributed arbiter at %d cores (speedup vs 1 arbiter) ===\n", procCounts[0])
-			fmt.Fprint(stdout, experiments.FormatArbScale(rows, counts))
-		case "scaling":
-			points, err := experiments.Scaling(p, procCounts)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Big-machine scaling: BSC_dypvt with default arbiter tier and G-arbiter shards ===")
-			fmt.Fprint(stdout, experiments.FormatScaling(points))
-		case "faults":
-			rows, err := experiments.FaultReport(p)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "=== Fault-injection campaigns: BSC_dypvt under adversarial schedules (SC + witness checked) ===")
-			fmt.Fprint(stdout, experiments.FormatFaultReport(rows))
+	for _, e := range selected {
+		ein, _ := e.Resolve(in) // in is valid, so Resolve cannot fail
+		_, table, err := e.Run(ein)
+		if err != nil {
+			fmt.Fprintln(stderr, "sweep:", err)
+			return 1
 		}
+		fmt.Fprintln(stdout, e.Title(ein))
+		fmt.Fprint(stdout, table)
 		fmt.Fprintln(stdout)
-		return 0
 	}
-
-	if *exp == "all" {
-		for _, name := range expNames {
-			if name == "faults" && *faults != "none" {
-				// The whole sweep already ran under the campaign; the
-				// per-campaign report would rerun everything again.
-				continue
-			}
-			if code := runOne(name); code != 0 {
-				return code
-			}
-		}
-		return 0
-	}
-	return runOne(*exp)
-}
-
-// parseProcs parses the -procs comma list, validating each value against
-// the supported machine envelope.
-func parseProcs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n < 1 || n > bulksc.MaxProcs {
-			return nil, fmt.Errorf("-procs value %q must be an integer in [1,%d]", part, bulksc.MaxProcs)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return 0
 }

@@ -2,8 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"bulksc/experiments"
+	"bulksc/internal/sweepsrv"
 )
 
 // TestUnknownFlagValuesExitNonZero pins the input-hardening contract: an
@@ -39,6 +47,26 @@ func TestUnknownFlagValuesExitNonZero(t *testing.T) {
 			name: "oversized procs",
 			args: []string{"-exp", "scaling", "-procs", "2048"},
 			want: []string{`-procs value "2048"`},
+		},
+		{
+			name: "duplicate app",
+			args: []string{"-exp", "table4", "-apps", "radix,radix"},
+			want: []string{`duplicate application "radix"`},
+		},
+		{
+			name: "procs in exponent form",
+			args: []string{"-exp", "scaling", "-procs", "1e2"},
+			want: []string{`-procs value "1e2"`},
+		},
+		{
+			name: "procs with trailing junk",
+			args: []string{"-exp", "scaling", "-procs", "16x"},
+			want: []string{`-procs value "16x"`},
+		},
+		{
+			name: "procs separated by a space",
+			args: []string{"-exp", "scaling", "-procs", "16 32"},
+			want: []string{`-procs value "16 32"`},
 		},
 		{
 			name: "negative parallelism",
@@ -122,5 +150,86 @@ func TestColdAndWarmSweepsAgree(t *testing.T) {
 	cold := body("-cold")
 	if warm != cold {
 		t.Errorf("cold and warm sweeps disagree:\nwarm:\n%s\ncold:\n%s", warm, cold)
+	}
+}
+
+// TestCLIAndServiceAgree runs every catalog experiment through the CLI and
+// through the sweep service and requires the same table text: both are
+// clients of one catalog, so defaults, dispatch and formatting cannot
+// drift between them. The scaling table's last two columns are host
+// wall-clock measurements and are masked.
+func TestCLIAndServiceAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps in -short mode")
+	}
+	srv := sweepsrv.NewServer(sweepsrv.Config{Workers: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
+	})
+	h := srv.Handler()
+	serve := func(method, url string, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		return rec
+	}
+	mask := func(exp, table string) string {
+		if exp != "scaling" {
+			return table
+		}
+		var b strings.Builder
+		for _, line := range strings.Split(strings.TrimSuffix(table, "\n"), "\n") {
+			f := strings.Fields(line)
+			b.WriteString(strings.Join(f[:len(f)-2], " ") + "\n")
+		}
+		return b.String()
+	}
+
+	for _, e := range experiments.Catalog() {
+		t.Run(e.Name, func(t *testing.T) {
+			args := []string{"-exp", e.Name, "-apps", "radix", "-work", "1000"}
+			req := sweepsrv.Request{Exp: e.Name, Apps: []string{"radix"}, Work: 1000}
+			switch e.Name {
+			case "scaling":
+				args = append(args, "-procs", "8,16")
+				req.Procs = []int{8, 16}
+			case "arbiters":
+				args = append(args, "-procs", "16")
+				req.Procs = []int{16}
+			}
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("sweep %v: exit %d: %s", args, code, errb.String())
+			}
+			// Drop the run header and the experiment heading; keep the table.
+			_, report, _ := strings.Cut(out.String(), "\n\n")
+			_, cliTable, _ := strings.Cut(report, "\n")
+			cliTable = strings.TrimSuffix(cliTable, "\n")
+			if !strings.Contains(cliTable, "radix") {
+				t.Fatalf("no radix row in the CLI report:\n%s", out.String())
+			}
+
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := serve("POST", "/sweep", string(body))
+			var sub sweepsrv.SubmitResponse
+			if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &sub) != nil {
+				t.Fatalf("submit: HTTP %d: %s", rec.Code, rec.Body.String())
+			}
+			serve("GET", "/stream/"+sub.ID+"?format=ndjson", "") // returns once the job is terminal
+			var env sweepsrv.ResultEnvelope
+			var job sweepsrv.JobOutput
+			rec = serve("GET", "/result/"+sub.ID, "")
+			if json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Status != sweepsrv.StatusDone ||
+				json.Unmarshal(env.Result, &job) != nil {
+				t.Fatalf("result: HTTP %d: %s", rec.Code, rec.Body.String())
+			}
+			if got, want := mask(e.Name, job.Table), mask(e.Name, cliTable); got != want {
+				t.Errorf("service table differs from the CLI's:\nservice:\n%s\ncli:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -194,7 +194,7 @@ func TestSigSpaceSmallSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	rows, err := SigSpace(Params{Work: 15000}, []string{"water-sp"})
+	rows, err := SigSpace(Params{Apps: []string{"water-sp"}, Work: 15000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +215,13 @@ func TestScalingSmallSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	points, err := Scaling(Params{Work: 8000}, []int{8, 64})
+	apps := []string{"radix", "fft"}
+	points, err := Scaling(Params{Apps: apps, Work: 8000}, []int{8, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(ScalingApps())*2 {
-		t.Fatalf("points = %d, want %d", len(points), len(ScalingApps())*2)
+	if len(points) != len(apps)*2 {
+		t.Fatalf("points = %d, want %d", len(points), len(apps)*2)
 	}
 	for _, pt := range points {
 		if pt.CommittedInstrs == 0 || pt.Cycles == 0 {
@@ -302,5 +303,46 @@ func TestDegenerateRatiosFinite(t *testing.T) {
 	}
 	if _, err := json.Marshal(rows); err != nil {
 		t.Errorf("arb-scale rows do not marshal: %v", err)
+	}
+}
+
+// TestFaultReportCellsNameCampaign: the fault report runs one matrix per
+// campaign, but its cells must read as one sweep. Each cell is keyed by
+// its campaign, so equal results under two campaigns stay distinct cells
+// (a job hash folding (app, key, result) would otherwise cancel them),
+// and Index/Total count across the whole report.
+func TestFaultReportCellsNameCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep")
+	}
+	apps := []string{"radix", "lu"}
+	var cells []Cell
+	p := Params{Apps: apps, Work: 1500, Seed: 1, Parallelism: 1,
+		OnCell: func(c Cell) { cells = append(cells, c) }}
+	if _, err := FaultReport(p); err != nil {
+		t.Fatal(err)
+	}
+	campaigns := FaultCampaignKeys()
+	total := len(campaigns) * len(apps)
+	if len(cells) != total {
+		t.Fatalf("cells = %d, want %d", len(cells), total)
+	}
+	seen := make(map[string]bool)
+	for i, c := range cells {
+		id := c.App + "/" + c.Key
+		if seen[id] {
+			t.Errorf("cell %s reported twice", id)
+		}
+		seen[id] = true
+		if c.Index != i || c.Total != total {
+			t.Errorf("cell %s: Index/Total = %d/%d, want %d/%d", id, c.Index, c.Total, i, total)
+		}
+	}
+	for _, campaign := range campaigns {
+		for _, app := range apps {
+			if id := app + "/" + campaign + "/dypvt"; !seen[id] {
+				t.Errorf("no cell %s", id)
+			}
+		}
 	}
 }

@@ -45,13 +45,27 @@ func FaultCampaignKeys() []string {
 // run keeps the SC replay checker and the online witness checker on: the
 // report doubles as a soundness demonstration — faults may cost cycles,
 // never correctness.
+//
+// Each campaign runs as its own matrix, but Params.OnCell sees one sweep:
+// cells are keyed "<campaign>/dypvt", so equal cells of different
+// campaigns stay distinct, and Index/Total count across the whole report.
+// The per-run fault seed is still derived from the "dypvt" key alone.
 func FaultReport(p Params) ([]FaultRow, error) {
 	p = p.withDefaults()
+	campaigns := FaultCampaignKeys()
 	var rows []FaultRow
-	for _, campaign := range FaultCampaignKeys() {
+	for ci, campaign := range campaigns {
 		pc := p
 		pc.FaultCampaign = campaign
 		pc.Witness = true
+		if p.OnCell != nil {
+			pc.OnCell = func(c Cell) {
+				c.Key = campaign + "/" + c.Key
+				c.Index += ci * len(p.Apps)
+				c.Total = len(campaigns) * len(p.Apps)
+				p.OnCell(c)
+			}
+		}
 		res, err := runMatrix(pc, []string{"dypvt"}, func(app, _ string) bulksc.Config {
 			cfg := bulksc.Variant(app, "dypvt")
 			cfg.CheckSC = true

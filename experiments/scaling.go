@@ -49,18 +49,8 @@ type ScalingPoint struct {
 	EventsPerSec float64
 }
 
-// ScalingApps is the default application set of the scaling study: the
-// two SPLASH-2 kernels with the most regular partitioning, so the curve
-// measures the protocol rather than load imbalance.
-func ScalingApps() []string { return []string{"radix", "fft"} }
-
-// Scaling runs the study across procCounts (e.g. 8, 16, 64, 256). Params
-// apply as usual except that Apps defaults to ScalingApps rather than the
-// full suite.
+// Scaling runs the study across procCounts (e.g. 8, 16, 64, 256).
 func Scaling(p Params, procCounts []int) ([]ScalingPoint, error) {
-	if len(p.Apps) == 0 {
-		p.Apps = ScalingApps()
-	}
 	keys := make([]string, len(procCounts))
 	for i, n := range procCounts {
 		if n < 1 || n > bulksc.MaxProcs {

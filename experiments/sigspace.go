@@ -38,11 +38,8 @@ func SigGeometries() []sig.Geometry {
 	}
 }
 
-// SigSpace sweeps the signature geometries over the given applications.
-func SigSpace(p Params, apps []string) ([]SigSpaceRow, error) {
-	if len(apps) > 0 {
-		p.Apps = apps
-	}
+// SigSpace sweeps the signature geometries over p.Apps.
+func SigSpace(p Params) ([]SigSpaceRow, error) {
 	geoms := SigGeometries()
 	keys := []string{"rc"}
 	for i := range geoms {

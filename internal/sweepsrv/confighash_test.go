@@ -1,9 +1,14 @@
 package sweepsrv
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
+
+	"bulksc"
+	"bulksc/experiments"
 )
 
 // keyOfJSON decodes a raw JSON request body exactly the way handleSubmit
@@ -211,6 +216,7 @@ func TestCanonicalizeErrors(t *testing.T) {
 		"procs huge":       {Exp: "scaling", Procs: []int{1 << 20}},
 		"arbiters zero":    {Exp: "arbiters", Arbiters: []int{0}},
 		"unknown campaign": {Exp: "fig9", Faults: "gremlins"},
+		"duplicate app":    {Exp: "table4", Apps: []string{"radix", "radix"}, Work: 1500},
 	}
 	for name, r := range bad {
 		if _, err := r.Canonicalize(); err == nil {
@@ -226,7 +232,7 @@ func TestCanonicalizeErrors(t *testing.T) {
 // through Canonicalize, so the service surface and the catalog cannot
 // drift apart.
 func TestCatalogIsTheOnlyGate(t *testing.T) {
-	for _, exp := range Exps() {
+	for _, exp := range experiments.Names() {
 		c, err := Request{Exp: exp}.Canonicalize()
 		if err != nil {
 			t.Errorf("cataloged experiment %q does not canonicalize: %v", exp, err)
@@ -236,4 +242,81 @@ func TestCatalogIsTheOnlyGate(t *testing.T) {
 			t.Errorf("%q canonical form left defaults unmaterialized: %+v", exp, c)
 		}
 	}
+}
+
+// TestKeysPinned pins the content address of one single-app request and of
+// the all-defaults request per experiment. Cached results are keyed by
+// these hashes, so a refactor of the catalog or of Canonicalize that
+// shifts a default, a cleared field or the encoding shows up here.
+func TestKeysPinned(t *testing.T) {
+	pinned := map[string][2]string{ // exp -> {apps [radix] work 1000, defaults}
+		"fig9":     {"be30235b3c5ea65064700ccf5837a9c864baeaa067d21fd15c8fcbe70855554c", "37117579713c4432c0e3bdad905d9d3cfaee77ec860670236ee936123996db55"},
+		"fig10":    {"9e609904572ffdba5b765c5fa11d7f886e80dc4110d2a69cc17c2c406b758cb6", "42ea60d8b1a7e2b2bdbb44568ce607cb9023bbb9880f75582b4c8b97081fc34b"},
+		"table3":   {"06fc630e27e6618b2275582d5a2d8a1af28ed0416216140d4aa34c5b75155b95", "14baa8e9f14a0b28956f6e534d5ab65b4601bdbbfb15e96bcb270e30581e7632"},
+		"table4":   {"1c628554be11c54f9780eb01d44ad97fba4be2423fb062b80cff68b6992a3f30", "edb3b7231d054d68045cf088dd19bcfdf8b04c0a5bd6abdd6380ad7480418c1a"},
+		"fig11":    {"a44bea4189b671df5af6379a312039acd0da2e4deb1e97747abee5554b74bc73", "3b886ae10e0509b825f639eaea503bac4f7102e4290c2341ff0c750e521594d6"},
+		"arbiters": {"c1d97c727010b35c1c92b3efb5718b0eaf9280a604b087ee968bfebeff169f4d", "89f24a2a93ecd0c7800c24bf235927978a4cf6fd558e8212c5ae3a0de6684404"},
+		"sigspace": {"5ce2a4805ca3e4dd9c427fb941d7876e5e61ccdaed588bef574e5ccc3bc6809b", "ec1e92795d54f0686ff8411e818dd7366354ee070eae92486197e263701b8998"},
+		"scaling":  {"1396e04a5f1e709df035fb5091847d5a416985e310801e26b7d12e4c79f852de", "c5e41f82f508643664cae2e7466c4da57c9d4de853d74fc9343663eaf9f762fb"},
+		"faults":   {"09b6226221f4ac4709888fe42df7d3809447c41a08522250c09a986eb6c1fd89", "720686483b5e15012bdf0bd599cec6f10aafacff5adb5314dbb30f3369fc5cf1"},
+	}
+	if got, want := len(experiments.Names()), len(pinned); got != want {
+		t.Errorf("catalog has %d experiments, %d are pinned: pin the new one", got, want)
+	}
+	for _, exp := range experiments.Names() {
+		want, ok := pinned[exp]
+		if !ok {
+			t.Errorf("%s: no pinned key", exp)
+			continue
+		}
+		for i, body := range []string{
+			`{"exp":"` + exp + `","apps":["radix"],"work":1000}`,
+			`{"exp":"` + exp + `"}`,
+		} {
+			if got := keyOfJSON(t, body); got != want[i] {
+				t.Errorf("Key(%s) = %s, pinned %s", body, got, want[i])
+			}
+		}
+	}
+}
+
+// FuzzCanonicalize feeds arbitrary JSON request bodies through the decode
+// and canonicalization path of POST /sweep. Canonicalize must never
+// panic; whenever it accepts a request, its canonical form must be a
+// fixed point with the same cache key, and its apps must be known and
+// distinct (a repeated app would run twin cells that cancel in the job
+// hash). Its seeds are the checked-in corpus under testdata/fuzz.
+func FuzzCanonicalize(f *testing.F) {
+	valid := bulksc.Apps()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var raw Request
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&raw) != nil {
+			return
+		}
+		canon, err := raw.Canonicalize()
+		if err != nil {
+			return
+		}
+		again, err := canon.Canonicalize()
+		if err != nil {
+			t.Fatalf("canonical form %+v rejected: %v", canon, err)
+		}
+		if !reflect.DeepEqual(canon, again) {
+			t.Fatalf("canonicalize not idempotent:\n once: %+v\ntwice: %+v", canon, again)
+		}
+		k1, err1 := raw.Key()
+		k2, err2 := canon.Key()
+		if err1 != nil || err2 != nil || k1 != k2 {
+			t.Fatalf("Key(raw) = %s, %v; Key(canon) = %s, %v", k1, err1, k2, err2)
+		}
+		seen := make(map[string]bool)
+		for _, a := range canon.Apps {
+			if !slices.Contains(valid, a) || seen[a] {
+				t.Fatalf("canonical apps %v: %q unknown or repeated", canon.Apps, a)
+			}
+			seen[a] = true
+		}
+	})
 }

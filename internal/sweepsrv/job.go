@@ -10,8 +10,8 @@
 // submits, its canonicalization (defaults materialized, fields the chosen
 // experiment ignores cleared, execution hints excluded), the
 // content-addressed cache key derived from the canonical form, and the
-// dispatcher that executes a canonical request through the experiments
-// package.
+// dispatcher that executes a canonical request through the experiment
+// catalog.
 package sweepsrv
 
 import (
@@ -19,10 +19,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
-	"bulksc"
 	"bulksc/experiments"
 )
 
@@ -33,24 +31,23 @@ import (
 // never matter (JSON decoding erases them), and neither do explicitly
 // spelled-out defaults or values for fields the chosen experiment ignores.
 type Request struct {
-	// Exp names the experiment: fig9, fig10, table3, table4, fig11,
-	// sigspace, arbiters, scaling or faults (case-insensitive).
+	// Exp names an entry of experiments.Catalog (case-insensitive).
 	Exp string `json:"exp"`
-	// Apps is the application subset (default: all registered apps, in
-	// catalog order). Order is semantic — it is the row order of the
-	// result — so it is preserved, not sorted.
+	// Apps is the application subset (default: the experiment's
+	// catalog suite). Order is semantic — it is the row order of the
+	// result — so it is preserved, not sorted. Apps must be distinct.
 	Apps []string `json:"apps,omitempty"`
 	// Work is the per-thread dynamic instruction budget (default 120000).
 	Work int `json:"work,omitempty"`
 	// Seed drives all simulation randomness (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Procs lists machine sizes for the experiments that take them: the
-	// scaling study runs every value (default 8,16,64), the arbiter
-	// ablation uses the first (default 16). Cleared for every other
+	// scaling study runs every value, the arbiter ablation uses the
+	// first. Defaults come from the catalog; cleared for every other
 	// experiment.
 	Procs []int `json:"procs,omitempty"`
 	// Arbiters lists the arbiter counts of the arbiters ablation
-	// (default 1,2,4,8). Cleared for every other experiment.
+	// (default from the catalog). Cleared for every other experiment.
 	Arbiters []int `json:"arbiters,omitempty"`
 	// Witness runs the online SC-witness checker on every SC-claiming
 	// simulation of the sweep; a violation fails the job.
@@ -70,137 +67,29 @@ type Request struct {
 	Cold bool `json:"cold,omitempty"`
 }
 
-// expSpec describes which request fields an experiment consumes, so
-// canonicalization can clear the ones it ignores.
-type expSpec struct {
-	procsList bool // consumes the whole Procs list (scaling)
-	procsOne  bool // consumes only Procs[0] (arbiters)
-	arbiters  bool // consumes the Arbiters list
-	faults    bool // honors the Faults campaign field
-	// defaultApps overrides the all-apps default for experiments with a
-	// conventional smaller suite (nil = all registered apps).
-	defaultApps func() []string
-}
-
-// expCatalog maps experiment names to their field usage. Insertion into
-// this table is the ONLY step needed to expose a new experiments harness
-// through the service.
-var expCatalog = map[string]expSpec{
-	"fig9":   {faults: true},
-	"fig10":  {faults: true},
-	"table3": {faults: true},
-	"table4": {faults: true},
-	"fig11":  {faults: true},
-	// sigspace's conventional suite is the four signature-sensitive apps
-	// the CLI sweep uses; scaling's is the two regular SPLASH-2 kernels.
-	"sigspace": {faults: true, defaultApps: func() []string { return []string{"radix", "ocean", "water-sp", "sjbb2k"} }},
-	"arbiters": {procsOne: true, arbiters: true, faults: true},
-	"scaling":  {procsList: true, faults: true, defaultApps: experiments.ScalingApps},
-	// The faults report iterates every campaign itself; the request's own
-	// campaign field is ignored (and cleared), its seed honored.
-	"faults": {},
-}
-
-// Exps lists the experiments the service accepts, sorted.
-func Exps() []string {
-	var names []string
-	for n := range expCatalog {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Canonicalize validates the request and returns its canonical form: Exp
 // lower-cased, every default materialized, and every field the experiment
 // ignores reset to its zero value. The canonical form is the job's
-// semantic identity — Key hashes exactly this.
+// semantic identity — Key hashes exactly this. The experiment catalog
+// (experiments.Catalog) owns the defaults and the validation.
 func (r Request) Canonicalize() (Request, error) {
 	c := r
 	c.Exp = strings.ToLower(strings.TrimSpace(c.Exp))
-	spec, ok := expCatalog[c.Exp]
+	e, ok := experiments.Lookup(c.Exp)
 	if !ok {
-		return Request{}, fmt.Errorf("unknown experiment %q (valid: %s)", r.Exp, strings.Join(Exps(), ", "))
+		return Request{}, fmt.Errorf("unknown experiment %q (valid: %s)", r.Exp, strings.Join(experiments.Names(), ", "))
 	}
-	if len(c.Apps) == 0 {
-		if spec.defaultApps != nil {
-			c.Apps = spec.defaultApps()
-		} else {
-			c.Apps = bulksc.Apps()
-		}
-	} else {
-		c.Apps = append([]string(nil), c.Apps...)
-		valid := bulksc.Apps()
-		for _, a := range c.Apps {
-			if !contains(valid, a) {
-				return Request{}, fmt.Errorf("unknown application %q (valid: %s)", a, strings.Join(valid, ", "))
-			}
-		}
+	in, err := e.Resolve(experiments.Inputs{
+		Params: experiments.Params{Apps: c.Apps, Work: c.Work, Seed: c.Seed, FaultCampaign: c.Faults, FaultSeed: c.FaultSeed},
+		Procs:  c.Procs, Arbiters: c.Arbiters,
+	})
+	if err != nil {
+		return Request{}, err
 	}
-	if c.Work == 0 {
-		c.Work = 120_000
-	}
-	if c.Work < 0 {
-		return Request{}, fmt.Errorf("work must be positive, got %d", c.Work)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-
-	switch {
-	case spec.procsList:
-		if len(c.Procs) == 0 {
-			c.Procs = []int{8, 16, 64}
-		} else {
-			c.Procs = append([]int(nil), c.Procs...)
-		}
-	case spec.procsOne:
-		if len(c.Procs) == 0 {
-			c.Procs = []int{16}
-		} else {
-			c.Procs = c.Procs[:1:1] // only the first is consumed
-		}
-	default:
-		c.Procs = nil
-	}
-	for _, n := range c.Procs {
-		if n < 1 || n > bulksc.MaxProcs {
-			return Request{}, fmt.Errorf("procs value %d out of range [1,%d]", n, bulksc.MaxProcs)
-		}
-	}
-
-	if spec.arbiters {
-		if len(c.Arbiters) == 0 {
-			c.Arbiters = []int{1, 2, 4, 8}
-		} else {
-			c.Arbiters = append([]int(nil), c.Arbiters...)
-		}
-		for _, n := range c.Arbiters {
-			if n < 1 || n > 64 {
-				return Request{}, fmt.Errorf("arbiters value %d out of range [1,64]", n)
-			}
-		}
-	} else {
-		c.Arbiters = nil
-	}
-
-	if spec.faults {
-		if c.Faults == "" {
-			c.Faults = "none"
-		}
-		if _, err := bulksc.NewFaultPlan(c.Faults, 1); err != nil {
-			return Request{}, err
-		}
-		if c.Faults == "none" {
-			c.FaultSeed = 1 // meaningless without a campaign; pin it
-		} else if c.FaultSeed == 0 {
-			c.FaultSeed = 1
-		}
-	} else {
-		c.Faults = ""
-		if c.FaultSeed == 0 {
-			c.FaultSeed = 1
-		}
+	c.Apps, c.Work, c.Seed, c.Procs, c.Arbiters = in.Apps, in.Work, in.Seed, in.Procs, in.Arbiters
+	c.Faults, c.FaultSeed = in.FaultCampaign, in.FaultSeed
+	if c.Faults == "none" {
+		c.FaultSeed = 1 // meaningless without a campaign; pin it
 	}
 
 	// Execution hints are not identity: a cold run is bit-identical to a
@@ -281,6 +170,10 @@ func cellHash(c experiments.Cell) uint64 {
 // overwrite the rest. onCell, when non-nil, observes every completed cell
 // (already serialized by the experiments layer).
 func runExperiment(req Request, p experiments.Params, onCell func(experiments.Cell)) (*JobOutput, error) {
+	e, ok := experiments.Lookup(req.Exp)
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q", req.Exp)
+	}
 	out := &JobOutput{Exp: req.Exp}
 	var fold uint64
 	p.Apps = req.Apps
@@ -306,67 +199,10 @@ func runExperiment(req Request, p experiments.Params, onCell func(experiments.Ce
 	}
 
 	var err error
-	switch req.Exp {
-	case "fig9":
-		var rows []experiments.Fig9Row
-		if rows, err = experiments.Fig9(p); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatFig9(rows)
-		}
-	case "fig10":
-		var rows []experiments.Fig10Row
-		if rows, err = experiments.Fig10(p); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatFig10(rows)
-		}
-	case "table3":
-		var rows []experiments.Table3Row
-		if rows, err = experiments.Table3(p); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatTable3(rows)
-		}
-	case "table4":
-		var rows []experiments.Table4Row
-		if rows, err = experiments.Table4(p); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatTable4(rows)
-		}
-	case "fig11":
-		var rows []experiments.Fig11Row
-		if rows, err = experiments.Fig11(p); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatFig11(rows)
-		}
-	case "sigspace":
-		var rows []experiments.SigSpaceRow
-		if rows, err = experiments.SigSpace(p, req.Apps); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatSigSpace(rows)
-		}
-	case "arbiters":
-		var rows []experiments.ArbScaleRow
-		if rows, err = experiments.ArbScale(p, req.Procs[0], req.Arbiters); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatArbScale(rows, req.Arbiters)
-		}
-	case "scaling":
-		var points []experiments.ScalingPoint
-		if points, err = experiments.Scaling(p, req.Procs); err == nil {
-			out.Rows, out.Table = points, experiments.FormatScaling(points)
-		}
-	case "faults":
-		var rows []experiments.FaultRow
-		if rows, err = experiments.FaultReport(p); err == nil {
-			out.Rows, out.Table = rows, experiments.FormatFaultReport(rows)
-		}
-	default:
-		err = fmt.Errorf("unknown experiment %q", req.Exp)
-	}
+	out.Rows, out.Table, err = e.Run(experiments.Inputs{Params: p, Procs: req.Procs, Arbiters: req.Arbiters})
 	if err != nil {
 		return nil, err
 	}
 	out.Hash = fmt.Sprintf("%016x", fold)
 	return out, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -325,6 +325,7 @@ func TestInvalidRequests(t *testing.T) {
 		{"procs out of range", `{"exp":"scaling","procs":[0]}`},
 		{"arbiters out of range", `{"exp":"arbiters","arbiters":[9999]}`},
 		{"bad fault campaign", `{"exp":"fig9","faults":"meteor-strike"}`},
+		{"duplicate app", `{"exp":"table4","apps":["radix","radix"],"work":1500}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

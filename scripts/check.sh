@@ -1,10 +1,11 @@
 #!/bin/sh
 # The PR gate: formatting, static checks (go vet + the simlint invariant
 # passes), build, full tests, a fuzz-corpus smoke over the signature,
-# line-set, sharer-set, engine, history-reader and offline-checker
-# targets, one iteration of the engine and L1-probe micro-benchmarks, and
-# the race detector over both the parallel sweep fan-out in experiments/
-# and the litmus × model × fault torture matrix. Run from the repository root (or via `make check`).
+# line-set, sharer-set, engine, history-reader, offline-checker and
+# sweepd-request targets, one iteration of the engine and L1-probe
+# micro-benchmarks, and the race detector over both the parallel sweep
+# fan-out in experiments/ and the litmus × model × fault torture matrix.
+# Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
 #
@@ -65,7 +66,7 @@ echo "== go test =="
 go test ./...
 
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
-go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history ./internal/history/gk
+go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history ./internal/history/gk ./internal/sweepsrv
 
 # One iteration of each engine and L1-probe micro-benchmark, so their
 # setup (16k live events, 256 Table-2 L1s) cannot rot unnoticed.
