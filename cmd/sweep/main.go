@@ -73,11 +73,32 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the testable entry point: it parses args, validates every
-// enumerated flag against its catalog (unknown values exit non-zero with
-// the valid list), executes the selected experiments, and writes reports
-// to stdout and diagnostics to stderr.
+// run is the testable entry point: it parses and validates args (an
+// unknown value exits 2 with the valid list), executes the selected
+// experiments, and writes reports to stdout and diagnostics to stderr.
 func run(args []string, stdout, stderr io.Writer) int {
+	c, ok := parse(args, stderr)
+	if !ok {
+		return 2
+	}
+	return c.execute(stdout, stderr)
+}
+
+// command is one parsed and validated sweep invocation.
+type command struct {
+	exp      string
+	selected []experiments.Experiment // empty for -exp trace
+	in       experiments.Inputs
+
+	traceOut, traceModel              string
+	cpuprofile, memprofile, tracefile string
+}
+
+// parse parses args and validates every enumerated flag against its
+// catalog, so a typo fails fast with the list of valid values instead of
+// running half a sweep. It starts no simulation; on failure it reports to
+// stderr and returns false.
+func parse(args []string, stderr io.Writer) (*command, bool) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -100,13 +121,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracefile  = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, false
+	}
+	c := &command{
+		exp: *exp, traceOut: *traceOut, traceModel: *traceModel,
+		cpuprofile: *cpuprofile, memprofile: *memprofile, tracefile: *tracefile,
 	}
 
-	// Validate every flag before any simulation starts: a typo must fail
-	// fast with the list of valid values, not run half a sweep.
-	var selected []experiments.Experiment
-	switch *exp {
+	switch c.exp {
 	case "all":
 		for _, e := range experiments.Catalog() {
 			if e.OwnCampaigns && *faults != "none" {
@@ -114,49 +136,53 @@ func run(args []string, stdout, stderr io.Writer) int {
 				// report iterating every campaign would rerun it again.
 				continue
 			}
-			selected = append(selected, e)
+			c.selected = append(c.selected, e)
 		}
 	case "trace":
-		if !slices.Contains(experiments.TraceModels(), strings.ToLower(*traceModel)) {
-			fmt.Fprintf(stderr, "sweep: unknown trace model %q (valid: %s)\n", *traceModel, strings.Join(experiments.TraceModels(), ", "))
-			return 2
+		if !slices.Contains(experiments.TraceModels(), strings.ToLower(c.traceModel)) {
+			fmt.Fprintf(stderr, "sweep: unknown trace model %q (valid: %s)\n", c.traceModel, strings.Join(experiments.TraceModels(), ", "))
+			return nil, false
 		}
 	default:
-		e, ok := experiments.Lookup(*exp)
+		e, ok := experiments.Lookup(c.exp)
 		if !ok {
-			fmt.Fprintf(stderr, "sweep: unknown experiment %q (valid: %s, trace, all)\n", *exp, strings.Join(experiments.Names(), ", "))
-			return 2
+			fmt.Fprintf(stderr, "sweep: unknown experiment %q (valid: %s, trace, all)\n", c.exp, strings.Join(experiments.Names(), ", "))
+			return nil, false
 		}
-		selected = append(selected, e)
+		c.selected = append(c.selected, e)
 	}
 	if *par < 0 {
 		fmt.Fprintf(stderr, "sweep: -parallel must be >= 0 (0 = NumCPU)\n")
-		return 2
+		return nil, false
 	}
 	if *par == 0 {
 		*par = runtime.NumCPU()
 	}
-	in := experiments.Inputs{Params: experiments.Params{
+	c.in = experiments.Inputs{Params: experiments.Params{
 		Work: *work, Seed: *seed, Parallelism: *par, Witness: *scchk, Cold: *cold,
 		FaultCampaign: *faults, FaultSeed: *faultSeed,
 	}}
 	if *apps != "" {
-		in.Apps = strings.Split(*apps, ",")
+		c.in.Apps = strings.Split(*apps, ",")
 	}
 	if *procs != "" {
 		var err error
-		if in.Procs, err = experiments.ParseProcs(*procs); err != nil {
+		if c.in.Procs, err = experiments.ParseProcs(*procs); err != nil {
 			fmt.Fprintf(stderr, "sweep: -%v\n", err)
-			return 2
+			return nil, false
 		}
 	}
-	if err := in.Validate(); err != nil {
+	if err := c.in.Validate(); err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
+		return nil, false
 	}
+	return c, true
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// execute runs a parsed command and returns its exit code.
+func (c *command) execute(stdout, stderr io.Writer) int {
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
 			return 1
@@ -167,8 +193,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer func() { pprof.StopCPUProfile(); f.Close() }()
 	}
-	if *tracefile != "" {
-		f, err := os.Create(*tracefile)
+	if c.tracefile != "" {
+		f, err := os.Create(c.tracefile)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
 			return 1
@@ -179,9 +205,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer func() { trace.Stop(); f.Close() }()
 	}
-	if *memprofile != "" {
+	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(c.memprofile)
 			if err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return
@@ -194,19 +220,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *exp == "trace" {
+	if c.exp == "trace" {
 		// History export is a single simulation, not a sweep; when the
 		// NDJSON goes to stdout the human-readable report moves to stderr
 		// so `sweep -exp trace | scchk` sees only the history.
 		app := "radix"
-		if len(in.Apps) > 0 {
-			app = in.Apps[0]
+		if len(c.in.Apps) > 0 {
+			app = c.in.Apps[0]
 		}
 		out, report := io.Writer(nil), stdout
-		if *traceOut == "-" {
+		if c.traceOut == "-" {
 			out, report = stdout, stderr
 		} else {
-			f, err := os.Create(*traceOut)
+			f, err := os.Create(c.traceOut)
 			if err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return 1
@@ -214,26 +240,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer f.Close()
 			out = f
 		}
-		res, err := experiments.TraceRun(in.Params, app, *traceModel, out)
+		res, err := experiments.TraceRun(c.in.Params, app, c.traceModel, out)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
 			return 1
 		}
 		fmt.Fprintf(report, "trace: %s/%s: %d cycles; witness examined %d chunks, %d accesses, %d findings\n",
-			*traceModel, app, res.Cycles, res.WitnessChunks, res.WitnessAccesses, len(res.WitnessViolations))
+			c.traceModel, app, res.Cycles, res.WitnessChunks, res.WitnessAccesses, len(res.WitnessViolations))
 		return 0
 	}
 
 	// Run header: how the sweep will execute, so reported numbers carry
 	// their execution mode.
 	mode := "warm machine reuse (one machine per worker)"
-	if *cold {
+	if c.in.Cold {
 		mode = "cold (fresh machine per simulation)"
 	}
-	fmt.Fprintf(stdout, "sweep: %d parallel workers, %s\n\n", *par, mode)
+	fmt.Fprintf(stdout, "sweep: %d parallel workers, %s\n\n", c.in.Parallelism, mode)
 
-	for _, e := range selected {
-		ein, _ := e.Resolve(in) // in is valid, so Resolve cannot fail
+	for _, e := range c.selected {
+		ein, _ := e.Resolve(c.in) // c.in is valid, so Resolve cannot fail
 		_, table, err := e.Run(ein)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)

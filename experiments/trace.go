@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"bulksc"
@@ -24,25 +25,31 @@ func TraceModels() []string { return []string{"bulk", "sc", "rc", "sc++"} }
 // The online witness checker runs alongside regardless of p.Witness so
 // the Result records the online verdict the offline checker is compared
 // against. Model "bulk" is BSC_dypvt, the paper's production variant.
+// p.FaultCampaign applies to the run as it does to a sweep's cells, with
+// the plan seeded from p.FaultSeed, the app and the model.
 func TraceRun(p Params, app, model string, out io.Writer) (*bulksc.Result, error) {
 	p = p.withDefaults()
-	var cfg bulksc.Config
-	switch strings.ToLower(model) {
-	case "bulk", "":
-		cfg = bulksc.Variant(app, "dypvt")
-	case "sc":
-		cfg = bulksc.Variant(app, "sc")
-	case "rc":
-		cfg = bulksc.Variant(app, "rc")
-	case "sc++":
-		cfg = bulksc.Variant(app, "sc++")
-	default:
+	key := strings.ToLower(model)
+	if key == "" {
+		key = "bulk"
+	}
+	if !slices.Contains(TraceModels(), key) {
 		return nil, fmt.Errorf("experiments: unknown trace model %q (valid: %s)",
 			model, strings.Join(TraceModels(), ", "))
+	}
+	variant := key
+	if key == "bulk" {
+		variant = "dypvt"
+	}
+	cfg := bulksc.Variant(app, variant)
+	plan, err := bulksc.NewFaultPlan(p.FaultCampaign, faultSeed(p.FaultSeed, app, key))
+	if err != nil {
+		return nil, err
 	}
 	cfg.Work = p.Work
 	cfg.Seed = p.Seed
 	cfg.Witness = true
+	cfg.Faults = plan
 	cfg.TraceWriter = out
 	res, err := bulksc.Run(cfg)
 	if err != nil {

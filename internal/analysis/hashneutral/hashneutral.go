@@ -1,15 +1,19 @@
 // Package hashneutral implements the simlint pass that statically
 // enforces the observer contract: code annotated `//sim:observer` — the
-// SC-witness checker, the liveness watchdog, the history trace writer,
-// the nil-plan fault hooks — may read simulation state freely but must
-// never mutate it. Today that contract ("hash-neutral: on or off, the
+// liveness watchdog, the nil-plan fault hooks, and through the annotated
+// proc.Observer interface the SC-witness checker, the history trace
+// writer, the replay commit log and the timeline — may read simulation
+// state freely but must never mutate it. Today that contract ("hash-neutral: on or off, the
 // determinism hash is bit-identical") rests on 104 dynamic goldens; this
 // pass catches the violation at lint time, before a golden ever runs.
 //
 // Annotation vocabulary:
 //
 //   - `//sim:observer` on a function, method or type: the function (or
-//     every method of the type) is an observer and is checked.
+//     every method of the type) is an observer and is checked. On an
+//     interface, every named type implementing it is an observer; the
+//     interface must be among the loaded packages, as it is under
+//     `simlint ./...`.
 //   - `//sim:observes` on a pointer field of an observer type: the field
 //     points INTO simulation state (the watchdog's machine backref).
 //     Unannotated pointer fields of an observer are presumed
@@ -134,7 +138,8 @@ func newEnv(prog *lintkit.Program) *env {
 }
 
 // isObserverType reports whether t (after pointer deref) is an
-// //sim:observer-annotated named type.
+// //sim:observer-annotated named type, or a concrete named type that
+// implements an annotated interface.
 func (e *env) isObserverType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -146,8 +151,20 @@ func (e *env) isObserverType(t types.Type) bool {
 	if !ok {
 		return false
 	}
-	_, ok = e.observerTypes[named.Obj()]
-	return ok
+	if _, ok = e.observerTypes[named.Obj()]; ok {
+		return true
+	}
+	if types.IsInterface(named) || named.TypeParams().Len() > named.TypeArgs().Len() {
+		return false
+	}
+	ptr := types.NewPointer(named)
+	//lint:deterministic order-insensitive existence test
+	for obj := range e.observerTypes {
+		if iface, ok := obj.Type().Underlying().(*types.Interface); ok && types.Implements(ptr, iface) {
+			return true
+		}
+	}
+	return false
 }
 
 // isObserverFunc reports whether fn is checked: annotated itself, or a

@@ -104,3 +104,35 @@ func (r *Recorder) Record(m *Machine, b byte) {
 		r.buf = append(r.buf, b)
 	}
 }
+
+// Sink is an observer interface: every named type implementing it is an
+// observer, annotated or not.
+//
+//sim:observer
+type Sink interface {
+	Commit(m *Machine)
+}
+
+// Tap implements Sink without an annotation of its own, so its methods
+// are checked all the same.
+type Tap struct {
+	commits int // observer-owned
+}
+
+func (t *Tap) Commit(m *Machine) {
+	t.commits++
+	m.Commits++ // want `observer writes sim state through "m"`
+}
+
+// Counter implements Sink through a value receiver and only reads.
+type Counter struct{ seen *int }
+
+func (c Counter) Commit(m *Machine) {
+	*c.seen += m.Commits
+}
+
+// Bystander has Sink's method set on neither its value nor its pointer,
+// so it is not an observer and may write sim state.
+type Bystander struct{}
+
+func (Bystander) Commit(m *Machine, n int) { m.Commits = n }

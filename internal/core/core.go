@@ -1,7 +1,9 @@
 // Package core assembles complete simulated machines — processors, L1s,
-// BDMs, shared L2, directory modules, arbiters and network — runs a
-// workload on them, and verifies sequential consistency of BulkSC
-// executions with a replay checker.
+// BDMs, shared L2, directory modules, arbiters and network — and runs a
+// workload on them. What a run exports beyond its counters comes from
+// the observers on the processors' one event list (proc.Observer): the
+// replay checker's commit log, the online SC witness, the NDJSON history
+// writer and the timeline.
 //
 // This is the layer the public bulksc package and all experiment harnesses
 // sit on.
@@ -91,8 +93,9 @@ type Config struct {
 	// of that many entries (§4.3.3); 0 = full-map.
 	DirCacheEntries int
 
-	// CheckSC runs the replay checker over every committed chunk
-	// (BulkSC only) and exports the commit records in Result.Commits.
+	// CheckSC puts the replay checker's commit log on the observer list
+	// (BulkSC only): every committed chunk is copied at its commit
+	// instant, replayed at end of run, and exported in Result.Commits.
 	// Costs memory proportional to the access count.
 	CheckSC bool
 	// Witness runs the online SC-witness checker (internal/sccheck) over
@@ -107,10 +110,11 @@ type Config struct {
 	// consistency history to it as NDJSON (internal/history): one "chunk"
 	// record per committed chunk under BulkSC, one "access" record per
 	// architectural access under the conventional models, behind a
-	// descriptive header. The hooks observe the same commit/perform
-	// instants the witness checker audits and add no simulation events,
-	// so tracing never perturbs the execution (golden hashes are
-	// unaffected). Write errors are surfaced once, at end of run.
+	// descriptive header. The writer is an observer: it sees the same
+	// commit/perform instants the witness checker audits and adds no
+	// simulation events, so tracing never perturbs the execution (golden
+	// hashes are unaffected). Write errors are surfaced once, at end of
+	// run.
 	TraceWriter io.Writer
 	// MaxCycles aborts apparent livelocks; 0 = a generous default.
 	MaxCycles uint64
@@ -129,8 +133,9 @@ type Config struct {
 	// WatchdogWindow is the no-progress window in cycles before the
 	// watchdog declares livelock; 0 = a generous default (400k cycles).
 	WatchdogWindow uint64
-	// RecordTimeline collects commit/squash/pre-arbitration events into
-	// Result.Timeline (BulkSC only).
+	// RecordTimeline puts a timeline recorder on the observer list
+	// (BulkSC only): it stamps every commit, squash and pre-arbitration
+	// event with the engine clock into Result.Timeline.
 	RecordTimeline bool
 	// WarmupFrac excludes the first fraction of the committed
 	// instructions from the characterization statistics (caches and
@@ -354,11 +359,6 @@ type machine struct {
 	//lint:poolsafe processor arena; each entry is fully Reset at reacquisition in addProc
 	convPool []*proc.ConvProc
 
-	// commits is the run's commit log for the replay checker (CheckSC),
-	// and logBlock the log block recordCommit is filling. Both are handed
-	// to the run's Result.
-	commits  []CommitRecord
-	logBlock []chunk.AccessRec
 	// replay is the replay checker's storage, kept across runs.
 	//lint:poolsafe checker scratch; verify resets it before every use
 	replay replayer
@@ -381,15 +381,13 @@ type machine struct {
 	// runner does not reallocate them every run.
 	//lint:poolsafe watchdog backing storage; startWatchdog re-slices and zeroes it per run
 	wdScratch []uint64
-	// witness is the active checker of the current run (nil when
-	// cfg.Witness is off); witArena is the persistent checker storage it
-	// draws from.
+	// The observers Reset puts on env.Observers: the replay checker's
+	// commit log, the SC witness (kept across runs), the history writer
+	// (rebuilt per run around the caller's writer) and the timeline.
+	log      commitLog
 	witness  *sccheck.Checker
-	witArena *sccheck.Checker
-	// tracer streams the run's history as NDJSON when cfg.TraceWriter is
-	// set (nil otherwise). Rebuilt per run: it wraps the caller's writer.
 	tracer   *history.Writer
-	timeline Timeline
+	timeline timelineRec
 
 	// watchdogErr is set by the liveness watchdog when it detects a
 	// stall; the engine stop condition checks it every event.
@@ -409,6 +407,7 @@ func newMachine() *machine {
 	m.net = network.New(m.eng, m.st)
 	m.l2 = cache.NewL2(32768, 8) // 8 MB / 8-way / 32 B
 	m.env = m.buildEnv()
+	m.timeline.eng = m.eng
 	return m
 }
 
@@ -514,19 +513,23 @@ func (m *machine) Reset(cfg Config) {
 	clear(m.convProcs)
 	m.convProcs = m.convProcs[:0]
 
-	// commits, the log block and timeline were handed to the previous
-	// run's Result; they must be dropped, not truncated — truncating would
-	// scrub the caller's slice in place.
-	m.commits = nil
-	m.logBlock = nil
-	m.timeline = nil
-	m.witness = nil
+	// The observer list, in delivery order (DESIGN.md §16.7). The commit
+	// log and the timeline were handed to the previous run's Result; they
+	// are dropped, not truncated — truncating would scrub the caller's
+	// slices in place.
+	clear(m.env.Observers)
+	obs := m.env.Observers[:0]
+	bulk := cfg.Model == ModelBulk
+	m.log = commitLog{}
+	if cfg.CheckSC && bulk {
+		obs = append(obs, &m.log)
+	}
 	if cfg.Witness {
-		if m.witArena == nil {
-			m.witArena = sccheck.New()
+		if m.witness == nil {
+			m.witness = sccheck.New()
 		}
-		m.witArena.Reset()
-		m.witness = m.witArena
+		m.witness.Reset()
+		obs = append(obs, m.witness)
 	}
 	m.tracer = nil
 	if cfg.TraceWriter != nil {
@@ -535,7 +538,13 @@ func (m *machine) Reset(cfg Config) {
 			Model: cfg.Model.String(), Procs: cfg.Procs,
 			App: cfg.App, Seed: cfg.Seed, Work: cfg.Work,
 		})
+		obs = append(obs, m.tracer)
 	}
+	m.timeline.events = nil
+	if cfg.RecordTimeline && bulk {
+		obs = append(obs, &m.timeline)
+	}
+	m.env.Observers = obs
 	m.watchdogErr = nil
 }
 
@@ -710,48 +719,6 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 			}
 			m.bulkPool[id] = p
 		}
-		onCommit := func(ch *chunk.Chunk) {
-			if cfg.CheckSC {
-				// The record copies what the checker and the hash read,
-				// so the chunk is recycled like any other.
-				m.recordCommit(ch)
-			}
-			if m.witness != nil {
-				// OnCommit fires at the arbiter's grant event, so chunks
-				// arrive here in global commit order — exactly the
-				// serialization the witness checker validates.
-				m.witness.CommitChunk(ch)
-			}
-			if m.tracer != nil {
-				// The tracer serializes at the same instant, so the
-				// exported history carries the identical claimed order —
-				// and the chunk may be recycled afterwards regardless.
-				m.tracer.Chunk(ch)
-			}
-			if cfg.RecordTimeline {
-				m.timeline = append(m.timeline, TimelineEvent{
-					At: uint64(m.eng.Now()), Proc: ch.Proc, Kind: EvCommit,
-					Order: ch.CommitOrder, Instrs: ch.Executed,
-				})
-			}
-		}
-		if cfg.CheckSC || cfg.RecordTimeline || m.witness != nil || m.tracer != nil {
-			p.OnCommit = onCommit
-		}
-		if cfg.RecordTimeline {
-			pid := id
-			p.OnSquash = func(victims, instrs int, genuine bool) {
-				m.timeline = append(m.timeline, TimelineEvent{
-					At: uint64(m.eng.Now()), Proc: pid, Kind: EvSquash,
-					Victims: victims, Instrs: instrs, Genuine: genuine,
-				})
-			}
-			p.OnPreArb = func() {
-				m.timeline = append(m.timeline, TimelineEvent{
-					At: uint64(m.eng.Now()), Proc: pid, Kind: EvPreArb,
-				})
-			}
-		}
 		m.bulkProcs = append(m.bulkProcs, p)
 	case ModelSC:
 		m.addConvProc(id, par, proc.SC, ins)
@@ -775,17 +742,6 @@ func (m *machine) addConvProc(id int, par proc.Params, model proc.Model, ins []w
 			m.convPool = append(m.convPool, nil)
 		}
 		m.convPool[id] = p
-	}
-	if m.witness != nil || m.tracer != nil {
-		pid := id
-		p.OnAccess = func(po uint64, store bool, a mem.Addr, v uint64, fwd bool) {
-			if m.witness != nil {
-				m.witness.Access(pid, po, store, a, v, fwd)
-			}
-			if m.tracer != nil {
-				m.tracer.Access(pid, po, store, a, v, fwd)
-			}
-		}
 	}
 	m.convProcs = append(m.convProcs, p)
 }
@@ -894,11 +850,11 @@ func (m *machine) run(cfg Config) (*Result, error) {
 	final := m.st.Snapshot()
 	res.Stats = &final
 	if cfg.CheckSC && cfg.Model == ModelBulk {
-		res.SCViolations = m.replay.verify(m.commits)
-		res.ChunksChecked = len(m.commits)
-		res.Commits = m.commits
+		res.SCViolations = m.replay.verify(m.log.commits)
+		res.ChunksChecked = len(m.log.commits)
+		res.Commits = m.log.commits
 	}
-	if m.witness != nil {
+	if cfg.Witness {
 		res.WitnessViolations = m.witness.Strings()
 		res.WitnessChunks = m.witness.Chunks()
 		res.WitnessAccesses = m.witness.Accesses()
@@ -911,8 +867,8 @@ func (m *machine) run(cfg Config) (*Result, error) {
 		}
 	}
 	if cfg.RecordTimeline {
-		sortTimeline(m.timeline)
-		res.Timeline = m.timeline
+		sortTimeline(m.timeline.events)
+		res.Timeline = m.timeline.events
 	}
 	return res, nil
 }

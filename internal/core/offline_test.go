@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -62,40 +63,65 @@ func TestOfflineDifferential(t *testing.T) {
 	}
 }
 
-// TestTraceHashNeutral proves export is pure observation: the same config
-// run with and without a TraceWriter produces bit-identical determinism
-// and witness hashes, and the trace itself is non-trivial.
+// TestTraceHashNeutral proves every observer is pure observation: the
+// same config run with each subset of {TraceWriter, RecordTimeline,
+// Witness} turned on produces the determinism hash and event count of the
+// run with all three off, the witness-on runs agree on the witness hash,
+// and the trace itself is non-trivial. CheckSC stays on throughout: its
+// commit log is part of what DeterminismHash folds.
 func TestTraceHashNeutral(t *testing.T) {
 	for _, label := range []string{"bulk-dypvt", "sc", "rc"} {
 		for _, m := range goldenModels() {
 			if m.Label != label {
 				continue
 			}
-			cfg := goldenConfig("radix")
-			m.Mut(&cfg)
-			plain, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			var buf bytes.Buffer
-			cfg.TraceWriter = &buf
-			traced, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s traced: %v", label, err)
-			}
-			if plain.DeterminismHash() != traced.DeterminismHash() {
-				t.Errorf("%s: tracing changed the determinism hash: %#x vs %#x",
-					label, plain.DeterminismHash(), traced.DeterminismHash())
-			}
-			if plain.WitnessHash() != traced.WitnessHash() {
-				t.Errorf("%s: tracing changed the witness hash", label)
-			}
-			h, err := history.Read(&buf)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if h.Ops() == 0 {
-				t.Errorf("%s: empty exported history", label)
+			var base, witnessed *Result
+			for set := 0; set < 8; set++ {
+				trace, timeline, witness := set&1 != 0, set&2 != 0, set&4 != 0
+				cfg := goldenConfig("radix")
+				m.Mut(&cfg)
+				var buf bytes.Buffer
+				if trace {
+					cfg.TraceWriter = &buf
+				}
+				cfg.RecordTimeline = timeline
+				cfg.Witness = witness
+				name := fmt.Sprintf("%s trace=%v timeline=%v witness=%v", label, trace, timeline, witness)
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if base == nil {
+					base = res
+				} else {
+					if res.DeterminismHash() != base.DeterminismHash() {
+						t.Errorf("%s: determinism hash %#x, all observers off %#x",
+							name, res.DeterminismHash(), base.DeterminismHash())
+					}
+					if res.EventsFired != base.EventsFired {
+						t.Errorf("%s: %d events fired, all observers off %d", name, res.EventsFired, base.EventsFired)
+					}
+				}
+				if witness {
+					if witnessed == nil {
+						witnessed = res
+					} else if res.WitnessHash() != witnessed.WitnessHash() {
+						t.Errorf("%s: other observers changed the witness hash", name)
+					}
+				}
+				if timeline && cfg.Model == ModelBulk && len(res.Timeline) == 0 {
+					t.Errorf("%s: empty timeline", name)
+				}
+				if !trace {
+					continue
+				}
+				h, err := history.Read(&buf)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if h.Ops() == 0 {
+					t.Errorf("%s: empty exported history", name)
+				}
 			}
 		}
 	}

@@ -130,32 +130,26 @@ func TestCommitRecordsOutliveChunkReuse(t *testing.T) {
 		want[i].Log = append([]chunk.AccessRec(nil), rec.Log...)
 	}
 
-	// runProgram, with every processor's commit hook wrapped to collect
-	// the chunks it commits.
+	// runProgram, with one more observer that collects the chunks the
+	// processors commit.
 	m := newMachine()
 	m.Reset(cfg)
 	for id, ins := range prog.Threads {
 		m.addProc(cfg, id, ins)
 	}
 	m.wirePorts()
-	var committed []*chunk.Chunk
-	for _, p := range m.bulkProcs {
-		record := p.OnCommit
-		p.OnCommit = func(ch *chunk.Chunk) {
-			record(ch)
-			committed = append(committed, ch)
-		}
-	}
+	col := &chunkCollector{}
+	m.env.Observers = append(m.env.Observers, col)
 	res, err := m.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	distinct := make(map[*chunk.Chunk]bool)
-	for _, ch := range committed {
+	for _, ch := range col.chunks {
 		distinct[ch] = true
 	}
-	if len(distinct) >= len(committed) {
-		t.Fatalf("%d commits used %d distinct chunks: nothing was recycled", len(committed), len(distinct))
+	if len(distinct) >= len(col.chunks) {
+		t.Fatalf("%d commits used %d distinct chunks: nothing was recycled", len(col.chunks), len(distinct))
 	}
 	for ch := range distinct {
 		log := ch.Log[:cap(ch.Log)]
@@ -170,3 +164,11 @@ func TestCommitRecordsOutliveChunkReuse(t *testing.T) {
 		t.Fatal("commit records changed when the recycled chunks' logs were overwritten")
 	}
 }
+
+// chunkCollector is a test observer that keeps every committed chunk.
+type chunkCollector struct{ chunks []*chunk.Chunk }
+
+func (c *chunkCollector) CommitChunk(ch *chunk.Chunk)                    { c.chunks = append(c.chunks, ch) }
+func (*chunkCollector) Access(int, uint64, bool, mem.Addr, uint64, bool) {}
+func (*chunkCollector) Squash(int, int, int, bool)                       {}
+func (*chunkCollector) PreArb(int)                                       {}

@@ -10,9 +10,9 @@ import (
 
 // CommitRecord is one committed chunk as the replay checker and
 // DeterminismHash read it: the chunk's identity, its place in the global
-// commit order, its size and its program-order access log. The machine
-// copies it out of the chunk at the commit instant (BulkProc.OnCommit),
-// so the chunk itself is recycled like any other.
+// commit order, its size and its program-order access log. The commit log
+// copies it out of the chunk at the commit instant, so the chunk itself
+// is recycled like any other.
 type CommitRecord struct {
 	Proc        int    // committing processor
 	Seq         uint64 // per-processor chunk sequence number
@@ -32,29 +32,36 @@ const (
 	maxLogBlock = 1 << 16
 )
 
-// recordCommit appends ch's commit record to the run's commit log. The
-// access log is copied into the current log block; the block and every
-// record pointing into it belong to the run's Result once it is returned.
+// commitLog is the replay checker's observer (CheckSC): one record per
+// committed chunk, in commit order, with each access log copied into the
+// log block being filled. The records and their blocks belong to the
+// run's Result once it is returned.
+type commitLog struct {
+	commits []CommitRecord
+	block   []chunk.AccessRec
+}
+
+// CommitChunk appends ch's commit record.
 //
 //sim:hotpath
-func (m *machine) recordCommit(ch *chunk.Chunk) {
+func (l *commitLog) CommitChunk(ch *chunk.Chunk) {
 	n := len(ch.Log)
-	if cap(m.logBlock)-len(m.logBlock) < n {
-		m.newLogBlock(n)
+	if cap(l.block)-len(l.block) < n {
+		l.newBlock(n)
 	}
-	start := len(m.logBlock)
-	m.logBlock = append(m.logBlock, ch.Log...)
-	m.commits = append(m.commits, CommitRecord{
+	start := len(l.block)
+	l.block = append(l.block, ch.Log...)
+	l.commits = append(l.commits, CommitRecord{
 		Proc: ch.Proc, Seq: ch.Seq, CommitOrder: ch.CommitOrder, Executed: ch.Executed,
-		Log: m.logBlock[start:len(m.logBlock):len(m.logBlock)],
+		Log: l.block[start:len(l.block):len(l.block)],
 	})
 }
 
-// newLogBlock starts a fresh log block with room for at least n records.
+// newBlock starts a fresh log block with room for at least n records.
 // The full block is not reused: the records already carved from it stay
 // valid for the Result.
-func (m *machine) newLogBlock(n int) {
-	size := 2 * cap(m.logBlock)
+func (l *commitLog) newBlock(n int) {
+	size := 2 * cap(l.block)
 	if size < minLogBlock {
 		size = minLogBlock
 	}
@@ -64,8 +71,12 @@ func (m *machine) newLogBlock(n int) {
 	if size < n {
 		size = n
 	}
-	m.logBlock = make([]chunk.AccessRec, 0, size)
+	l.block = make([]chunk.AccessRec, 0, size)
 }
+
+func (*commitLog) Access(int, uint64, bool, mem.Addr, uint64, bool) {}
+func (*commitLog) Squash(int, int, int, bool)                       {}
+func (*commitLog) PreArb(int)                                       {}
 
 // replayer holds the replay checker's storage: the sequential replay's
 // word table and the per-processor last commit order. A machine keeps one

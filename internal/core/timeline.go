@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"bulksc/internal/chunk"
+	"bulksc/internal/mem"
+	"bulksc/internal/sim"
 )
 
 // TimelineEventKind classifies execution-timeline events.
@@ -35,6 +39,30 @@ type TimelineEvent struct {
 
 // Timeline is a run's recorded event stream, in time order.
 type Timeline []TimelineEvent
+
+// timelineRec is the timeline's observer (RecordTimeline): it stamps each
+// commit, squash and pre-arbitration event with the engine's clock.
+type timelineRec struct {
+	//sim:observes
+	eng    *sim.Engine
+	events Timeline
+}
+
+func (r *timelineRec) add(ev TimelineEvent) {
+	ev.At = uint64(r.eng.Now())
+	r.events = append(r.events, ev)
+}
+
+func (r *timelineRec) CommitChunk(ch *chunk.Chunk) {
+	r.add(TimelineEvent{Proc: ch.Proc, Kind: EvCommit, Order: ch.CommitOrder, Instrs: ch.Executed})
+}
+
+func (r *timelineRec) Squash(proc, victims, instrs int, genuine bool) {
+	r.add(TimelineEvent{Proc: proc, Kind: EvSquash, Victims: victims, Instrs: instrs, Genuine: genuine})
+}
+
+func (r *timelineRec) PreArb(proc int)                                { r.add(TimelineEvent{Proc: proc, Kind: EvPreArb}) }
+func (*timelineRec) Access(int, uint64, bool, mem.Addr, uint64, bool) {}
 
 // Lanes renders an ASCII chart: one lane per processor, time bucketed into
 // width columns; each cell shows the dominant event ('C' commits,

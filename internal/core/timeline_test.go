@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
+// TestTimelineRecording checks the timeline against the run's own
+// counters. Warmup exclusion is off, so the stats cover every event.
 func TestTimelineRecording(t *testing.T) {
 	cfg := DefaultConfig("radiosity")
 	cfg.Work = 15000
+	cfg.WarmupFrac = 0
 	cfg.RecordTimeline = true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline events recorded")
-	}
-	commits, squashes := 0, 0
+	var commits, squashes, genuine, victims uint64
 	var prev uint64
 	for _, ev := range res.Timeline {
 		if ev.At < prev {
@@ -31,17 +31,27 @@ func TestTimelineRecording(t *testing.T) {
 			}
 		case EvSquash:
 			squashes++
-			if ev.Victims == 0 {
-				t.Fatal("squash event without victims")
+			victims += uint64(ev.Victims)
+			if ev.Genuine {
+				genuine++
 			}
 		}
 	}
-	if uint64(commits) != res.Stats.Chunks+ /* warmup-excluded */ 0 &&
-		commits == 0 {
-		t.Fatal("no commits recorded")
+	st := res.Stats
+	if commits != st.Chunks {
+		t.Errorf("%d commit events, stats count %d chunks", commits, st.Chunks)
 	}
-	if uint64(squashes) == 0 && res.Stats.Squashes > 0 {
-		t.Fatal("squashes in stats but none on timeline")
+	if squashes != st.SquashesTrue+st.SquashesAliased {
+		t.Errorf("%d squash events, stats count %d true + %d aliased", squashes, st.SquashesTrue, st.SquashesAliased)
+	}
+	if victims != st.Squashes {
+		t.Errorf("squash events name %d victims, stats count %d squashed chunks", victims, st.Squashes)
+	}
+	if genuine != st.SquashesTrue {
+		t.Errorf("%d genuine squash events, stats count %d true squashes", genuine, st.SquashesTrue)
+	}
+	if commits == 0 || squashes == 0 {
+		t.Fatalf("radiosity recorded %d commits and %d squashes; the checks above need both", commits, squashes)
 	}
 }
 

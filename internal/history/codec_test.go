@@ -40,7 +40,7 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 	w := NewWriter(&got)
 	enc := json.NewEncoder(&want)
 	for _, ch := range chunks {
-		w.Chunk(ch)
+		w.CommitChunk(ch)
 		rec := ChunkRec{Kind: KindChunk, Proc: ch.Proc, Seq: ch.Seq, Order: ch.CommitOrder, Ops: []Op{}}
 		for _, a := range ch.Log {
 			rec.Ops = append(rec.Ops, Op{Store: a.IsStore, Addr: uint64(a.Addr), Val: a.Value})
@@ -78,8 +78,8 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 // history mixing them.
 func TestScannerDecodesWriterOutput(t *testing.T) {
 	chunks := func(w *Writer) {
-		w.Chunk(&chunk.Chunk{Proc: 1, Seq: 1, CommitOrder: 1})
-		w.Chunk(&chunk.Chunk{Proc: 2, Seq: math.MaxUint64, CommitOrder: 2, Log: []chunk.AccessRec{
+		w.CommitChunk(&chunk.Chunk{Proc: 1, Seq: 1, CommitOrder: 1})
+		w.CommitChunk(&chunk.Chunk{Proc: 2, Seq: math.MaxUint64, CommitOrder: 2, Log: []chunk.AccessRec{
 			{IsStore: true, Addr: math.MaxUint64, Value: math.MaxUint64}, {Addr: 0, Value: 10},
 		}})
 	}

@@ -13,14 +13,14 @@ func TestRoundTripChunks(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Header(Header{Model: "BulkSC", Procs: 2, App: "radix", Seed: 3, Work: 100})
-	w.Chunk(&chunk.Chunk{
+	w.CommitChunk(&chunk.Chunk{
 		Proc: 0, Seq: 1, CommitOrder: 1,
 		Log: []chunk.AccessRec{
 			{IsStore: true, Addr: 64, Value: 7},
 			{IsStore: false, Addr: 64, Value: 7},
 		},
 	})
-	w.Chunk(&chunk.Chunk{
+	w.CommitChunk(&chunk.Chunk{
 		Proc: 1, Seq: 1, CommitOrder: 2,
 		Log: []chunk.AccessRec{{IsStore: false, Addr: 64, Value: 7}},
 	})

@@ -98,7 +98,7 @@ func BenchmarkHistoryWrite(b *testing.B) {
 				w := history.NewWriter(io.Discard)
 				w.Header(h.Header)
 				for j := range chunks {
-					w.Chunk(&chunks[j])
+					w.CommitChunk(&chunks[j])
 				}
 				for _, a := range h.Accesses {
 					w.Access(a.Proc, a.PO, a.Store, mem.Addr(a.Addr), a.Val, a.Fwd)

@@ -9,8 +9,9 @@ import (
 	"bulksc/internal/mem"
 )
 
-// Writer streams a history as NDJSON. It is an observation sink: the
-// simulator calls Chunk at each commit instant and Access at each perform
+// Writer streams a history as NDJSON. It is an observation sink (a
+// proc.Observer, so simlint's hashneutral pass checks it): the simulator
+// calls CommitChunk at each commit instant and Access at each perform
 // instant, and the writer serializes without touching simulation state.
 // Errors are sticky — the first write failure is retained and every later
 // call becomes a no-op, so the hot hooks never need per-call error
@@ -19,17 +20,12 @@ import (
 // A Writer is not safe for concurrent use; the simulator is
 // single-goroutine per machine.
 //
-// Chunk and Access append their records into one reused buffer with the
-// byte-level encoder in codec.go, whose output is byte-identical to
+// CommitChunk and Access append their records into one reused buffer with
+// the byte-level encoder in codec.go, whose output is byte-identical to
 // json.Encoder's (TestWriterMatchesEncodingJSON); Header, written once,
-// keeps encoding/json. The encode path deliberately carries no
-// //sim:hotpath annotation: tracing is opt-in observation that is off for
-// every golden, perf and sweep configuration — the allocation discipline
-// applies to the machine, not to its export taps. TestTraceHashNeutral
-// pins that the taps perturb nothing; perf-relevant runs never construct
-// a Writer at all.
-//
-//sim:observer
+// keeps encoding/json. The encode path carries no //sim:hotpath
+// annotation: tracing is opt-in observation, and the allocation
+// discipline applies to the machine, not to its export taps.
 type Writer struct {
 	bw  *bufio.Writer
 	buf []byte // the record being encoded, reused across records
@@ -52,9 +48,9 @@ func (t *Writer) Header(h Header) {
 	t.err = json.NewEncoder(t.bw).Encode(&h)
 }
 
-// Chunk writes one committed chunk's record from the live chunk state.
-// Call at the commit instant, in commit order.
-func (t *Writer) Chunk(ch *chunk.Chunk) {
+// CommitChunk writes one committed chunk's record from the live chunk
+// state. Call at the commit instant, in commit order.
+func (t *Writer) CommitChunk(ch *chunk.Chunk) {
 	if t.err != nil {
 		return
 	}
@@ -73,6 +69,10 @@ func (t *Writer) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, f
 	})
 	_, t.err = t.bw.Write(t.buf)
 }
+
+// Squash and PreArb record nothing: a history holds commits and accesses.
+func (t *Writer) Squash(int, int, int, bool) {}
+func (t *Writer) PreArb(int)                 {}
 
 // Close flushes buffered records and returns the first error encountered
 // anywhere in the stream. The underlying io.Writer is not closed.

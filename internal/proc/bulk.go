@@ -147,18 +147,6 @@ type BulkProc struct {
 	trail       livenessTrail
 
 	doneAt sim.Time
-
-	// OnCommit is invoked at each chunk's commit instant (arbiter
-	// decision time), in global commit order — the replay checker hook.
-	// The chunk is recycled once its grant arrives and its last Hold
-	// drops, so an observer copies what it needs and keeps no reference.
-	OnCommit func(ch *chunk.Chunk)
-	// OnSquash is invoked at each squash with the victim count, the
-	// instructions discarded, and whether the conflict was genuine — the
-	// timeline recorder hook.
-	OnSquash func(victims, instrs int, genuine bool)
-	// OnPreArb is invoked when a pre-arbitration grant arrives.
-	OnPreArb func()
 }
 
 type fetchReq struct {
@@ -284,9 +272,6 @@ func (p *BulkProc) Reset(ins []workload.Instr, par Params, opts Opts) {
 	p.scheduled = false
 	p.finished = false
 	p.doneAt = 0
-	p.OnCommit = nil
-	p.OnSquash = nil
-	p.OnPreArb = nil
 }
 
 // Start schedules the processor's first dispatch event.

@@ -246,8 +246,8 @@ func (p *BulkProc) applyCommit(ch *chunk.Chunk, order uint64) {
 		p.preArbGranted = false
 		p.env.EndPreArbitrate(p.id)
 	}
-	if p.OnCommit != nil {
-		p.OnCommit(ch)
+	for _, o := range p.env.Observers {
+		o.CommitChunk(ch)
 	}
 }
 
@@ -352,12 +352,14 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 	p.squashCount++
 	p.trail.noteSquash(victims[0].Seq, uint64(p.env.Eng.Now()), len(victims), genuine)
 	st := p.env.St
+	wasted := 0
 	for i, ch := range victims {
 		ch.State = chunk.Squashed
 		st.Squashes++
 		if i > 0 {
 			st.SquashCascades++
 		}
+		wasted += ch.Executed
 		st.SquashedInstrs += uint64(ch.Executed)
 		ch.WSet.ForEach(func(l mem.Line) {
 			p.dropSpecLine(l, ch, false)
@@ -374,12 +376,8 @@ func (p *BulkProc) squashFrom(idx int, genuine bool) {
 	} else {
 		st.SquashesAliased++
 	}
-	if p.OnSquash != nil {
-		wasted := 0
-		for _, ch := range victims {
-			wasted += ch.Executed
-		}
-		p.OnSquash(len(victims), wasted, genuine)
+	for _, o := range p.env.Observers {
+		o.Squash(p.id, len(victims), wasted, genuine)
 	}
 	oldest := victims[0]
 	p.f.restore(p.checkpoints[oldest.Slot])
@@ -414,8 +412,8 @@ func (p *BulkProc) preArbGrant() {
 		return
 	}
 	p.preArbGranted = true
-	if p.OnPreArb != nil {
-		p.OnPreArb()
+	for _, o := range p.env.Observers {
+		o.PreArb(p.id)
 	}
 	// Deadlock guard: if we are spin-waiting on a lock whose holder now
 	// cannot commit its release (we block every other commit), nothing

@@ -56,13 +56,8 @@ type ConvProc struct {
 	dispatch uint64
 	storeSeq uint64
 
-	// OnAccess, when set, observes every architectural memory access at
-	// its perform instant — the recording hook of the SC-witness checker
-	// (internal/sccheck). po is the per-processor program-order index
-	// assigned at dispatch; fwd marks a load served from the processor's
-	// own store buffer.
-	OnAccess func(po uint64, store bool, a mem.Addr, v uint64, fwd bool)
-	// poSeq numbers memory operations in program order for OnAccess.
+	// poSeq numbers memory operations in program order for
+	// Observer.Access.
 	poSeq uint64
 
 	// inflight holds the outstanding line fetches, at most par.MSHRs (a
@@ -182,7 +177,6 @@ func (p *ConvProc) Reset(ins []workload.Instr, par Params, model Model) {
 	p.f = newFetcher(ins)
 	p.dispatch = 0
 	p.storeSeq = 0
-	p.OnAccess = nil
 	p.poSeq = 0
 	clear(p.inflight)
 	p.inflight = p.inflight[:0]
@@ -493,16 +487,16 @@ func (p *ConvProc) readValue(a mem.Addr) (uint64, bool) {
 	return p.env.Mem.Load(a), false
 }
 
-// nextPO returns the next program-order index for OnAccess recording.
+// nextPO returns the next program-order index for access recording.
 func (p *ConvProc) nextPO() uint64 {
 	p.poSeq++
 	return p.poSeq
 }
 
-// recordAccess reports one architectural access to the witness hook.
+// recordAccess reports one architectural access to the run's observers.
 func (p *ConvProc) recordAccess(po uint64, store bool, a mem.Addr, v uint64, fwd bool) {
-	if p.OnAccess != nil {
-		p.OnAccess(po, store, a, v, fwd)
+	for _, o := range p.env.Observers {
+		o.Access(p.id, po, store, a, v, fwd)
 	}
 }
 

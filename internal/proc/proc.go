@@ -91,6 +91,10 @@ type Env struct {
 	// amplification. nil injects nothing and draws nothing.
 	Faults *fault.Plan
 
+	// Observers receive the run's processor events, in list order; the
+	// machine fills the list once per run.
+	Observers []Observer
+
 	// ReadLine routes a demand miss to the owning directory module and
 	// calls done at the requester with the granted line state (an int-typed
 	// cache.LineState hint, widened to avoid an import cycle in callers)
@@ -114,6 +118,25 @@ type Env struct {
 	PreArbitrate func(proc int, granted func())
 	// EndPreArbitrate releases them without a commit.
 	EndPreArbitrate func(proc int)
+}
+
+// Observer receives a run's processor events at their simulated instants
+// (DESIGN.md §16.7). An observer must not change simulation state, so
+// turning one on never perturbs the run.
+//
+//sim:observer
+type Observer interface {
+	// CommitChunk: at the arbiter's grant event, in global commit order.
+	// The chunk is recycled afterwards; copy what is needed.
+	CommitChunk(ch *chunk.Chunk)
+	// Access: a conventional access at its perform instant; po is its
+	// program-order index, fwd marks a load served by the store buffer.
+	Access(proc int, po uint64, store bool, a mem.Addr, v uint64, fwd bool)
+	// Squash: victims chunks and their instrs executed instructions
+	// discarded; genuine is true sharing rather than signature aliasing.
+	Squash(proc, victims, instrs int, genuine bool)
+	// PreArb: a pre-arbitration grant arrived.
+	PreArb(proc int)
 }
 
 // CommitReq is the processor-side view of a permission-to-commit request;

@@ -76,6 +76,14 @@ func newFakeEnv() *fakeEnv {
 	return fe
 }
 
+// onCommit is a test observer that hands each committed chunk to itself.
+type onCommit func(ch *chunk.Chunk)
+
+func (f onCommit) CommitChunk(ch *chunk.Chunk)                    { f(ch) }
+func (onCommit) Access(int, uint64, bool, mem.Addr, uint64, bool) {}
+func (onCommit) Squash(int, int, int, bool)                       {}
+func (onCommit) PreArb(int)                                       {}
+
 func buildStream(mk func(b *workload.Builder)) []workload.Instr {
 	b := workload.NewBuilder(0, 1, 1)
 	mk(b)
@@ -93,7 +101,7 @@ func TestBulkProcRunsAndCommits(t *testing.T) {
 	})
 	p := NewBulkProc(0, fe.env, DefaultParams(), DefaultOpts(), ins)
 	var orders []uint64
-	p.OnCommit = func(ch *chunk.Chunk) { orders = append(orders, ch.CommitOrder) }
+	fe.env.Observers = []Observer{onCommit(func(ch *chunk.Chunk) { orders = append(orders, ch.CommitOrder) })}
 	p.Start()
 	fe.eng.Run(func() bool { return p.Finished() })
 	if !p.Finished() {
@@ -178,7 +186,6 @@ func TestBulkProcForwarding(t *testing.T) {
 	})
 	p := NewBulkProc(0, fe.env, DefaultParams(), DefaultOpts(), ins)
 	var got *uint64
-	p.OnCommit = nil
 	p.Start()
 	fe.eng.Run(func() bool { return p.Finished() })
 	_ = got
@@ -369,11 +376,11 @@ func TestBulkProcIO(t *testing.T) {
 	})
 	p := NewBulkProc(0, fe.env, DefaultParams(), DefaultOpts(), ins)
 	var ioCommitSeen bool
-	p.OnCommit = func(ch *chunk.Chunk) {
+	fe.env.Observers = []Observer{onCommit(func(ch *chunk.Chunk) {
 		if ch.WSet.Len() == 0 && ch.RSet.Len() == 0 && ch.Executed == 1 {
 			ioCommitSeen = true
 		}
-	}
+	})}
 	p.Start()
 	fe.eng.Run(func() bool { return p.Finished() })
 	if !p.Finished() {
@@ -492,7 +499,7 @@ func TestCommittedChunkRecycledAfterLastHold(t *testing.T) {
 				b.Store(mem.HeapAddr(0))
 				b.Compute(100)
 			}))
-			p.OnCommit = func(c *chunk.Chunk) { hp.ch, hp.gen = c, c.Gen }
+			fe.env.Observers = []Observer{onCommit(func(c *chunk.Chunk) { hp.ch, hp.gen = c, c.Gen })}
 			p.Start()
 			fe.eng.Run(nil)
 			if !p.Finished() || fe.st.Chunks != 1 {

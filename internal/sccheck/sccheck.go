@@ -141,12 +141,11 @@ type openChunk struct {
 // The zero value is not ready — use New (per-processor state grows lazily,
 // so New needs no processor count).
 //
-// The checker is an observer: it reads committed chunks and conventional
-// accesses but must never write back into simulated state, or enabling
-// the witness would perturb the determinism hash (the property the
-// hashneutral lint pass proves — all fields below are checker-owned).
-//
-//sim:observer
+// The checker is an observer (a proc.Observer): it reads committed chunks
+// and conventional accesses but must never write back into simulated
+// state, or enabling the witness would perturb the determinism hash (the
+// property the hashneutral lint pass proves — all fields below are
+// checker-owned).
 type Checker struct {
 	// MaxViolations caps len(Violations()); 0 means DefaultMaxViolations.
 	MaxViolations int
@@ -231,9 +230,8 @@ func (c *Checker) report(v Violation) {
 
 // CommitChunk discharges the witness obligations for one committed chunk.
 // It must be called at the chunk's commit instant (the arbiter's grant
-// event), in grant order — exactly what wiring it into BulkProc.OnCommit
-// provides. The chunk's Proc, Seq, CommitOrder and Log fields are read; the
-// chunk is not retained.
+// event), in grant order, as the machine's observer list delivers it. It
+// reads the chunk's Proc, Seq, CommitOrder and Log and keeps no reference.
 func (c *Checker) CommitChunk(ch *chunk.Chunk) {
 	c.BeginChunk(ch.Proc, ch.Seq, ch.CommitOrder)
 	for _, rec := range ch.Log {
@@ -405,6 +403,10 @@ func (c *Checker) Strings() []string {
 	}
 	return out
 }
+
+// Squash and PreArb check nothing: SC is judged at commits and accesses.
+func (c *Checker) Squash(int, int, int, bool) {}
+func (c *Checker) PreArb(int)                 {}
 
 // Chunks returns how many committed chunks were checked.
 func (c *Checker) Chunks() int { return c.chunks }
