@@ -39,6 +39,9 @@ func FuzzSweepFlags(f *testing.F) {
 			if len(c.selected) != 0 || !slices.Contains(experiments.TraceModels(), strings.ToLower(c.traceModel)) {
 				t.Fatalf("parse %q: trace with experiments %d, model %q", args, len(c.selected), c.traceModel)
 			}
+			if len(c.in.Apps) > 1 || len(c.in.Procs) > 1 {
+				t.Fatalf("parse %q: trace accepted apps %q and procs %v", args, c.in.Apps, c.in.Procs)
+			}
 			return
 		}
 		if len(c.selected) == 0 {

@@ -24,7 +24,9 @@
 // export on and streams the NDJSON history (internal/history format) to
 // -trace-out ("-" = stdout, with the run report diverted to stderr so
 // `sweep -exp trace | scchk` pipes cleanly). -trace-model selects the
-// machine (bulk, sc, rc, sc++). It is excluded from -exp all.
+// machine (bulk, sc, rc, sc++), -apps its one application (default radix)
+// and -procs its one machine size (default 8); a second value of either
+// is a usage error. It is excluded from -exp all.
 //
 // The -work flag sets the per-thread instruction budget; larger runs give
 // steadier statistics (the first 30% is always excluded as warmup).
@@ -106,7 +108,7 @@ func parse(args []string, stderr io.Writer) (*command, bool) {
 		work      = fs.Int("work", 120_000, "dynamic instructions per thread")
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		apps      = fs.String("apps", "", "comma-separated subset of applications (default: the experiment's own suite)")
-		procs     = fs.String("procs", "", "comma-separated core counts: the scaling study runs every value; the arbiter ablation uses the first (default: the experiment's own)")
+		procs     = fs.String("procs", "", "comma-separated core counts: the scaling study runs every value; the arbiter ablation uses the first; trace takes one (default: the experiment's own)")
 		par       = fs.Int("parallel", 0, "parallel workers, one warm machine each (default: NumCPU)")
 		cold      = fs.Bool("cold", false, "construct a fresh machine per simulation instead of reusing one warm machine per worker (bit-identical results; reuse-debugging escape hatch)")
 		scchk     = fs.Bool("sccheck", false, "run the online SC-witness checker on every SC-claiming simulation (fails the sweep on a violation)")
@@ -176,6 +178,11 @@ func parse(args []string, stderr io.Writer) (*command, bool) {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return nil, false
 	}
+	if c.exp == "trace" && (len(c.in.Apps) > 1 || len(c.in.Procs) > 1) {
+		fmt.Fprintf(stderr, "sweep: -exp trace exports one run: give at most one -apps and one -procs value (got %d and %d)\n",
+			len(c.in.Apps), len(c.in.Procs))
+		return nil, false
+	}
 	return c, true
 }
 
@@ -224,9 +231,12 @@ func (c *command) execute(stdout, stderr io.Writer) int {
 		// History export is a single simulation, not a sweep; when the
 		// NDJSON goes to stdout the human-readable report moves to stderr
 		// so `sweep -exp trace | scchk` sees only the history.
-		app := "radix"
+		app, procs := "radix", 0
 		if len(c.in.Apps) > 0 {
 			app = c.in.Apps[0]
+		}
+		if len(c.in.Procs) > 0 {
+			procs = c.in.Procs[0]
 		}
 		out, report := io.Writer(nil), stdout
 		if c.traceOut == "-" {
@@ -240,7 +250,7 @@ func (c *command) execute(stdout, stderr io.Writer) int {
 			defer f.Close()
 			out = f
 		}
-		res, err := experiments.TraceRun(c.in.Params, app, c.traceModel, out)
+		res, err := experiments.TraceRun(c.in.Params, app, c.traceModel, procs, out)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
 			return 1

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bulksc/experiments"
+	"bulksc/internal/history"
 	"bulksc/internal/sweepsrv"
 )
 
@@ -69,6 +70,16 @@ func TestUnknownFlagValuesExitNonZero(t *testing.T) {
 			want: []string{`-procs value "16 32"`},
 		},
 		{
+			name: "trace with two apps",
+			args: []string{"-exp", "trace", "-apps", "radix,fft"},
+			want: []string{"-exp trace exports one run", "got 2 and 0"},
+		},
+		{
+			name: "trace with two procs values",
+			args: []string{"-exp", "trace", "-procs", "8,16"},
+			want: []string{"-exp trace exports one run", "got 0 and 2"},
+		},
+		{
 			name: "negative parallelism",
 			args: []string{"-exp", "fig9", "-parallel", "-3"},
 			want: []string{"-parallel must be >= 0"},
@@ -102,6 +113,28 @@ func TestUnknownFlagExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "flag provided but not defined") {
 		t.Errorf("stderr missing flag diagnostic:\n%s", errb.String())
+	}
+}
+
+// TestTraceExportsProcs: a single -procs value sizes the exported run, so
+// the history's header and its records name that many processors.
+func TestTraceExportsProcs(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-exp", "trace", "-apps", "radix", "-work", "1000", "-procs", "16", "-trace-out", "-"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr:\n%s", code, errb.String())
+	}
+	h, err := history.Read(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxProc := 0
+	for _, c := range h.Chunks {
+		maxProc = max(maxProc, c.Proc)
+	}
+	if h.Header.Procs != 16 || maxProc < 8 {
+		t.Fatalf("exported header claims %d procs and the highest committing proc is %d, want 16 and >= 8",
+			h.Header.Procs, maxProc)
 	}
 }
 

@@ -26,8 +26,10 @@ func TraceModels() []string { return []string{"bulk", "sc", "rc", "sc++"} }
 // the Result records the online verdict the offline checker is compared
 // against. Model "bulk" is BSC_dypvt, the paper's production variant.
 // p.FaultCampaign applies to the run as it does to a sweep's cells, with
-// the plan seeded from p.FaultSeed, the app and the model.
-func TraceRun(p Params, app, model string, out io.Writer) (*bulksc.Result, error) {
+// the plan seeded from p.FaultSeed, the app and the model. procs, when
+// positive, sets the processor count, with the arbiter tier and G-arbiter
+// sharding the scaling study pairs with it; 0 keeps the variant's machine.
+func TraceRun(p Params, app, model string, procs int, out io.Writer) (*bulksc.Result, error) {
 	p = p.withDefaults()
 	key := strings.ToLower(model)
 	if key == "" {
@@ -42,6 +44,11 @@ func TraceRun(p Params, app, model string, out io.Writer) (*bulksc.Result, error
 		variant = "dypvt"
 	}
 	cfg := bulksc.Variant(app, variant)
+	if procs > 0 {
+		cfg.Procs = procs
+		cfg.NumArbiters = bulksc.DefaultArbitersFor(procs)
+		cfg.GArbShards = bulksc.DefaultGArbShardsFor(cfg.NumArbiters)
+	}
 	plan, err := bulksc.NewFaultPlan(p.FaultCampaign, faultSeed(p.FaultSeed, app, key))
 	if err != nil {
 		return nil, err

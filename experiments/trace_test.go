@@ -14,7 +14,7 @@ import (
 func TestTraceRunAppliesFaults(t *testing.T) {
 	export := func(model, campaign string) ([]byte, *bulksc.Result) {
 		var buf bytes.Buffer
-		res, err := TraceRun(Params{Work: 2000, FaultCampaign: campaign}, "radix", model, &buf)
+		res, err := TraceRun(Params{Work: 2000, FaultCampaign: campaign}, "radix", model, 0, &buf)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", model, campaign, err)
 		}

@@ -11,11 +11,12 @@ import (
 // This file holds the byte-level codec for the two operation records, the
 // history's hot path. The encoder appends records byte-identical to what
 // json.Encoder produces for ChunkRec and AccessRec. The decoder accepts
-// only canonical lines — known lowercase keys without escapes, each at
-// most once, plain decimal integers, true/false literals — and reports
-// any other line as not handled, so Read sends it through encoding/json
-// and unusual input keeps encoding/json's exact semantics and errors.
-// FuzzHistoryReader pins that split.
+// exactly the lines the encoder writes — fixed prefix, fixed key order,
+// optional "store":true and "fwd":true, plain decimal integers, nothing
+// after the closing brace — and reports any other line as not handled, so
+// Read sends it through encoding/json and unusual input keeps
+// encoding/json's exact semantics and errors. FuzzHistoryReader pins that
+// split.
 
 // appendChunk appends ch's chunk record and its trailing newline to b.
 func appendChunk(b []byte, ch *chunk.Chunk) []byte {
@@ -63,302 +64,159 @@ func appendAccess(b []byte, a *AccessRec) []byte {
 	return append(b, "}\n"...)
 }
 
-// Keys of the operation records, one bit each, so a decoded line knows
-// which keys it has seen.
+// The fixed starts of the two operation records.
 const (
-	keyKind = 1 << iota
-	keyProc
-	keySeq
-	keyOrder
-	keyOps
-	keyPO
-	keyStore
-	keyAddr
-	keyVal
-	keyFwd
-
-	chunkKeys  = keyKind | keyProc | keySeq | keyOrder | keyOps
-	accessKeys = keyKind | keyProc | keyPO | keyStore | keyAddr | keyVal | keyFwd
+	chunkPrefix  = `{"kind":"chunk","proc":`
+	accessPrefix = `{"kind":"access","proc":`
 )
 
-// lineDecoder decodes canonical chunk and access lines. ops is scratch for
-// the chunk being decoded; each record gets its own exact-size copy.
-type lineDecoder struct {
-	b   []byte
-	i   int
-	ops []Op
+// decoder appends Writer-shaped lines to h. Every decoded chunk's ops live
+// in one arena, each chunk holding a 3-index sub-slice of it; a full arena
+// is replaced, not regrown, so earlier chunks keep their storage. left
+// counts the input bytes not yet scanned, from the reader's Len(); with
+// no Len() it starts at 0 and runs negative.
+type decoder struct {
+	h    *History
+	left int
+	ops  []Op
 }
 
-// record decodes one trimmed line and appends it to h. It returns false,
-// leaving h unchanged, when the line is not a canonical chunk or access
-// record.
-func (d *lineDecoder) record(line []byte, h *History) bool {
-	d.b, d.i = line, 0
-	var (
-		seen, key                       int
-		kind                            string
-		proc, seq, order, po, addr, val uint64
-		store, fwd, ok                  bool
-	)
-	if !d.eat('{') {
-		return false
-	}
-	d.ws()
-	if d.eat('}') {
-		return false // no "kind"
-	}
-	for {
-		if key, ok = d.key(); !ok || seen&key != 0 {
-			return false
-		}
-		seen |= key
-		switch key {
-		case keyKind:
-			kind, ok = d.kind()
-		case keyProc:
-			proc, ok = d.uint(math.MaxInt)
-		case keySeq:
-			seq, ok = d.uint(math.MaxUint64)
-		case keyOrder:
-			order, ok = d.uint(math.MaxUint64)
-		case keyPO:
-			po, ok = d.uint(math.MaxUint64)
-		case keyAddr:
-			addr, ok = d.uint(math.MaxUint64)
-		case keyVal:
-			val, ok = d.uint(math.MaxUint64)
-		case keyStore:
-			store, ok = d.bool()
-		case keyFwd:
-			fwd, ok = d.bool()
-		case keyOps:
-			ok = d.opsArray()
-		}
-		if !ok {
-			return false
-		}
-		d.ws()
-		if d.eat('}') {
-			break
-		}
-		if !d.eat(',') {
-			return false
-		}
-		d.ws()
-	}
-	if d.i != len(d.b) {
-		return false
-	}
+// record decodes one line, untrimmed, and appends it to h. It returns
+// false, leaving h unchanged, when the line is not exactly what Writer
+// emits for a chunk or access record.
+func (d *decoder) record(b []byte) bool {
 	switch {
-	case kind == KindChunk && seen&^chunkKeys == 0:
-		var ops []Op
-		if seen&keyOps != 0 { // a missing ops key leaves Ops nil, as in encoding/json
-			ops = make([]Op, len(d.ops))
-			copy(ops, d.ops)
-		}
-		h.Chunks = append(h.Chunks, ChunkRec{Kind: KindChunk, Proc: int(proc), Seq: seq, Order: order, Ops: ops})
-	case kind == KindAccess && seen&^accessKeys == 0:
-		h.Accesses = append(h.Accesses, AccessRec{Kind: KindAccess, Proc: int(proc), PO: po,
-			Store: store, Addr: addr, Val: val, Fwd: fwd})
-	default:
-		return false
-	}
-	return true
-}
-
-// opsArray decodes a chunk's ops array into d.ops.
-func (d *lineDecoder) opsArray() bool {
-	d.ops = d.ops[:0]
-	if !d.eat('[') {
-		return false
-	}
-	d.ws()
-	if d.eat(']') {
-		return true
-	}
-	for {
-		op, ok := d.op()
-		if !ok {
-			return false
-		}
-		d.ops = append(d.ops, op)
-		d.ws()
-		if d.eat(']') {
-			return true
-		}
-		if !d.eat(',') {
-			return false
-		}
-		d.ws()
-	}
-}
-
-// op decodes one {store, addr, val} object.
-func (d *lineDecoder) op() (Op, bool) {
-	var op Op
-	if !d.eat('{') {
-		return op, false
-	}
-	d.ws()
-	if d.eat('}') {
-		return op, true
-	}
-	seen := 0
-	for {
-		key, ok := d.key()
-		if !ok || seen&key != 0 {
-			return op, false
-		}
-		seen |= key
-		switch key {
-		case keyStore:
-			op.Store, ok = d.bool()
-		case keyAddr:
-			op.Addr, ok = d.uint(math.MaxUint64)
-		case keyVal:
-			op.Val, ok = d.uint(math.MaxUint64)
-		default:
-			return op, false
-		}
-		if !ok {
-			return op, false
-		}
-		d.ws()
-		if d.eat('}') {
-			return op, true
-		}
-		if !d.eat(',') {
-			return op, false
-		}
-		d.ws()
-	}
-}
-
-// key decodes `"name"` and the colon after it, returning the key's bit.
-func (d *lineDecoder) key() (int, bool) {
-	s, ok := d.str()
-	if !ok {
-		return 0, false
-	}
-	var key int
-	switch string(s) {
-	case "kind":
-		key = keyKind
-	case "proc":
-		key = keyProc
-	case "seq":
-		key = keySeq
-	case "order":
-		key = keyOrder
-	case "ops":
-		key = keyOps
-	case "po":
-		key = keyPO
-	case "store":
-		key = keyStore
-	case "addr":
-		key = keyAddr
-	case "val":
-		key = keyVal
-	case "fwd":
-		key = keyFwd
-	default:
-		return 0, false
-	}
-	d.ws()
-	if !d.eat(':') {
-		return 0, false
-	}
-	d.ws()
-	return key, true
-}
-
-// kind decodes the "kind" value; only the two operation kinds are handled.
-func (d *lineDecoder) kind() (string, bool) {
-	s, ok := d.str()
-	switch {
-	case !ok:
-		return "", false
-	case string(s) == KindChunk:
-		return KindChunk, true
-	case string(s) == KindAccess:
-		return KindAccess, true
-	}
-	return "", false
-}
-
-// str decodes a string's raw bytes, escapes undecoded. Callers compare
-// them with a known name, which has no escapes or control characters, so
-// an unusual string never matches and its line takes the encoding/json
-// path.
-func (d *lineDecoder) str() ([]byte, bool) {
-	if !d.eat('"') {
-		return nil, false
-	}
-	n := bytes.IndexByte(d.b[d.i:], '"')
-	if n < 0 {
-		return nil, false
-	}
-	s := d.b[d.i : d.i+n]
-	d.i += n + 1
-	return s, true
-}
-
-// uint decodes a plain decimal integer no larger than max: no sign,
-// fraction, exponent or leading zero. A number followed by a fraction or
-// exponent fails at the caller's delimiter check.
-func (d *lineDecoder) uint(max uint64) (uint64, bool) {
-	b, i := d.b, d.i
-	if i < len(b) && b[i] == '0' {
-		d.i++
-		return 0, true
-	}
-	var n uint64
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		c := uint64(b[i] - '0')
-		if n > (max-c)/10 {
-			return 0, false
-		}
-		n = n*10 + c
-	}
-	if i == d.i {
-		return 0, false
-	}
-	d.i = i
-	return n, true
-}
-
-// bool decodes true or false.
-func (d *lineDecoder) bool() (bool, bool) {
-	rest := d.b[d.i:]
-	switch {
-	case len(rest) >= 4 && string(rest[:4]) == "true":
-		d.i += 4
-		return true, true
-	case len(rest) >= 5 && string(rest[:5]) == "false":
-		d.i += 5
-		return false, true
-	}
-	return false, false
-}
-
-// eat consumes c if it is the next byte.
-func (d *lineDecoder) eat(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
+	case lit(b, 0, accessPrefix) > 0:
+		return d.access(b)
+	case lit(b, 0, chunkPrefix) > 0:
+		return d.chunk(b)
 	}
 	return false
 }
 
-// ws skips JSON whitespace.
-func (d *lineDecoder) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
+// access decodes an access line.
+func (d *decoder) access(b []byte) bool {
+	var store, fwd bool
+	proc, i := num(b, len(accessPrefix))
+	po, i := num(b, lit(b, i, `,"po":`))
+	if j := lit(b, i, `,"store":true`); j >= 0 {
+		store, i = true, j
+	}
+	addr, i := num(b, lit(b, i, `,"addr":`))
+	val, i := num(b, lit(b, i, `,"val":`))
+	if j := lit(b, i, `,"fwd":true`); j >= 0 {
+		fwd, i = true, j
+	}
+	if lit(b, i, "}") != len(b) || proc > math.MaxInt {
+		return false
+	}
+	h := d.h
+	if h.Accesses == nil {
+		h.Accesses = make([]AccessRec, 0, d.records(len(b)))
+	}
+	h.Accesses = append(h.Accesses, AccessRec{Kind: KindAccess, Proc: int(proc), PO: po,
+		Store: store, Addr: addr, Val: val, Fwd: fwd})
+	return true
+}
+
+// chunk decodes a chunk line, its ops into room taken at the arena's end.
+func (d *decoder) chunk(b []byte) bool {
+	proc, i := num(b, len(chunkPrefix))
+	seq, i := num(b, lit(b, i, `,"seq":`))
+	order, i := num(b, lit(b, i, `,"order":`))
+	if i = lit(b, i, `,"ops":[`); i < 0 || proc > math.MaxInt {
+		return false
+	}
+	// Every op is one object and the rest of an exact line has no other
+	// brace, so this counts the ops; a line it miscounts fails below. An
+	// op and its separator take at least 19 bytes, which bounds the room
+	// a brace-heavy line that is not Writer output can take.
+	n := bytes.Count(b[i:], []byte{'{'})
+	if 19*n > len(b)-i {
+		return false
+	}
+	ops := d.take(n, len(b))
+	for k := range ops {
+		op := &ops[k]
+		if k > 0 {
+			i = lit(b, i, ",")
+		}
+		if j := lit(b, i, `{"store":true,"addr":`); j >= 0 {
+			op.Store, i = true, j
+		} else {
+			op.Store, i = false, lit(b, i, `{"addr":`)
+		}
+		op.Addr, i = num(b, i)
+		op.Val, i = num(b, lit(b, i, `,"val":`))
+		if i = lit(b, i, "}"); i < 0 {
+			return false
 		}
 	}
+	if lit(b, i, "]}") != len(b) {
+		return false
+	}
+	d.ops = d.ops[:len(d.ops)+len(ops)]
+	h := d.h
+	if h.Chunks == nil {
+		h.Chunks = make([]ChunkRec, 0, d.records(len(b)))
+	}
+	h.Chunks = append(h.Chunks, ChunkRec{Kind: KindChunk, Proc: int(proc), Seq: seq, Order: order, Ops: ops})
+	return true
+}
+
+// records estimates how many records the input holds, counting the one on
+// the current line of n bytes, from the bytes left to scan.
+func (d *decoder) records(n int) int {
+	return max(d.left, 0)/(n+1) + 1
+}
+
+// take returns room for n ops at the arena's end, claimed once the chunk
+// decodes. The first arena extrapolates the first chunk's ops over the
+// records left to scan; a full one is replaced by one twice its size, and
+// nothing is copied.
+func (d *decoder) take(n, lineLen int) []Op {
+	l := len(d.ops)
+	if d.ops == nil || cap(d.ops)-l < n {
+		size := max(n, 2*cap(d.ops), 64)
+		if d.ops == nil {
+			size = max(size, d.records(lineLen)*n)
+		}
+		d.ops, l = make([]Op, 0, size), 0
+	}
+	return d.ops[l : l+n : l+n]
+}
+
+// lit returns the index past s if b[i:] starts with it, and -1 otherwise
+// or when i is already -1.
+func lit(b []byte, i int, s string) int {
+	if i < 0 || len(b)-i < len(s) || string(b[i:i+len(s)]) != s {
+		return -1
+	}
+	return i + len(s)
+}
+
+// num decodes the plain decimal integer at b[i:] — no sign, fraction,
+// exponent or leading zero, at most math.MaxUint64 — and returns it with
+// the index past it, or -1 for the index when there is none or i is -1.
+// A fraction or exponent after the digits fails at the caller's next lit.
+func num(b []byte, i int) (uint64, int) {
+	if i < 0 {
+		return 0, -1
+	}
+	j, n := i, uint64(0)
+	for j < len(b) && b[j]-'0' <= 9 {
+		n = n*10 + uint64(b[j]-'0')
+		j++
+	}
+	switch {
+	case j == i || b[i] == '0' && j > i+1:
+		return 0, -1
+	case j-i >= 20: // 20 digits may overflow; fewer never do
+		v, err := strconv.ParseUint(string(b[i:j]), 10, 64)
+		if err != nil {
+			return 0, -1
+		}
+		return v, j
+	}
+	return n, j
 }

@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -72,7 +73,7 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestScannerDecodesWriterOutput checks that every record the writer emits
-// takes the byte-level path, so Writer → Read never falls back to
+// takes the exact-shape path, so Writer → Read never falls back to
 // encoding/json, and that the result matches the reference reader's. The
 // two record shapes go through separate histories, since Read rejects a
 // history mixing them.
@@ -82,10 +83,12 @@ func TestScannerDecodesWriterOutput(t *testing.T) {
 		w.CommitChunk(&chunk.Chunk{Proc: 2, Seq: math.MaxUint64, CommitOrder: 2, Log: []chunk.AccessRec{
 			{IsStore: true, Addr: math.MaxUint64, Value: math.MaxUint64}, {Addr: 0, Value: 10},
 		}})
+		w.CommitChunk(&chunk.Chunk{Proc: 3, Seq: 3, CommitOrder: 3, Log: []chunk.AccessRec{}})
 	}
 	accesses := func(w *Writer) {
 		w.Access(3, 1, true, 64, 1, false)
 		w.Access(3, 2, false, 64, 1, true)
+		w.Access(0, math.MaxUint64, true, math.MaxUint64, math.MaxUint64, true)
 	}
 	for _, emit := range []func(*Writer){chunks, accesses} {
 		var buf bytes.Buffer
@@ -95,12 +98,12 @@ func TestScannerDecodesWriterOutput(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var d lineDecoder
 		h := &History{}
+		d := decoder{h: h}
 		lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 		for i, line := range lines[1:] {
-			if !d.record(line, h) {
-				t.Fatalf("record %d not decoded by the scanner: %s", i+1, line)
+			if !d.record(line) {
+				t.Fatalf("record %d not decoded by the exact decoder: %s", i+1, line)
 			}
 		}
 		want, err := read(bytes.NewReader(buf.Bytes()), false)
@@ -139,21 +142,25 @@ func TestReadOverlongRecord(t *testing.T) {
 }
 
 // FuzzHistoryReader holds Read to the all-encoding/json reference on any
-// input: the same History, or an error with the same text.
+// input: the same History, or an error with the same text. Read runs twice,
+// on a reader with Len() and on one without, so both the reserved and the
+// appended record slices are held to the reference.
 func FuzzHistoryReader(f *testing.F) {
 	f.Add([]byte(`{"kind":"chunk","proc":0,"seq":1,"order":1,"ops":[{"store":true,"addr":64,"val":7}]}`))
 	f.Add([]byte(`{"kind":"access","proc":1,"po":1,"addr":64,"val":7,"fwd":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gotErr := Read(bytes.NewReader(data))
 		want, wantErr := read(bytes.NewReader(data), false)
-		if gotErr != nil || wantErr != nil {
-			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("Read error %v, reference error %v", gotErr, wantErr)
+		for _, r := range []io.Reader{bytes.NewReader(data), struct{ io.Reader }{bytes.NewReader(data)}} {
+			got, gotErr := Read(r)
+			if gotErr != nil || wantErr != nil {
+				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Fatalf("Read error %v, reference error %v", gotErr, wantErr)
+				}
+				continue
 			}
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Read returned\n%+v\nreference returned\n%+v", got, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Read returned\n%+v\nreference returned\n%+v", got, want)
+			}
 		}
 	})
 }

@@ -111,19 +111,32 @@ func BenchmarkHistoryWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkHistoryRead parses an exported radix history.
+// BenchmarkHistoryRead parses an exported radix history. The chunk and
+// access sub-benchmarks read from a *bytes.Reader, whose Len() lets Read
+// reserve its record slice; the -stream ones hide Len(), as a pipe into
+// cmd/scchk does, so the slice grows by appending.
 func BenchmarkHistoryRead(b *testing.B) {
 	for _, name := range []string{"chunk", "access"} {
-		b.Run(name, func(b *testing.B) {
-			data := benchHistory(b, name)
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := history.Read(bytes.NewReader(data)); err != nil {
-					b.Fatal(err)
-				}
+		for _, stream := range []bool{false, true} {
+			sub := name
+			if stream {
+				sub += "-stream"
 			}
-		})
+			b.Run(sub, func(b *testing.B) {
+				data := benchHistory(b, name)
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r := io.Reader(bytes.NewReader(data))
+					if stream {
+						r = struct{ io.Reader }{r}
+					}
+					if _, err := history.Read(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -20,26 +20,36 @@ const maxLineBytes = 4 << 20
 // defaults (version 1, procs inferred), which is what lets traces authored
 // by other systems check without ceremony.
 //
-// Canonical chunk and access lines — what Writer emits — are decoded by a
-// byte-level scanner (codec.go); every other line goes through
-// encoding/json, whose result the scanner is held to (FuzzHistoryReader).
+// Chunk and access lines exactly as Writer emits them are decoded in place
+// (codec.go); every other line goes through encoding/json, whose result
+// the exact decoder is held to (FuzzHistoryReader). Lines are scanned one
+// at a time whatever r is, but when r has a Len() method, as
+// *bytes.Buffer, *bytes.Reader and *strings.Reader do, the record slice is
+// reserved from it when the first operation record appears.
 func Read(r io.Reader) (*History, error) {
 	return read(r, true)
 }
 
-// read is Read with the byte-level scanner on or off; with fast false
-// every line goes through encoding/json, the reference behaviour.
+// read is Read with the exact decoder on or off; with fast false every
+// line goes through encoding/json, the reference behaviour.
 func read(r io.Reader, fast bool) (*History, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	h := &History{}
-	var dec lineDecoder
+	d := decoder{h: h}
+	if l, ok := r.(interface{ Len() int }); ok {
+		d.left = l.Len()
+	}
 	sawHeader := false
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 || fast && dec.record(raw, h) {
+		raw := sc.Bytes()
+		d.left -= len(raw) + 1
+		if fast && d.record(raw) {
+			continue
+		}
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
 			continue
 		}
 		// Peek the record kind without committing to a shape.

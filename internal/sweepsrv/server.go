@@ -121,33 +121,6 @@ func (js *jobState) publish(ev Event) {
 	js.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once; later callers
-// (e.g. a cancel racing the worker) are no-ops. It appends the "done"
-// event, closes done, and releases the job's context.
-func (js *jobState) finish(status, cacheDis string, result []byte, errMsg string) bool {
-	js.mu.Lock()
-	if js.status == StatusDone || js.status == StatusFailed ||
-		js.status == StatusCanceled || js.status == StatusAborted {
-		js.mu.Unlock()
-		return false
-	}
-	js.status = status
-	js.cacheDis = cacheDis
-	js.result = result
-	js.errMsg = errMsg
-	js.events = append(js.events, Event{Event: "done", Status: status, Cache: cacheDis, Error: errMsg})
-	for _, ch := range js.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	close(js.done)
-	js.mu.Unlock()
-	js.cancel()
-	return true
-}
-
 // subscribe registers a kick channel; eventsFrom(i) then drains history.
 func (js *jobState) subscribe() chan struct{} {
 	ch := make(chan struct{}, 1)
@@ -251,9 +224,7 @@ func (s *Server) startJob(js *jobState) bool {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		if js.finish(StatusAborted, "", nil, "server shutting down before job started") {
-			s.finishAccounting(js, StatusAborted)
-		}
+		s.finish(js, StatusAborted, "", nil, "server shutting down before job started")
 		return false
 	}
 	js.mu.Lock()
@@ -296,22 +267,45 @@ func (s *Server) execute(js *jobState, w *experiments.Worker) {
 		if js.ctx.Err() != nil {
 			status = StatusCanceled
 		}
-		if js.finish(status, "", nil, err.Error()) {
-			s.finishAccounting(js, status)
-		}
+		s.finish(js, status, "", nil, err.Error())
 		return
 	}
 	buf, merr := json.Marshal(out)
 	if merr != nil {
-		if js.finish(StatusFailed, "", nil, merr.Error()) {
-			s.finishAccounting(js, StatusFailed)
-		}
+		s.finish(js, StatusFailed, "", nil, merr.Error())
 		return
 	}
 	s.cache.Put(js.key, buf)
-	if js.finish(StatusDone, "miss", buf, "") {
-		s.finishAccounting(js, StatusDone)
+	s.finish(js, StatusDone, "miss", buf, "")
+}
+
+// finish moves js to a terminal state exactly once; later callers (e.g. a
+// cancel racing the worker) are no-ops. The job is counted in the metrics
+// first, under js.mu, and only then gets its status, its "done" event and
+// its closed done channel, so a client that sees the job end finds it in
+// /metrics. Lock order: js.mu, then s.mu.
+func (s *Server) finish(js *jobState, status, cacheDis string, result []byte, errMsg string) {
+	js.mu.Lock()
+	if js.status == StatusDone || js.status == StatusFailed ||
+		js.status == StatusCanceled || js.status == StatusAborted {
+		js.mu.Unlock()
+		return
 	}
+	s.finishAccounting(js, status)
+	js.status = status
+	js.cacheDis = cacheDis
+	js.result = result
+	js.errMsg = errMsg
+	js.events = append(js.events, Event{Event: "done", Status: status, Cache: cacheDis, Error: errMsg})
+	for _, ch := range js.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	close(js.done)
+	js.mu.Unlock()
+	js.cancel()
 }
 
 // finishAccounting updates the terminal counters and the finished-job
@@ -473,8 +467,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.servedFromCache++
 		id := js.id
 		s.mu.Unlock()
-		js.finish(StatusDone, "hit", data, "")
-		s.finishAccounting(js, StatusDone)
+		s.finish(js, StatusDone, "hit", data, "")
 		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Key: key, Status: StatusDone, Cache: "hit"})
 		return
 	}
@@ -550,9 +543,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	switch status {
 	case StatusQueued:
 		// Terminal now; the worker that eventually dequeues it skips it.
-		if js.finish(StatusCanceled, "", nil, "canceled while queued") {
-			s.finishAccounting(js, StatusCanceled)
-		}
+		s.finish(js, StatusCanceled, "", nil, "canceled while queued")
 	case StatusRunning:
 		// The experiments layer observes the context between cells; the
 		// worker will finish the job as canceled.

@@ -457,3 +457,26 @@ func TestHealthzAndUnknownIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishCountsBeforePublishing: every job a client observes as done is
+// already counted in Completed. finish updates the metrics before the
+// terminal state is visible, so while the server's counters are locked a
+// finishing job must not yet look done.
+func TestFinishCountsBeforePublishing(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	js := newJobState("key", Request{}, false)
+	srv.mu.Lock()
+	srv.registerLocked(js)
+	go srv.finish(js, StatusDone, "miss", nil, "")
+	select {
+	case <-js.done:
+		srv.mu.Unlock()
+		t.Fatal("job observable as done before the metrics counted it")
+	case <-time.After(50 * time.Millisecond):
+	}
+	srv.mu.Unlock()
+	<-js.done
+	if c := srv.MetricsSnapshot().Completed; c != 1 {
+		t.Fatalf("metrics count %d completed after the job finished, want 1", c)
+	}
+}

@@ -2,9 +2,10 @@
 # The PR gate: formatting, static checks (go vet + the simlint invariant
 # passes), build, full tests, a fuzz-corpus smoke over the signature,
 # line-set, sharer-set, engine, history-reader, offline-checker,
-# sweepd-request and sweep-flag targets, one iteration of the engine and
-# L1-probe micro-benchmarks, and the race detector over both the parallel sweep
-# fan-out in experiments/ and the litmus × model × fault torture matrix.
+# sweepd-request and sweep-flag targets, one iteration of the engine,
+# L1-probe and history codec micro-benchmarks, and the race detector
+# over both the parallel sweep fan-out in experiments/ and the litmus ×
+# model × fault torture matrix.
 # Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
@@ -68,10 +69,11 @@ go test ./...
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
 go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history ./internal/history/gk ./internal/sweepsrv ./cmd/sweep
 
-# One iteration of each engine and L1-probe micro-benchmark, so their
-# setup (16k live events, 256 Table-2 L1s) cannot rot unnoticed.
-echo "== engine / cache micro-benchmark smoke =="
-go test -run xxx -bench 'Engine|L1Probe' -benchtime 1x ./internal/sim ./internal/cache
+# One iteration of each engine, L1-probe and history codec
+# micro-benchmark, so their setup (16k live events, 256 Table-2 L1s, two
+# exported radix histories) cannot rot unnoticed.
+echo "== engine / cache / history micro-benchmark smoke =="
+go test -run xxx -bench 'Engine|L1Probe|History' -benchtime 1x ./internal/sim ./internal/cache ./internal/history
 
 echo "== 256-proc scaling smoke =="
 go test -run 'TestBigMachineRadixSmoke|TestBigMachineRadixRecycleSmoke' ./internal/core
