@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	in := io.Reader(os.Stdin)
 	name := "<stdin>"
 	if fs.NArg() == 1 && fs.Arg(0) != "-" {
-		f, err := os.Open(fs.Arg(0))
+		f, err := openInput(fs.Arg(0))
 		if err != nil {
 			fmt.Fprintf(stderr, "scchk: %v\n", err)
 			return 2
@@ -121,3 +121,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 1
 }
+
+// sizedFile is a regular file whose Len reports the bytes not yet read,
+// as *bytes.Reader's does, so history.Read reserves its record slice from
+// the file size instead of regrowing it.
+type sizedFile struct {
+	f    *os.File
+	left int64
+}
+
+// openInput opens the named input for history.Read.
+func openInput(path string) (io.ReadCloser, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return sized(f), nil
+}
+
+// sized wraps f in a sizedFile when f is a regular file; anything else
+// (a pipe, a device, a file Stat cannot size) is returned as it is.
+func sized(f *os.File) io.ReadCloser {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return f
+	}
+	return &sizedFile{f: f, left: fi.Size()}
+}
+
+func (s *sizedFile) Close() error { return s.f.Close() }
+
+func (s *sizedFile) Read(p []byte) (int, error) {
+	n, err := s.f.Read(p)
+	s.left -= int64(n)
+	return n, err
+}
+
+// Len returns the bytes left to read, never less than zero (the file may
+// have grown or shrunk since Stat).
+func (s *sizedFile) Len() int { return int(max(s.left, 0)) }

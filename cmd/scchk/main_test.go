@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bulksc/internal/history"
 )
 
 func runScchk(t *testing.T, stdin string, args ...string) (int, string, string) {
@@ -108,5 +113,68 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, errb := runScchk(t, "not json"); code != 2 || !strings.Contains(errb, "line 1") {
 		t.Fatalf("malformed: exit %d err=%q", code, errb)
+	}
+}
+
+// TestFileInputReservesOnce: a regular file decodes to the same History as
+// the same bytes in a *bytes.Reader, and, sized from Stat, reserves its
+// record slice once, where the same bytes without a Len regrow it.
+func TestFileInputReservesOnce(t *testing.T) {
+	var b bytes.Buffer
+	const n = 3000
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `{"kind":"access","proc":%d,"po":%d,"addr":%d,"val":%d}`+"\n",
+			i%4, 100000+i/4, 1024+8*(i%8), 0)
+	}
+	path := filepath.Join(t.TempDir(), "acc.ndjson")
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in, err := openInput(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	l, ok := in.(interface{ Len() int })
+	if !ok || l.Len() != b.Len() {
+		t.Fatalf("a regular file of %d bytes was not sized: %T", b.Len(), in)
+	}
+	got, err := history.Read(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 0 {
+		t.Fatalf("Len() = %d after the whole file was read", l.Len())
+	}
+	want, err := history.Read(bytes.NewReader(b.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("file input decoded differently from a *bytes.Reader")
+	}
+	if len(got.Accesses) != n || cap(got.Accesses) != cap(want.Accesses) || cap(got.Accesses) > n+1 {
+		t.Fatalf("file input: %d accesses in cap %d, *bytes.Reader cap %d", len(got.Accesses), cap(got.Accesses), cap(want.Accesses))
+	}
+	unsized, err := history.Read(io.MultiReader(bytes.NewReader(b.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(unsized.Accesses) == cap(got.Accesses) {
+		t.Fatalf("input without Len also ended at cap %d: the test cannot tell reservation from regrowth", cap(got.Accesses))
+	}
+}
+
+// TestPipeInputUnsized: a pipe, like stdin from `sweep | scchk`, has no
+// size to offer and is read as it is.
+func TestPipeInputUnsized(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	if in := sized(r); in != io.ReadCloser(r) {
+		t.Fatalf("a pipe was wrapped: %T", in)
 	}
 }

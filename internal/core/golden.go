@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 )
 
@@ -50,8 +51,13 @@ func (r *Result) DeterminismHash() uint64 {
 	h.u64(uint64(r.ChunksChecked))
 	// Full committed access history, in global commit order. This is the
 	// strongest part of the contract: every load value and store value of
-	// every committed chunk must be reproduced exactly.
-	if len(r.Commits) > 0 {
+	// every committed chunk must be reproduced exactly. Commits usually
+	// arrive in commit order already, and then need no sort.
+	if inCommitOrder(r.Commits) {
+		for i := range r.Commits {
+			h.commit(&r.Commits[i])
+		}
+	} else {
 		sorted := make([]int, len(r.Commits))
 		for i := range sorted {
 			sorted[i] = i
@@ -60,23 +66,27 @@ func (r *Result) DeterminismHash() uint64 {
 			return r.Commits[sorted[a]].CommitOrder < r.Commits[sorted[b]].CommitOrder
 		})
 		for _, i := range sorted {
-			ch := r.Commits[i]
-			h.u64(uint64(ch.Proc))
-			h.u64(ch.Seq)
-			h.u64(ch.CommitOrder)
-			h.u64(uint64(ch.Executed))
-			for _, rec := range ch.Log {
-				if rec.IsStore {
-					h.u64(1)
-				} else {
-					h.u64(0)
-				}
-				h.u64(uint64(rec.Addr))
-				h.u64(rec.Value)
-			}
+			h.commit(&r.Commits[i])
 		}
 	}
 	return h.sum
+}
+
+// commit folds one committed chunk and its access log.
+func (h *hasher) commit(ch *CommitRecord) {
+	h.u64(uint64(ch.Proc))
+	h.u64(ch.Seq)
+	h.u64(ch.CommitOrder)
+	h.u64(uint64(ch.Executed))
+	for _, rec := range ch.Log {
+		if rec.IsStore {
+			h.u64(1)
+		} else {
+			h.u64(0)
+		}
+		h.u64(uint64(rec.Addr))
+		h.u64(rec.Value)
+	}
 }
 
 // WitnessHash folds the online SC-witness checker's observations into one
@@ -101,14 +111,33 @@ func (r *Result) WitnessHash() uint64 {
 // hash/fnv + encoding/binary into the hot determinism check.
 type hasher struct{ sum uint64 }
 
+// fnvPrime is FNV-1a's 64-bit multiplier.
+const fnvPrime = 1099511628211
+
+// zeroFold[k] is fnvPrime^k mod 2^64: folding a zero byte is a bare
+// multiply by the prime, so folding k zero bytes is one multiply by this.
+var zeroFold = func() (t [9]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * fnvPrime
+	}
+	return t
+}()
+
 func newHasher() *hasher { return &hasher{sum: 14695981039346656037} }
 
+// u64 folds v's eight little-endian bytes. Only the significant low bytes
+// are folded one at a time; the zero high bytes all fold at once through
+// zeroFold, which gives the byte-serial value mod 2^64.
 func (h *hasher) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.sum ^= v & 0xff
-		h.sum *= 1099511628211
+	n := (bits.Len64(v) + 7) >> 3
+	sum := h.sum
+	for i := 0; i < n; i++ {
+		sum ^= v & 0xff
+		sum *= fnvPrime
 		v >>= 8
 	}
+	h.sum = sum * zeroFold[8-n]
 }
 
 // str folds a string byte-by-byte, length-prefixed so that concatenation
@@ -117,6 +146,6 @@ func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
 	for i := 0; i < len(s); i++ {
 		h.sum ^= uint64(s[i])
-		h.sum *= 1099511628211
+		h.sum *= fnvPrime
 	}
 }

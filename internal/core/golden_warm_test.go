@@ -139,3 +139,40 @@ func TestRunnerResultIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmWitnessAfterGrowth: a Runner whose witness memory has grown far
+// past its first capacity audits the next runs exactly as a fresh one. The
+// RC and SC++ cells carry witness violations, whose text names the last
+// store's processor and order, so a stale or misindexed word state in the
+// reused table would change the WitnessHash.
+func TestWarmWitnessAfterGrowth(t *testing.T) {
+	r := NewRunner()
+	big := goldenConfig("ocean")
+	big.Model, big.Procs, big.Work = ModelSC, 8, 8000
+	if _, err := r.Run(big); err != nil {
+		t.Fatal(err)
+	}
+	violations := 0
+	for _, app := range []string{"radix", "fft"} {
+		for _, model := range []ModelKind{ModelRC, ModelSCpp, ModelSC, ModelBulk} {
+			cfg := goldenConfig(app)
+			cfg.Model = model
+			warm, err := r.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, c := warm.WitnessHash(), cold.WitnessHash(); w != c {
+				t.Fatalf("%s/%v: warm WitnessHash %#x, cold %#x\nwarm %q\ncold %q",
+					app, model, w, c, warm.WitnessViolations, cold.WitnessViolations)
+			}
+			violations += len(cold.WitnessViolations)
+		}
+	}
+	if violations == 0 {
+		t.Fatal("no cell reported a witness violation: the test cannot see a stale word state")
+	}
+}

@@ -300,6 +300,34 @@ func (m *Map) Put(a mem.Addr, val uint64) {
 	}
 }
 
+// GetOrPut returns the value stored for a, reporting true; if a is absent
+// it stores val and returns it, reporting false. Either way it costs one
+// probe, where Get followed by Put costs two.
+//
+//sim:hotpath
+func (m *Map) GetOrPut(a mem.Addr, val uint64) (uint64, bool) {
+	if m.keys == nil {
+		m.keys = m.arena.Get(minSlots)
+		m.vals = m.arena.Get(minSlots)
+	} else if m.n*4 >= len(m.keys)*3 {
+		m.grow()
+	}
+	mask := len(m.keys) - 1
+	k := uint64(a) + 1
+	for i := hashIdx(k, mask); ; i = (i + 1) & mask {
+		v := m.keys[i]
+		if v == k {
+			return m.vals[i], true
+		}
+		if v == 0 {
+			m.keys[i] = k
+			m.vals[i] = val
+			m.n++
+			return val, false
+		}
+	}
+}
+
 // Reset empties the map in place, keeping the allocated tables. Values are
 // cleared along with the keys: Maps are pooled and recycled across chunks
 // (the speculative write buffer), and a stale value surviving in a slot

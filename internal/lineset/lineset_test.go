@@ -147,6 +147,46 @@ func TestMapAgainstMap(t *testing.T) {
 	}
 }
 
+// TestMapGetOrPutAgainstMap cross-checks GetOrPut against a Go map under
+// a mix with Put, through growth and Reset.
+func TestMapGetOrPutAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var m Map
+	ref := map[mem.Addr]uint64{}
+	for op := 0; op < 100000; op++ {
+		a := mem.Addr(rng.Intn(600) * 8)
+		v := rng.Uint64()
+		switch rng.Intn(20) {
+		case 0:
+			ref[a] = v
+			m.Put(a, v)
+		case 1:
+			if op%500 == 1 {
+				m.Reset()
+				clear(ref)
+			}
+		default:
+			want, had := ref[a]
+			if !had {
+				want = v
+				ref[a] = v
+			}
+			got, ok := m.GetOrPut(a, v)
+			if ok != had || got != want {
+				t.Fatalf("op %d: GetOrPut(%d)=(%d,%v) want (%d,%v)", op, a, got, ok, want, had)
+			}
+		}
+		if m.Len() != len(ref) {
+			t.Fatalf("op %d: len=%d ref=%d", op, m.Len(), len(ref))
+		}
+	}
+	for a, want := range ref {
+		if got, ok := m.Get(a); !ok || got != want {
+			t.Fatalf("final Get(%d)=(%d,%v) want %d", a, got, ok, want)
+		}
+	}
+}
+
 func TestMapAddrZero(t *testing.T) {
 	var m Map
 	m.Put(0, 99)

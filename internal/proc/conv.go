@@ -89,6 +89,10 @@ type ConvProc struct {
 
 	// cov is the prefetch-coverage memo (see prefetchAhead).
 	cov coverMemo
+	// memOps[i] counts the memory ops in the stream before position i
+	// (len(ins)+1 entries), so a scan counts the ops the memo vouches for
+	// by one subtraction. Rebuilt in place at Reset.
+	memOps []int32
 
 	scheduled bool
 	finished  bool
@@ -159,6 +163,7 @@ func NewConvProc(id int, env *Env, par Params, model Model, ins []workload.Instr
 		inflight:  make([]*convReq, 0, par.MSHRs),
 		storeFwd:  make(map[mem.Addr]uint64),
 		fwdCounts: make(map[mem.Addr]int),
+		memOps:    countMemOps(nil, ins),
 	}
 	p.performSerialFn = p.performSerial
 	p.drainPerformFn = p.drainPerform
@@ -189,6 +194,7 @@ func (p *ConvProc) Reset(ins []workload.Instr, par Params, model Model) {
 	clear(p.fwdCounts)
 	p.specLines.Reset()
 	p.cov = coverMemo{}
+	p.memOps = countMemOps(p.memOps[:0], ins)
 	p.scheduled = false
 	p.finished = false
 	p.doneAt = 0
@@ -390,22 +396,47 @@ func (p *ConvProc) missComplete(idx uint64) {
 	}
 }
 
+// countMemOps fills dst (reusing its storage) with the prefix counts of
+// memory ops in ins — the ops prefetchAhead counts — and returns it:
+// dst[i] is the number of memory ops in ins[:i].
+func countMemOps(dst []int32, ins []workload.Instr) []int32 {
+	var n int32
+	dst = append(dst, 0)
+	for _, in := range ins {
+		switch in.Kind {
+		case workload.OpLoad, workload.OpStore, workload.OpAcquire, workload.OpRelease:
+			n++
+		}
+		dst = append(dst, n)
+	}
+	return dst
+}
+
 // prefetchAhead scans the upcoming stream and issues read/exclusive
 // prefetches for the next few memory operations — the SC baseline's
 // optimization (reads) and the exclusive-prefetch optimization shared by
 // SC and RC. Ops the coverage memo vouches for are counted without being
-// probed; every other op is probed, so the prefetches issued, and their
-// order, are those of a scan that probes everything.
+// visited, by one subtraction of memOps; every other op is probed, so the
+// prefetches issued, and their order, are those of a scan that probes
+// everything. The memo never reaches past the stream's OpEnd, so the
+// jump skips no stopping point.
 //
 //sim:hotpath
 func (p *ConvProc) prefetchAhead(k int) {
 	pos := p.f.pos
 	start, gen := pos, p.cov.gen
-	covered := pos // ops before covered are known covered
+	n := 0
 	if p.cov.at == gen && p.cov.from <= pos && pos < p.cov.to {
-		covered = p.cov.to
+		n = int(p.memOps[p.cov.to] - p.memOps[pos])
+		if n >= k {
+			// The k-th op lies inside the memo: the scan would end there
+			// having probed nothing, leaving the memo [start, cov.to).
+			p.cov.from = start
+			return
+		}
+		pos = p.cov.to
 	}
-	for n := 0; n < k && pos < len(p.f.ins); pos++ {
+	for ; n < k && pos < len(p.f.ins); pos++ {
 		in := p.f.ins[pos]
 		var l mem.Line
 		var excl bool
@@ -423,9 +454,6 @@ func (p *ConvProc) prefetchAhead(k int) {
 			continue
 		}
 		n++
-		if pos < covered {
-			continue
-		}
 		if w := p.l1.Probe(l); w != nil {
 			if !excl || w.State == cache.Dirty || w.State == cache.Excl {
 				continue

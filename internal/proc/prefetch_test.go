@@ -1,6 +1,8 @@
 package proc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bulksc/internal/cache"
@@ -216,5 +218,138 @@ func TestPrefetchMemoReusedAcrossSteps(t *testing.T) {
 	wantIssued(t, r.scan(2), fillReq{addrs[2].LineOf(), false})
 	if r.p.cov.from != from+2 || r.p.cov.to <= to {
 		t.Fatalf("memo %+v after the second scan, want it to start at %d and pass %d", r.p.cov, from+2, to)
+	}
+}
+
+// walkPrefetchAhead is the reference scan prefetchAhead must match: it
+// visits every op from the fetch position, counts the ones the memo
+// vouches for one at a time without probing them, and probes the rest.
+func (p *ConvProc) walkPrefetchAhead(k int) {
+	pos := p.f.pos
+	start, gen := pos, p.cov.gen
+	covered := pos
+	if p.cov.at == gen && p.cov.from <= pos && pos < p.cov.to {
+		covered = p.cov.to
+	}
+	for n := 0; n < k && pos < len(p.f.ins); pos++ {
+		in := p.f.ins[pos]
+		var l mem.Line
+		var excl bool
+		switch in.Kind {
+		case workload.OpLoad:
+			l, excl = in.Addr.LineOf(), false
+		case workload.OpStore, workload.OpAcquire, workload.OpRelease:
+			l, excl = in.Addr.LineOf(), true
+		case workload.OpEnd:
+			p.rememberCovered(start, pos, gen)
+			return
+		default:
+			continue
+		}
+		n++
+		if pos < covered {
+			continue
+		}
+		if w := p.l1.Probe(l); w != nil {
+			if !excl || w.State == cache.Dirty || w.State == cache.Excl {
+				continue
+			}
+		}
+		if p.findReq(l) != nil {
+			continue
+		}
+		if len(p.inflight) >= p.par.MSHRs {
+			p.rememberCovered(start, pos, gen)
+			return
+		}
+		p.env.St.Prefetches++
+		p.fetch(l, excl, nil)
+	}
+	p.rememberCovered(start, pos, gen)
+}
+
+// TestPrefetchJumpMatchesWalk drives two processors over one random
+// stream through the same random history of scans, fetch-position moves,
+// fills, invalidations and memo states: one scans with prefetchAhead, the
+// other with the reference walk. After every scan both must have issued
+// the same fetches in the same order, counted the same prefetches, and
+// left the same memo.
+func TestPrefetchJumpMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lines := 4 + rng.Intn(40)
+		ins := buildStream(func(b *workload.Builder) {
+			for i := 40 + rng.Intn(200); i > 0; i-- {
+				a := mem.HeapAddr(uint64(rng.Intn(lines) * 64 * 17))
+				switch rng.Intn(9) {
+				case 0, 1, 2:
+					b.Load(a)
+				case 3, 4:
+					b.Store(a)
+				case 5:
+					b.Compute(1 + rng.Intn(4))
+				case 6:
+					b.Acquire(rng.Intn(3))
+					b.Release(rng.Intn(3))
+				case 7:
+					b.Barrier()
+				default:
+					b.IO(5)
+				}
+			}
+		})
+		jump, walk := newFillRig(t, ins), newFillRig(t, ins)
+		end := len(ins) - 1 // OpEnd
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				k := []int{1, 2, 3, jump.p.par.MSHRs}[rng.Intn(4)]
+				nj, nw := len(jump.issued), len(walk.issued)
+				jump.p.prefetchAhead(k)
+				walk.p.walkPrefetchAhead(k)
+				gotJ, gotW := jump.issued[nj:], walk.issued[nw:]
+				if len(gotJ) != len(gotW) {
+					t.Fatalf("seed %d step %d: scan(%d) issued %v, walk %v", seed, step, k, gotJ, gotW)
+				}
+				for i := range gotJ {
+					if gotJ[i] != gotW[i] {
+						t.Fatalf("seed %d step %d: scan(%d) issued %v, walk %v", seed, step, k, gotJ, gotW)
+					}
+				}
+				if jump.p.cov != walk.p.cov {
+					t.Fatalf("seed %d step %d: memo %+v, walk %+v", seed, step, jump.p.cov, walk.p.cov)
+				}
+				if a, b := jump.p.env.St.Prefetches, walk.p.env.St.Prefetches; a != b {
+					t.Fatalf("seed %d step %d: %d prefetches, walk %d", seed, step, a, b)
+				}
+			case op < 6:
+				pos := min(jump.p.f.pos+rng.Intn(4), end)
+				jump.p.f.pos, walk.p.f.pos = pos, pos
+			case op < 8:
+				if len(jump.pending) == 0 {
+					continue
+				}
+				pend := make([]mem.Line, 0, len(jump.pending))
+				for l := range jump.pending {
+					pend = append(pend, l)
+				}
+				slices.Sort(pend)
+				l := pend[rng.Intn(len(pend))]
+				st := []cache.LineState{cache.Shared, cache.Excl, cache.Dirty}[rng.Intn(3)]
+				jump.complete(l, st)
+				walk.complete(l, st)
+			case op < 9:
+				l := mem.HeapAddr(uint64(rng.Intn(lines) * 64 * 17)).LineOf()
+				jump.p.ApplyInvalidate(l)
+				walk.p.ApplyInvalidate(l)
+			default:
+				// An arbitrary memo, current or stale, that reaches no
+				// further than OpEnd, as every memo a scan leaves.
+				from := rng.Intn(end + 1)
+				cov := coverMemo{gen: jump.p.cov.gen, at: jump.p.cov.gen - uint64(rng.Intn(2)),
+					from: from, to: from + rng.Intn(end-from+1)}
+				jump.p.cov, walk.p.cov = cov, cov
+			}
+		}
 	}
 }

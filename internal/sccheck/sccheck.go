@@ -103,8 +103,8 @@ func (v Violation) String() string {
 		v.Kind, v.Proc, v.Order, uint64(v.Addr), v.Got, v.Want, v.Detail)
 }
 
-// wordState is the witness memory: the last committed value of a word and
-// the commit that produced it.
+// wordState is one word of the witness memory: its last committed value
+// and the commit that produced it.
 type wordState struct {
 	val   uint64
 	order uint64
@@ -138,8 +138,8 @@ type openChunk struct {
 // execution is pushed into it. It is not safe for concurrent use; the
 // simulator is single-goroutine per machine.
 //
-// The zero value is not ready — use New (per-processor state grows lazily,
-// so New needs no processor count).
+// The zero value is an empty checker ready for use, as New returns it
+// (all state grows lazily, so neither needs a processor count).
 //
 // The checker is an observer (a proc.Observer): it reads committed chunks
 // and conventional accesses but must never write back into simulated
@@ -150,9 +150,13 @@ type Checker struct {
 	// MaxViolations caps len(Violations()); 0 means DefaultMaxViolations.
 	MaxViolations int
 
-	// words is the witness memory. Absent words are zero, matching the
-	// simulator's zero-initialized mem.Memory.
-	words map[mem.Addr]wordState
+	// The witness memory: words maps a word address to its state's index
+	// in states, so every access costs one open-addressed probe. Absent
+	// words are zero, matching the simulator's zero-initialized
+	// mem.Memory. Nothing iterates words, so its slot order never reaches
+	// the verdict.
+	words  lineset.Map
+	states []wordState
 
 	// lastOrder is the highest commit order seen; arrival must be in
 	// strictly increasing order.
@@ -181,21 +185,20 @@ type Checker struct {
 }
 
 // New returns an empty checker.
-func New() *Checker {
-	return &Checker{words: make(map[mem.Addr]wordState)}
-}
+func New() *Checker { return &Checker{} }
 
 // Reset empties the checker in place so a warm machine reuse (core.Runner)
 // starts the next run's audit from a fresh witness. Capacity is retained
-// everywhere it cannot reach the verdict: the witness-memory map is keyed
-// (no ordered iteration), the per-processor slice is truncated and regrown
-// with the same zero values a cold proc() appends, and the overlay/seen
-// scratch maps' slot-order ForEach publishes only commutative per-word
-// writes — so a warm checker's violations, counts and WitnessHash are
-// bit-identical to a cold one's.
+// everywhere it cannot reach the verdict: the witness-memory table is only
+// probed by key (never iterated), the per-processor slice is truncated
+// and regrown with the same zero values a cold proc() appends, and the
+// overlay/seen scratch maps' slot-order ForEach publishes only
+// commutative per-word writes — so a warm checker's violations, counts
+// and WitnessHash are bit-identical to a cold one's.
 func (c *Checker) Reset() {
 	c.MaxViolations = 0
-	clear(c.words)
+	c.words.Reset()
+	c.states = c.states[:0]
 	c.lastOrder = 0
 	c.procs = c.procs[:0]
 	c.arrivals = 0
@@ -215,6 +218,27 @@ func (c *Checker) proc(p int) *procState {
 		c.procs = append(c.procs, procState{})
 	}
 	return &c.procs[p]
+}
+
+// word returns the witness memory's state for the aligned word a.
+//
+//sim:hotpath
+func (c *Checker) word(a mem.Addr) wordState {
+	if i, ok := c.words.Get(a); ok {
+		return c.states[i]
+	}
+	return wordState{}
+}
+
+// setWord publishes w as the aligned word a's state.
+//
+//sim:hotpath
+func (c *Checker) setWord(a mem.Addr, w wordState) {
+	if i, ok := c.words.GetOrPut(a, uint64(len(c.states))); ok {
+		c.states[i] = w
+		return
+	}
+	c.states = append(c.states, w)
 }
 
 func (c *Checker) report(v Violation) {
@@ -311,7 +335,7 @@ func (c *Checker) ChunkOp(store bool, a mem.Addr, v uint64) {
 	}
 	// First read of the word: the witness memory as of this commit point
 	// must explain it.
-	if w := c.words[aa]; v != w.val {
+	if w := c.word(aa); v != w.val {
 		c.report(Violation{
 			Kind: KindCoherence, Proc: c.cur.proc, Order: c.cur.order, Addr: a,
 			Got: v, Want: w.val,
@@ -327,7 +351,7 @@ func (c *Checker) ChunkOp(store bool, a mem.Addr, v uint64) {
 // place.
 func (c *Checker) EndChunk() {
 	c.overlay.ForEach(func(a mem.Addr, v uint64) {
-		c.words[a] = wordState{val: v, order: c.cur.order, proc: c.cur.proc}
+		c.setWord(a, wordState{val: v, order: c.cur.order, proc: c.cur.proc})
 	})
 	c.overlay.Reset()
 	c.seen.Reset()
@@ -358,13 +382,13 @@ func (c *Checker) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, 
 	}
 
 	if store {
-		c.words[aa] = wordState{val: v, order: c.arrivals, proc: proc}
+		c.setWord(aa, wordState{val: v, order: c.arrivals, proc: proc})
 		return
 	}
 	if fwd {
 		return
 	}
-	if w := c.words[aa]; v != w.val {
+	if w := c.word(aa); v != w.val {
 		c.report(Violation{
 			Kind: KindCoherence, Proc: proc, Order: c.arrivals, Addr: a, Got: v, Want: w.val,
 			//lint:alloc violation-report formatting; runs only when an SC violation is detected

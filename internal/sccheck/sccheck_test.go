@@ -244,8 +244,13 @@ func TestViolationsIsACopy(t *testing.T) {
 // random processor interleaving, each chunk's loads observing exactly what
 // the witness semantics dictate.
 func genHistory(rng *rand.Rand, procs, chunksPerProc, opsPerChunk int) []*chunk.Chunk {
+	return genHistoryOver(rng, 16, procs, chunksPerProc, opsPerChunk)
+}
+
+// genHistoryOver is genHistory over nwords distinct words.
+func genHistoryOver(rng *rand.Rand, nwords, procs, chunksPerProc, opsPerChunk int) []*chunk.Chunk {
 	memory := make(map[mem.Addr]uint64)
-	addrs := make([]mem.Addr, 16)
+	addrs := make([]mem.Addr, nwords)
 	for i := range addrs {
 		addrs[i] = mem.Addr(0x1000 + 8*i)
 	}
@@ -376,4 +381,133 @@ func TestMutationAtomicityDetected(t *testing.T) {
 	if kinds(c)[KindAtomicity] == 0 {
 		t.Fatalf("seeded atomicity violation not flagged: %v", c.Strings())
 	}
+}
+
+// genAccesses builds a random conventional access stream over nwords
+// words: each load observes the last store to its word, except that about
+// one in bad loads observes a wrong value and about one in bad accesses
+// repeats its processor's program-order index.
+func genAccesses(rng *rand.Rand, nwords, procs, n, bad int) []accessRec {
+	memory := make(map[mem.Addr]uint64)
+	po := make([]uint64, procs)
+	out := make([]accessRec, 0, n)
+	for i := 0; i < n; i++ {
+		p := rng.Intn(procs)
+		if rng.Intn(bad) != 0 {
+			po[p]++
+		}
+		a := mem.Addr(0x4000 + 8*rng.Intn(nwords))
+		r := accessRec{proc: p, po: po[p], store: rng.Intn(3) == 0, addr: a}
+		if r.store {
+			r.val = rng.Uint64()%1000 + 1
+			memory[a] = r.val
+		} else if r.val = memory[a]; rng.Intn(bad) == 0 {
+			r.val++
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+type accessRec struct {
+	proc  int
+	po    uint64
+	store bool
+	addr  mem.Addr
+	val   uint64
+}
+
+// verdict is everything a run's WitnessHash folds: the audit counts and
+// the text of every retained violation.
+func verdict(c *Checker) string {
+	return fmt.Sprintf("%d chunks, %d accesses, total %d: %q", c.Chunks(), c.Accesses(), c.Total(), c.Strings())
+}
+
+// TestWarmResetMatchesCold grows a checker's witness memory far past its
+// first capacity, resets it, and audits histories that carry coherence
+// violations — whose text names the last store's processor and order, so
+// a stale or misindexed word state would show. The warm verdict must
+// equal a fresh checker's, for chunked and conventional executions.
+func TestWarmResetMatchesCold(t *testing.T) {
+	warm := New()
+	warm.MaxViolations = 1000
+	rng := rand.New(rand.NewSource(5))
+	for _, ch := range genHistoryOver(rng, 3000, 4, 30, 60) {
+		warm.CommitChunk(ch)
+	}
+	for _, a := range genAccesses(rng, 5000, 4, 8000, 50) {
+		warm.Access(a.proc, a.po, a.store, a.addr, a.val, false)
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		history := genHistoryOver(rng, 100+rng.Intn(400), 3, 10, 20)
+		for _, ch := range history {
+			for i := range ch.Log {
+				if !ch.Log[i].IsStore && rng.Intn(15) == 0 {
+					ch.Log[i].Value++
+				}
+			}
+		}
+		accesses := genAccesses(rng, 100+rng.Intn(400), 3, 2000, 40)
+		for _, shape := range []string{"chunks", "accesses"} {
+			cold := New()
+			warm.Reset()
+			for _, c := range []*Checker{cold, warm} {
+				c.MaxViolations = 1000
+				if shape == "chunks" {
+					for _, ch := range history {
+						c.CommitChunk(ch)
+					}
+					continue
+				}
+				for _, a := range accesses {
+					c.Access(a.proc, a.po, a.store, a.addr, a.val, false)
+				}
+			}
+			if cold.Ok() {
+				t.Fatalf("seed %d %s: no violation seeded", seed, shape)
+			}
+			if w, c := verdict(warm), verdict(cold); w != c {
+				t.Fatalf("seed %d %s: warm verdict\n%s\ncold verdict\n%s", seed, shape, w, c)
+			}
+		}
+	}
+}
+
+// BenchmarkWitness measures the checker's per-access cost over a
+// footprint of 4096 words, once for chunked executions and once for
+// conventional ones. An op is one audit of the whole history from a
+// reset checker; ns/access divides it by the accesses audited.
+func BenchmarkWitness(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	history := genHistoryOver(rng, 4096, 8, 250, 40)
+	accesses := genAccesses(rng, 4096, 8, 100000, 1<<30)
+	b.Run("chunks", func(b *testing.B) {
+		ops := 0
+		for _, ch := range history {
+			ops += len(ch.Log)
+		}
+		c := New()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Reset()
+			for _, ch := range history {
+				c.CommitChunk(ch)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/access")
+	})
+	b.Run("accesses", func(b *testing.B) {
+		c := New()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Reset()
+			for _, a := range accesses {
+				c.Access(a.proc, a.po, a.store, a.addr, a.val, false)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accesses)), "ns/access")
+	})
 }

@@ -269,6 +269,45 @@ func TestBuilderComputeCoalesces(t *testing.T) {
 	}
 }
 
+// TestBuilderLenCountsDynamic: the running count Len keeps equals a
+// recount of the emitted stream, compute blocks by their expansion, after
+// every kind of emit.
+func TestBuilderLenCountsDynamic(t *testing.T) {
+	b := NewBuilder(0, 4, 1)
+	recount := func() int {
+		n := 0
+		for _, in := range b.ins {
+			if in.Kind == OpCompute {
+				n += int(in.N)
+			} else {
+				n++
+			}
+		}
+		return n
+	}
+	emits := []func(){
+		func() { b.Load(mem.HeapAddr(8)) },
+		func() { b.Store(mem.HeapAddr(16)) },
+		func() { b.Compute(3) },
+		func() { b.Compute(0) },
+		func() { b.Acquire(1) },
+		func() { b.Release(1) },
+		func() { b.IO(20) },
+		func() { b.Barrier() },
+		func() { b.StackWork(9) },
+	}
+	for i := 0; i < 200; i++ {
+		emits[(i*7)%len(emits)]()
+		if got, want := b.Len(), recount(); got != want {
+			t.Fatalf("emit %d: Len() = %d, recount %d", i, got, want)
+		}
+	}
+	b.End()
+	if got, want := b.Len(), recount(); got != want {
+		t.Fatalf("after End: Len() = %d, recount %d", got, want)
+	}
+}
+
 func TestOpKindStrings(t *testing.T) {
 	if OpLoad.String() != "load" || OpBarrier.String() != "barrier" || OpEnd.String() != "end" {
 		t.Fatal("OpKind strings wrong")

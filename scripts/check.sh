@@ -3,7 +3,8 @@
 # passes), build, full tests, a fuzz-corpus smoke over the signature,
 # line-set, sharer-set, engine, history-reader, offline-checker,
 # sweepd-request and sweep-flag targets, one iteration of the engine,
-# L1-probe and history codec micro-benchmarks, and the race detector
+# L1-probe, history codec, SC-witness and determinism-hash
+# micro-benchmarks, and the race detector
 # over both the parallel sweep fan-out in experiments/ and the litmus ×
 # model × fault torture matrix.
 # Run from the repository root (or via `make check`).
@@ -69,11 +70,12 @@ go test ./...
 echo "== fuzz smoke (checked-in corpus as regression tests) =="
 go test -run 'Fuzz' ./internal/sig ./internal/lineset ./internal/sharerset ./internal/sim ./internal/history ./internal/history/gk ./internal/sweepsrv ./cmd/sweep
 
-# One iteration of each engine, L1-probe and history codec
-# micro-benchmark, so their setup (16k live events, 256 Table-2 L1s, two
-# exported radix histories) cannot rot unnoticed.
-echo "== engine / cache / history micro-benchmark smoke =="
-go test -run xxx -bench 'Engine|L1Probe|History' -benchtime 1x ./internal/sim ./internal/cache ./internal/history
+# One iteration of each engine, L1-probe, history codec, SC-witness and
+# determinism-hash micro-benchmark, so their setup (16k live events, 256
+# Table-2 L1s, two exported radix histories, random 4096-word witness
+# histories, a collected radix run) cannot rot unnoticed.
+echo "== engine / cache / history / witness / hash micro-benchmark smoke =="
+go test -run xxx -bench 'Engine|L1Probe|History|Witness|DeterminismHash' -benchtime 1x ./internal/sim ./internal/cache ./internal/history ./internal/sccheck ./internal/core
 
 echo "== 256-proc scaling smoke =="
 go test -run 'TestBigMachineRadixSmoke|TestBigMachineRadixRecycleSmoke' ./internal/core
