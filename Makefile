@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check check-fast lint fmt vet build test race bench bench-json perfdiff golden clean serve loadtest profile
+.PHONY: check check-fast lint fmt vet build test race bench perfsnap perfdiff golden clean serve profile
 
 check: ## full PR gate: format, vet, simlint, build, tests, fuzz-corpus smoke, race on the sweep fan-out + torture matrix
 	./scripts/check.sh
@@ -44,27 +44,24 @@ race:
 serve:
 	$(GO) run ./cmd/sweepd -addr 127.0.0.1:8356
 
-# Seeded load harness against an in-process server; JSON report on stdout.
-loadtest:
-	$(GO) run ./cmd/sweepd -loadtest
-
 # Headline + micro benchmarks (human-readable).
 bench:
 	$(GO) test -run xxx -bench 'Fig9' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim ./internal/sig ./internal/chunk
 
-# Machine-readable perf snapshot tracked across PRs.
-bench-json:
-	$(GO) run ./cmd/bench2json -o BENCH_core.json
+# The performance record: every perfbench workload on seeds 1-10, fig9-8p
+# traced, and the engine and Bloom micros at -count 10 (about 20-25
+# minutes), written to BENCH_core.json. Write BENCH_core_baseline.json
+# with scripts/perfsnap.sh in a checkout of the parent commit, back to
+# back with this, on the same host.
+perfsnap:
+	./scripts/perfsnap.sh BENCH_core.json
 
-# Regression-gate the current machine's numbers against the checked-in
-# snapshot: regenerate to a scratch file and diff (fails on >15% ns/op or
-# >25% allocs/op growth in the fig9 sweeps or any micro). Override the
-# baseline with PERFDIFF_BASE=path.
-PERFDIFF_BASE ?= BENCH_core.json
+# The perf gate on the checked-in pair (scripts/check.sh runs it too):
+# fails when a median worsens past max(its bound, the baseline's
+# IQR/median), a failed share rises, or warm/cold exceeds 1.05.
 perfdiff:
-	$(GO) run ./cmd/bench2json -o /tmp/bulksc-bench-current.json
-	./scripts/perfdiff.sh $(PERFDIFF_BASE) /tmp/bulksc-bench-current.json
+	./scripts/perfdiff.sh BENCH_core_baseline.json BENCH_core.json
 
 # CPU-profile the headline sweep: one cold Fig9 pass under -cpuprofile,
 # then the flat top-10. EXPERIMENTS.md ("Profiling the hot path") holds

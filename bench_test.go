@@ -26,9 +26,9 @@ func benchParams() experiments.Params {
 
 // BenchmarkFig9 regenerates Figure 9 and reports the SPLASH-2 geometric
 // means (performance normalized to RC) for the headline configurations.
-// It runs COLD — a fresh machine per cell — so its numbers stay comparable
-// with historical BENCH_core.json baselines; BenchmarkFig9Warm measures
-// the same sweep with per-worker machine reuse.
+// It runs COLD — a fresh machine per cell — as the reference for
+// BenchmarkFig9Warm, which measures the same sweep with per-worker machine
+// reuse.
 func BenchmarkFig9(b *testing.B) {
 	p := benchParams()
 	p.Cold = true

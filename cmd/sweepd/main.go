@@ -10,7 +10,6 @@
 // Usage:
 //
 //	sweepd -addr :8356 -workers 4 -queue 32
-//	sweepd -loadtest -requests 64 -concurrency 8   # seeded load harness
 //
 // API (see DESIGN.md §15 and EXPERIMENTS.md for curl recipes):
 //
@@ -28,16 +27,13 @@
 // bounds the drain; past it, running jobs are canceled at their next cell
 // boundary.
 //
-// The -loadtest mode boots the same server in-process on a loopback
-// listener, fires a fixed-seed request mix at it (-requests total, at
-// -concurrency) and reports p50/p95/p99 latency, throughput and the
-// cache-hit rate as JSON on stdout; cmd/bench2json records the same
-// harness's numbers as a baseline row in BENCH_core.json.
+// Load is measured by perfbench's open-loop sweepd-open workload, which
+// drives an in-process server over real HTTP; scripts/perfsnap.sh records
+// its latency percentiles.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -53,9 +49,8 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the testable entry point: parse flags, then either serve until a
-// termination signal (returning 0 after a clean drain) or run the load
-// harness.
+// run is the testable entry point: parse flags, then serve until a
+// termination signal (returning 0 after a clean drain).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -67,12 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxWork = fs.Int("max-work", 500_000, "per-thread instruction cap per request (0 = uncapped)")
 		retain  = fs.Int("retain", 1024, "finished jobs kept addressable via /result and /stream")
 		drain   = fs.Int("drain-timeout", 60, "seconds to drain running jobs on shutdown before canceling them")
-
-		loadtest    = fs.Bool("loadtest", false, "run the seeded load harness against an in-process server and print a JSON report")
-		requests    = fs.Int("requests", 32, "loadtest: total requests")
-		concurrency = fs.Int("concurrency", 4, "loadtest: client goroutines")
-		seed        = fs.Int64("seed", 1, "loadtest: request-mix seed")
-		work        = fs.Int("work", 2000, "loadtest: per-thread instructions per generated job")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,26 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CacheEntries: *cache,
 		MaxWork:      *maxWork,
 		RetainJobs:   *retain,
-	}
-
-	if *loadtest {
-		rep, err := sweepsrv.RunLoadTest(sweepsrv.LoadOptions{
-			Requests:    *requests,
-			Concurrency: *concurrency,
-			Seed:        *seed,
-			Work:        *work,
-			Server:      cfg,
-		})
-		if rep != nil {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			enc.Encode(rep)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
-		}
-		return 0
 	}
 
 	// Route termination signals BEFORE announcing the address: the listen

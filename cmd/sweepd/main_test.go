@@ -144,28 +144,6 @@ func TestSIGTERMGracefulExit(t *testing.T) {
 	}
 }
 
-// TestLoadtestFlag runs the in-process load harness through the real flag
-// surface and checks the JSON report on stdout.
-func TestLoadtestFlag(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	code := run([]string{"-loadtest", "-requests", "6", "-concurrency", "2", "-work", "800", "-seed", "5"}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("run -loadtest = %d, stderr: %s", code, errBuf.String())
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("loadtest stdout is not JSON: %v\n%s", err, out.String())
-	}
-	if rep["requests"] != float64(6) || rep["completed"] != float64(6) {
-		t.Fatalf("report %v: want 6 requests, 6 completed", rep)
-	}
-	for _, field := range []string{"p50_ms", "p95_ms", "p99_ms", "throughput_rps", "cache_hit_rate", "server_metrics"} {
-		if _, ok := rep[field]; !ok {
-			t.Errorf("report missing %q", field)
-		}
-	}
-}
-
 // TestBadFlags: flag errors exit 2 without touching the network.
 func TestBadFlags(t *testing.T) {
 	var out, errBuf bytes.Buffer

@@ -355,7 +355,7 @@ func Fig9(p Params) ([]Fig9Row, error) {
 // ratio divides with a zero-denominator guard: degenerate cells (a run
 // that retired in zero cycles, a baseline with no traffic) report 0
 // rather than NaN/Inf, which encoding/json refuses to marshal — NaN in
-// any row breaks cmd/bench2json outright.
+// any row breaks a sweepd result outright.
 func ratio(num, den float64) float64 {
 	if den == 0 {
 		return 0

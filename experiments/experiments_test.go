@@ -257,7 +257,7 @@ func TestScalingRejectsOversizedMachine(t *testing.T) {
 // no commit requests from remote conflicts), so every per-X ratio in the
 // scaling and ablation tables hits a zero denominator somewhere. All
 // float metrics must stay finite — encoding/json refuses to marshal NaN
-// or Inf, so one degenerate cell would break cmd/bench2json outright.
+// or Inf, so one degenerate cell would break a sweepd result outright.
 func TestDegenerateRatiosFinite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")

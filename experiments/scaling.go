@@ -43,8 +43,8 @@ type ScalingPoint struct {
 	// loop took and EventsPerSec its event throughput (engine events
 	// dispatched / wall seconds) — the simulator-cost axis of the curve,
 	// which is what a scheduling or commit fan-out rewrite actually
-	// moves. Host measurements: machine-dependent like every wall number
-	// in BENCH_core.json, and never part of simulated state.
+	// moves. Host measurements: machine-dependent, and never part of
+	// simulated state.
 	WallMs       float64
 	EventsPerSec float64
 }

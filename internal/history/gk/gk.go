@@ -112,9 +112,11 @@ func Search(h *history.History, maxStates int) ([]Step, error) {
 		maxStates = DefaultMaxStates
 	}
 
-	// Build the per-processor unit lists in program order. File order is
-	// program order within one processor for both shapes (Seq and PO are
-	// additionally checked by Check, not trusted here).
+	// Build the per-processor unit lists in program order. Chunk records
+	// are written in each processor's commit order, which is its program
+	// order. Access records are written when an access performs, so a
+	// load may precede an older buffered store in the file: accesses are
+	// ordered by PO (stable, so duplicate PO values keep file order).
 	perProc := map[int][]unit{}
 	var procIDs []int
 	addUnit := func(proc int, u unit) {
@@ -126,6 +128,7 @@ func Search(h *history.History, maxStates int) ([]Step, error) {
 	for i := range h.Chunks {
 		addUnit(h.Chunks[i].Proc, unit{ops: h.Chunks[i].Ops})
 	}
+	accs := make([]*history.AccessRec, 0, len(h.Accesses))
 	for i := range h.Accesses {
 		ac := &h.Accesses[i]
 		if !ac.Store && ac.Fwd {
@@ -133,6 +136,10 @@ func Search(h *history.History, maxStates int) ([]Step, error) {
 			// obligation; as a search unit it constrains nothing.
 			continue
 		}
+		accs = append(accs, ac)
+	}
+	sort.SliceStable(accs, func(i, j int) bool { return accs[i].PO < accs[j].PO })
+	for _, ac := range accs {
 		addUnit(ac.Proc, unit{ops: []history.Op{{Store: ac.Store, Addr: ac.Addr, Val: ac.Val}}})
 	}
 	sort.Ints(procIDs)

@@ -193,6 +193,22 @@ func TestSearchForbiddenSB(t *testing.T) {
 	}
 }
 
+func TestSearchFollowsProgramOrder(t *testing.T) {
+	// Store buffering as an RC machine exports it: proc 0's load performs
+	// before its older buffered store, so the load's record comes first.
+	// Taken in file order the history serializes (proc 0 loads, proc 1
+	// runs, proc 0 stores); in program order it is SB's forbidden outcome.
+	h := &history.History{Accesses: []history.AccessRec{
+		{Proc: 0, PO: 2, Store: false, Addr: 8, Val: 0},
+		{Proc: 1, PO: 1, Store: true, Addr: 8, Val: 1},
+		{Proc: 1, PO: 2, Store: false, Addr: 0, Val: 0},
+		{Proc: 0, PO: 1, Store: true, Addr: 0, Val: 1},
+	}}
+	if _, err := Search(h, 0); !errors.Is(err, ErrNotSerializable) {
+		t.Fatalf("Search = %v, want ErrNotSerializable", err)
+	}
+}
+
 func TestSearchChunksIgnoresClaimedOrder(t *testing.T) {
 	// The claimed orders are garbage (all zero), but SOME serialization
 	// exists; Search must find it while Check rejects the claim.

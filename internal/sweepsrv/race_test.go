@@ -53,6 +53,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		req     Request
 		hash    string
 		status  string
+		hit     bool
 		retried int
 		err     error
 	}
@@ -75,7 +76,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	close(next)
 	wg.Wait()
 
-	var retried int
+	var retried, hits int
 	hashes := map[string]map[string]bool{} // key -> set of observed job hashes
 	for i, oc := range outcomes {
 		if oc.err != nil {
@@ -85,6 +86,9 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			t.Fatalf("submission %d (%+v) ended %q, want done", i, schedule[i], oc.status)
 		}
 		retried += oc.retried
+		if oc.hit {
+			hits++
+		}
 		key, err := oc.req.Key()
 		if err != nil {
 			t.Fatal(err)
@@ -130,14 +134,19 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		}
 	}
 
-	// The metrics must reconcile: every submission either completed or was
-	// answered from the cache, and the queue is empty again.
+	// The metrics must reconcile with what the clients saw: every
+	// submission either completed or was answered from the cache, the
+	// server's cache-hit and queue-full counts equal the clients', and the
+	// queue is empty again.
 	m := getMetrics(t, ts.URL)
 	if got := m.Completed; got != uint64(len(schedule)) {
 		t.Errorf("completed = %d, want %d (every accepted job terminates)", got, len(schedule))
 	}
 	if m.ServedFromCache == 0 {
 		t.Error("no cache hits across duplicate submissions — content addressing is dead under load")
+	}
+	if m.ServedFromCache != uint64(hits) {
+		t.Errorf("server counted %d cache hits, clients observed %d", m.ServedFromCache, hits)
 	}
 	if m.QueueDepth != 0 {
 		t.Errorf("queue depth %d after the soak, want 0", m.QueueDepth)
@@ -153,6 +162,7 @@ func runOne(client *http.Client, base string, req Request) (oc struct {
 	req     Request
 	hash    string
 	status  string
+	hit     bool
 	retried int
 	err     error
 }) {
@@ -191,6 +201,7 @@ func runOne(client *http.Client, base string, req Request) (oc struct {
 		}
 		break
 	}
+	oc.hit = sub.Cache == "hit"
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := client.Get(base + "/result/" + sub.ID)

@@ -4,9 +4,13 @@
 # line-set, sharer-set, engine, history-reader, offline-checker,
 # sweepd-request and sweep-flag targets, one iteration of the engine,
 # L1-probe, history codec, SC-witness and determinism-hash
-# micro-benchmarks, and the race detector
-# over both the parallel sweep fan-out in experiments/ and the litmus ×
-# model × fault torture matrix.
+# micro-benchmarks, the perfbench workloads in short mode, the perf gate
+# (scripts/perfdiff.sh on the checked-in snapshot pair
+# BENCH_core_baseline.json → BENCH_core.json, both written by
+# scripts/perfsnap.sh on one host, after proving that perfdiff rejects
+# three doctored copies of the snapshot), and the race detector over
+# both the parallel sweep fan-out in experiments/ and the litmus × model
+# × fault torture matrix.
 # Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
@@ -14,13 +18,6 @@
 #   -fast  skip the race-detector passes (the slowest stages); everything
 #          else — including simlint — still runs. For quick local
 #          iteration; CI runs the full gate.
-#
-# Opt-in perf gate: set PERFDIFF_BASE to a baseline BENCH_core.json to
-# compare the checked-in snapshot against it with scripts/perfdiff.sh
-# (fails on a >15% ns/op or >25% allocs/op regression in the fig9 sweeps
-# or the micro-benchmarks). Off by default because benchmark numbers are
-# machine-dependent; run on a quiet box — or use `make perfdiff` — when a
-# PR touches performance.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -102,17 +99,38 @@ fi
 echo "== litmus enumeration smoke (exhaustive, POR) =="
 go test -run 'TestForbiddenUnreachable|TestRCExhibitsSB' ./internal/history/explore
 
-# sweepd service smoke: the seeded load harness against an in-process
-# server (real HTTP, warm worker pool, content-addressed cache). The
-# harness itself fails the run if any request fails, hangs, or the
-# client-side and server-side counters disagree.
-echo "== sweepd load-test smoke =="
-go run ./cmd/sweepd -loadtest -requests 8 -concurrency 2 -work 800 >/dev/null
+# The benchmark's own tests: every perfbench workload in short mode,
+# including sweepd-open's open-loop generator against an in-process
+# sweepd (real HTTP, warm worker pool, content-addressed cache) with its
+# cache-hit and server-counter reconciliations.
+echo "== perfbench workloads (short mode) =="
+(cd perfbench && go test ./...)
 
-if [ "${PERFDIFF_BASE:-}" != "" ]; then
-    echo "== perfdiff vs $PERFDIFF_BASE =="
-    ./scripts/perfdiff.sh "$PERFDIFF_BASE" BENCH_core.json
-fi
+# The perf gate's own negative check, in the pattern of the corrupted
+# history above: a copy of the snapshot with warm/cold at 1.0 must pass
+# against itself, and each of three doctored copies of it must fail —
+# one median just past its bound, warm/cold at 1.06, one extra failed
+# operation.
+echo "== perfdiff rejects doctored snapshots =="
+jq '.traced.metrics["core.warm_over_cold"].median = 1' BENCH_core.json >"$tracedir/ok.json"
+./scripts/perfdiff.sh "$tracedir/ok.json" "$tracedir/ok.json" >/dev/null
+bound=$(jq '.end_to_end[] | select(.name == "cpu_ms_per_op") | .bound' BENCHMARK.json)
+jq --argjson b "$bound" '.workloads["fig9-8p"].metrics.cpu_ms_per_op |=
+    (.median *= (1 + ([$b, (.q3 - .q1) / .median] | max)) * 1.01)' \
+    "$tracedir/ok.json" >"$tracedir/slow.json"
+jq '.traced.metrics["core.warm_over_cold"].median = 1.06' "$tracedir/ok.json" >"$tracedir/warm.json"
+jq '.workloads["sweepd-open"].failed += 1' "$tracedir/ok.json" >"$tracedir/failed.json"
+for doctored in slow warm failed; do
+    status=0
+    ./scripts/perfdiff.sh "$tracedir/ok.json" "$tracedir/$doctored.json" >/dev/null 2>&1 || status=$?
+    if [ "$status" != 1 ]; then
+        echo "perfdiff exited $status on the doctored snapshot $doctored.json, want 1" >&2
+        exit 1
+    fi
+done
+
+echo "== perfdiff BENCH_core_baseline.json -> BENCH_core.json =="
+./scripts/perfdiff.sh BENCH_core_baseline.json BENCH_core.json
 
 if [ "$fast" = 1 ]; then
     echo "check: green (-fast: race passes skipped)"
@@ -132,8 +150,8 @@ go test -race -run 'TestLitmusTortureMatrix|TestLitmusTorture64Proc|TestRCRelaxa
 
 # The sweepd service under the race detector WITHOUT -short: includes the
 # concurrent mixed-config soak (warm-pool cross-contamination tripwire
-# against cold goldens), the graceful-shutdown drains, the SIGTERM
-# subprocess test and the full load harness.
+# against cold goldens) with its client/server counter reconciliation,
+# the graceful-shutdown drains and the SIGTERM subprocess test.
 echo "== go test -race ./internal/sweepsrv ./cmd/sweepd (service soak) =="
 go test -race -count=1 ./internal/sweepsrv ./cmd/sweepd
 

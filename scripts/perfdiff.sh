@@ -1,127 +1,87 @@
 #!/bin/sh
-# Compare two BENCH_core.json snapshots (see cmd/bench2json) and fail on a
-# performance regression: any tracked entry whose ns_per_op grew by more
-# than 15% or whose allocs_per_op grew by more than 25% over the baseline.
+# Compare two performance snapshots written by scripts/perfsnap.sh and fail
+# on a regression.
 #
-# Usage: scripts/perfdiff.sh BASELINE.json CURRENT.json
+# Usage: scripts/perfdiff.sh BASE CUR
 #
-# Tracked entries: the cold Fig9 sweep ("fig9"), the warm Fig9 sweep
-# ("fig9_warm", skipped with a note when the baseline predates warm reuse
-# and lacks the entry), and every micro-benchmark present in both files
-# (matched by name). Entries only in one file are reported but never fail
-# the diff — the schema is allowed to grow.
+# A metric fails when its median in CUR is worse than in BASE by more than
+# max(its bound, BASE's IQR/median for it). The bounds:
 #
-# Typical use:
+#   end-to-end metrics, every workload    BENCHMARK.json's bound
+#   runtime.alloc_mb_per_minstr (traced)  25%
+#   micro-benchmarks                      15% on ns/op, 25% on allocs/op
 #
-#	cp BENCH_core.json /tmp/base.json       # or: git show HEAD~1:BENCH_core.json
-#	go run ./cmd/bench2json -o BENCH_core.json
-#	scripts/perfdiff.sh /tmp/base.json BENCH_core.json
+# Also failing: a rise in any workload's failed-operation share, a CUR
+# output that is not correct, core.warm_over_cold's median in CUR above
+# 1.05 (a warm sweep reuses every arena, so it must not run slower than
+# cold construction), and a workload, metric or micro of BASE missing
+# from CUR.
 #
-# Wired into the gate as an opt-in stage: PERFDIFF_BASE=base.json
-# scripts/check.sh, or `make perfdiff` against the checked-in file.
+# Exit status: 0 within bounds, 1 regression, 2 usage error, unreadable
+# snapshot, or snapshots from different hosts (their timings do not
+# compare).
 set -eu
 
-NS_TOL=15    # % allowed ns_per_op growth
-ALLOC_TOL=25 # % allowed allocs_per_op growth
-
 if [ "$#" -ne 2 ]; then
-    echo "usage: scripts/perfdiff.sh BASELINE.json CURRENT.json" >&2
+    echo "usage: scripts/perfdiff.sh BASE CUR" >&2
     exit 2
 fi
 base=$1
 cur=$2
-for f in "$base" "$cur"; do
-    if [ ! -f "$f" ]; then
-        echo "perfdiff: no such file: $f" >&2
+bench="$(dirname "$0")/../BENCHMARK.json"
+for f in "$base" "$cur" "$bench"; do
+    if ! jq -e 'type == "object"' "$f" >/dev/null 2>&1; then
+        echo "perfdiff: not a JSON object: $f" >&2
         exit 2
     fi
 done
 
-fail=0
-
-# compare NAME BASE_NS BASE_ALLOCS CUR_NS CUR_ALLOCS
-compare() {
-    name=$1 bns=$2 balloc=$3 cns=$4 calloc=$5
-    # Growth in percent, integer-rounded; awk handles the floats.
-    verdict=$(awk -v bns="$bns" -v cns="$cns" -v ba="$balloc" -v ca="$calloc" \
-        -v nst="$NS_TOL" -v at="$ALLOC_TOL" 'BEGIN {
-        nsg = (bns > 0) ? (cns - bns) / bns * 100 : 0
-        ag  = (ba  > 0) ? (ca  - ba)  / ba  * 100 : (ca > 0 ? 1e9 : 0)
-        bad = (nsg > nst || ag > at) ? "FAIL" : "ok"
-        printf "%s ns %+.1f%% allocs %+.1f%%", bad, nsg, ag
-    }')
-    case "$verdict" in
-    FAIL*) fail=1 ;;
-    esac
-    printf '  %-28s %s\n' "$name" "$verdict"
-}
-
-echo "perfdiff: $base -> $cur (fail: ns_per_op +${NS_TOL}%, allocs_per_op +${ALLOC_TOL}%)"
-
-# Headline sweeps.
-compare fig9 \
-    "$(jq -r '.fig9.ns_per_op' "$base")" "$(jq -r '.fig9.allocs_per_op' "$base")" \
-    "$(jq -r '.fig9.ns_per_op' "$cur")" "$(jq -r '.fig9.allocs_per_op' "$cur")"
-
-if [ "$(jq -r 'has("fig9_warm")' "$base")" = true ] && [ "$(jq -r 'has("fig9_warm")' "$cur")" = true ]; then
-    compare fig9_warm \
-        "$(jq -r '.fig9_warm.ns_per_op' "$base")" "$(jq -r '.fig9_warm.allocs_per_op' "$base")" \
-        "$(jq -r '.fig9_warm.ns_per_op' "$cur")" "$(jq -r '.fig9_warm.allocs_per_op' "$cur")"
-else
-    echo "  fig9_warm                    skipped (entry missing from baseline or current; pre-warm-reuse snapshot)"
+if ! jq -e -n --slurpfile b "$base" --slurpfile c "$cur" \
+    '$b[0].host != null and $b[0].host == $c[0].host' >/dev/null; then
+    echo "perfdiff: host fingerprints differ: $(jq -c .host "$base") vs $(jq -c .host "$cur")" >&2
+    exit 2
 fi
 
-# Warm-reuse sanity within the CURRENT snapshot: a warm sweep reuses every
-# machine arena, so it must not run slower than cold construction. Guarded
-# to 5% so scheduler noise on a loaded box cannot flip it, but a genuine
-# warm-path regression (stale-capacity re-walks, pool indirection) fails.
-WARM_TOL=5 # % allowed warm-over-cold ns excess in the current snapshot
-if [ "$(jq -r 'has("fig9_warm")' "$cur")" = true ]; then
-    verdict=$(awk \
-        -v c="$(jq -r '.fig9.ns_per_op' "$cur")" \
-        -v w="$(jq -r '.fig9_warm.ns_per_op' "$cur")" \
-        -v t="$WARM_TOL" 'BEGIN {
-        r = (c > 0) ? w / c : 0
-        printf "%s warm/cold %.3f (limit %.2f)", (r > 1 + t / 100) ? "FAIL" : "ok", r, 1 + t / 100
-    }')
-    case "$verdict" in
-    FAIL*) fail=1 ;;
-    esac
-    printf '  %-28s %s\n' "fig9 warm<=cold" "$verdict"
-fi
+report=$(jq -n -r --slurpfile b "$base" --slurpfile c "$cur" --slurpfile bench "$bench" '
+def pct: . * 1000 | round / 10 | tostring + "%";
+# cmp(name; base summary; cur summary; bound; better) checks one median.
+def cmp($name; $b; $c; $bound; $better):
+  if $c == null then "FAIL \($name): missing from current"
+  else
+    ([$bound, (if $b.median != 0 then ($b.q3 - $b.q1) / $b.median else 0 end)] | max) as $lim |
+    (if $b.median != 0 then ($c.median - $b.median) / $b.median
+     elif $c.median == 0 then 0 else 1e9 end) as $d |
+    (if $better == "higher" then -$d else $d end) as $worse |
+    "\(if $worse > $lim then "FAIL" else "ok  " end) \($name): \($b.median) -> \($c.median) (\($d | pct), limit \($lim | pct))"
+  end;
+# share(name; base counts; cur counts) fails on a rise in failed share.
+def share($name; $b; $c):
+  if $c == null then "FAIL \($name): missing from current"
+  else
+    "\(if $c.failed * $b.attempted > $b.failed * $c.attempted or ($c.correct | not)
+       then "FAIL" else "ok  " end) \($name) failed: \($b.failed)/\($b.attempted) -> \($c.failed)/\($c.attempted), correct \($c.correct)"
+  end;
 
-# The 256-proc scaling cell's simulator wall time — the big-machine cost
-# the commit fan-out work targets. Same ns tolerance as the sweeps; the
-# row is skipped when either snapshot predates per-cell wall times.
-bwall=$(jq -r '(.scaling // []) | map(select(.procs == 256)) | (.[0].wall_ms // empty)' "$base")
-cwall=$(jq -r '(.scaling // []) | map(select(.procs == 256)) | (.[0].wall_ms // empty)' "$cur")
-if [ -n "$bwall" ] && [ -n "$cwall" ]; then
-    compare scaling_256_wall_ms "$bwall" 0 "$cwall" 0
-else
-    echo "  scaling_256_wall_ms          skipped (per-cell wall time missing from baseline or current)"
-fi
-
-# Micros, matched by name; entries present in only one file are noted.
-for name in $(jq -r '.micro[].name' "$cur"); do
-    bent=$(jq -c --arg n "$name" '.micro[] | select(.name == $n)' "$base")
-    if [ -z "$bent" ]; then
-        echo "  $name: new in current (no baseline entry)"
-        continue
-    fi
-    compare "$name" \
-        "$(printf '%s' "$bent" | jq -r '.ns_per_op')" \
-        "$(printf '%s' "$bent" | jq -r '.allocs_per_op')" \
-        "$(jq -r --arg n "$name" '.micro[] | select(.name == $n) | .ns_per_op' "$cur")" \
-        "$(jq -r --arg n "$name" '.micro[] | select(.name == $n) | .allocs_per_op' "$cur")"
-done
-for name in $(jq -r '.micro[].name' "$base"); do
-    if [ -z "$(jq -r --arg n "$name" '.micro[] | select(.name == $n) | .name' "$cur")" ]; then
-        echo "  $name: dropped from current (baseline-only entry)"
-    fi
-done
-
-if [ "$fail" = 1 ]; then
-    echo "perfdiff: REGRESSION past thresholds" >&2
+$b[0] as $B | $c[0] as $C |
+($bench[0].end_to_end | map({key: .name, value: .}) | from_entries) as $e2e |
+"perfdiff: \($B.commit[0:12]) -> \($C.commit[0:12]) on \($C.host | tostring)",
+($B.workloads | keys[] as $w |
+  share($w; $B.workloads[$w]; $C.workloads[$w]),
+  ($B.workloads[$w].metrics | keys[] | select($e2e[.]) as $m |
+    cmp("\($w) \($m)"; $B.workloads[$w].metrics[$m]; $C.workloads[$w].metrics[$m];
+        $e2e[$m].bound; $e2e[$m].better))),
+share("traced \($B.traced.workload)"; $B.traced; $C.traced),
+cmp("traced runtime.alloc_mb_per_minstr"; $B.traced.metrics["runtime.alloc_mb_per_minstr"];
+    $C.traced.metrics["runtime.alloc_mb_per_minstr"]; 0.25; "lower"),
+($C.traced.metrics["core.warm_over_cold"].median as $r |
+  "\(if $r == null or $r > 1.05 then "FAIL" else "ok  " end) traced core.warm_over_cold: \($r) (limit 1.05)"),
+($B.micro | keys[] as $m |
+  cmp("\($m) ns/op"; $B.micro[$m].ns_per_op; $C.micro[$m].ns_per_op; 0.15; "lower"),
+  cmp("\($m) allocs/op"; $B.micro[$m].allocs_per_op; $C.micro[$m].allocs_per_op; 0.25; "lower"))
+')
+echo "$report"
+if echo "$report" | grep -q '^FAIL'; then
+    echo "perfdiff: REGRESSION past bounds" >&2
     exit 1
 fi
-echo "perfdiff: within thresholds"
+echo "perfdiff: within bounds"
