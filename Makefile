@@ -63,10 +63,10 @@ perfsnap:
 perfdiff:
 	./scripts/perfdiff.sh BENCH_core_baseline.json BENCH_core.json
 
-# CPU-profile the headline sweep: one cold Fig9 pass under -cpuprofile,
-# then the flat top-10. EXPERIMENTS.md ("Profiling the hot path") holds
-# the committed table; refresh it from this output after hot-path work.
-# PROFILE_BENCH=BenchmarkFig9Warm profiles the warm-reuse mode instead.
+# CPU-profile the headline sweep: one Fig9 pass under -cpuprofile, then
+# the flat top-10. EXPERIMENTS.md ("Profiling the hot path") holds the
+# committed table; refresh it from this output after hot-path work.
+# PROFILE_BENCH names another root benchmark to profile instead.
 # The test binary and profile go to a fresh temp directory, printed at the
 # end, never to the repository root.
 PROFILE_BENCH ?= BenchmarkFig9

@@ -26,14 +26,12 @@ func benchParams() experiments.Params {
 
 // BenchmarkFig9 regenerates Figure 9 and reports the SPLASH-2 geometric
 // means (performance normalized to RC) for the headline configurations.
-// It runs COLD — a fresh machine per cell — as the reference for
-// BenchmarkFig9Warm, which measures the same sweep with per-worker machine
-// reuse.
+// Its allocs/op and bytes/op are those of a warm sweep: one reused machine
+// per worker and memoized workload generation.
 func BenchmarkFig9(b *testing.B) {
-	p := benchParams()
-	p.Cold = true
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(p)
+		rows, err := experiments.Fig9(benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,21 +45,6 @@ func BenchmarkFig9(b *testing.B) {
 		if i == 0 {
 			b.Logf("\n%s", experiments.FormatFig9(rows))
 		}
-	}
-}
-
-// BenchmarkFig9Warm is BenchmarkFig9 with the default warm execution: one
-// reused machine per worker and memoized workload generation. The ratio of
-// its allocs/op and bytes/op to BenchmarkFig9's is the warm-reuse win.
-func BenchmarkFig9Warm(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		gm := experiments.Fig9GeoMeanRow(rows)
-		b.ReportMetric(gm.Speedup["dypvt"], "BSCdypvt/RC")
 	}
 }
 

@@ -1,6 +1,8 @@
 // Command report runs the full evaluation sweep and emits a markdown
 // report comparing this reproduction against the paper, table by table and
-// figure by figure — the generator behind EXPERIMENTS.md.
+// figure by figure — the generator behind EXPERIMENTS.md. Each section is
+// one experiments.Catalog entry, run with the catalog's defaults and
+// titled with its heading, so the report and `sweep -exp` agree.
 //
 // Usage:
 //
@@ -10,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"bulksc/experiments"
 )
@@ -21,75 +25,42 @@ func main() {
 		seed = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-	p := experiments.Params{Work: *work, Seed: *seed}
-
-	fmt.Printf("# BulkSC reproduction — measured results\n\n")
-	fmt.Printf("Generated by `go run ./cmd/report -work %d -seed %d`.\n", *work, *seed)
-	fmt.Printf("8 processors, 1000-instruction chunks, 2 Kbit signatures, warmup 30%% excluded.\n\n")
-
-	fig9, err := experiments.Fig9(p)
-	fail(err)
-	fmt.Println("## Figure 9 — performance normalized to RC")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFig9(fig9))
-	fmt.Println("```")
-	fmt.Println()
-
-	fig10, err := experiments.Fig10(p)
-	fail(err)
-	fmt.Println("## Figure 10 — BSC_dypvt chunk-size sensitivity (vs RC)")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFig10(fig10))
-	fmt.Println("```")
-	fmt.Println()
-
-	t3, err := experiments.Table3(p)
-	fail(err)
-	fmt.Println("## Table 3 — BulkSC characterization")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatTable3(t3))
-	fmt.Println("```")
-	fmt.Println()
-
-	t4, err := experiments.Table4(p)
-	fail(err)
-	fmt.Println("## Table 4 — commit and coherence operations (BSC_dypvt)")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatTable4(t4))
-	fmt.Println("```")
-	fmt.Println()
-
-	fig11, err := experiments.Fig11(p)
-	fail(err)
-	fmt.Println("## Figure 11 — interconnect traffic normalized to RC")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFig11(fig11))
-	fmt.Println("```")
-	fmt.Println()
-
-	counts := []int{1, 2, 4}
-	arb, err := experiments.ArbScale(p, 16, counts)
-	fail(err)
-	fmt.Println("## §4.2.3 extension — distributed arbiter at 16 cores")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatArbScale(arb, counts))
-	fmt.Println("```")
-	fmt.Println()
-
-	fmt.Println("## Shape verdicts — paper claims vs this reproduction")
-	fmt.Println()
-	fmt.Print(experiments.FormatShapeChecks(experiments.CheckShapes(fig9, t3, t4, fig11)))
-}
-
-func fail(err error) {
-	if err != nil {
+	if err := report(os.Stdout, experiments.Params{Work: *work, Seed: *seed}); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
 	}
+}
+
+// sections names the catalog experiments of the report, in order.
+var sections = []string{"fig9", "fig10", "table3", "table4", "fig11", "arbiters"}
+
+// report runs every section on p and writes the markdown report to w,
+// ending with the shape verdicts taken from the sections' typed rows.
+func report(w io.Writer, p experiments.Params) error {
+	fmt.Fprintf(w, "# BulkSC reproduction — measured results\n\n")
+	fmt.Fprintf(w, "Generated by `go run ./cmd/report -work %d -seed %d`.\n", p.Work, p.Seed)
+	fmt.Fprintf(w, "8 processors, 1000-instruction chunks, 2 Kbit signatures, warmup 30%% excluded.\n\n")
+	rows := make(map[string]any)
+	for _, name := range sections {
+		e, _ := experiments.Lookup(name)
+		in, err := e.Resolve(experiments.Inputs{Params: p})
+		if err != nil {
+			return err
+		}
+		var table string
+		if rows[name], table, err = e.Run(in); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", sectionTitle(e, in), table)
+	}
+	fmt.Fprint(w, "## Shape verdicts — paper claims vs this reproduction\n\n")
+	fmt.Fprint(w, experiments.FormatShapeChecks(experiments.CheckShapes(
+		rows["fig9"].([]experiments.Fig9Row), rows["table3"].([]experiments.Table3Row),
+		rows["table4"].([]experiments.Table4Row), rows["fig11"].([]experiments.Fig11Row))))
+	return nil
+}
+
+// sectionTitle is the catalog heading without its "=== … ===" frame.
+func sectionTitle(e experiments.Experiment, in experiments.Inputs) string {
+	return strings.Trim(e.Title(in), "= ")
 }

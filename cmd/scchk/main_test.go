@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bulksc"
 	"bulksc/internal/history"
 )
 
@@ -176,5 +177,43 @@ func TestPipeInputUnsized(t *testing.T) {
 	defer w.Close()
 	if in := sized(r); in != io.ReadCloser(r) {
 		t.Fatalf("a pipe was wrapped: %T", in)
+	}
+}
+
+// TestSearchMachineExports runs -search on histories the simulator
+// exports, not hand-written ones: the store-buffering litmus test over a
+// range of paddings and seeds. RC lets both loads pass the other thread's
+// store, so every export must be found unserializable; SC and BulkSC must
+// be serializable on every export.
+func TestSearchMachineExports(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		variant string
+		want    int
+	}{{"rc", 1}, {"sc", 0}, {"dypvt", 0}} {
+		for pad := 0; pad <= 27; pad += 3 {
+			for seed := int64(1); seed <= 5; seed++ {
+				path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d.ndjson", tc.variant, pad, seed))
+				f, err := os.Create(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := bulksc.Variant("", tc.variant)
+				cfg.Work, cfg.Procs, cfg.Seed, cfg.WarmupFrac = 0, 0, seed, 0
+				cfg.TraceWriter = f
+				_, err = bulksc.RunProgram(cfg, bulksc.StoreBuffering(pad))
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Fatalf("%s pad %d seed %d: %v", tc.variant, pad, seed, err)
+				}
+				var out, errb bytes.Buffer
+				if code := run([]string{"-q", "-search", path}, &out, &errb); code != tc.want {
+					t.Errorf("%s pad %d seed %d: exit %d, want %d (stderr %q)",
+						tc.variant, pad, seed, code, tc.want, errb.String())
+				}
+			}
+		}
 	}
 }

@@ -33,11 +33,9 @@
 //
 // Sweeps execute on a fixed pool of -parallel workers (default NumCPU),
 // each owning one warm machine that is reset in place between
-// simulations; workload programs are generated once per (app, procs,
-// work, seed) and shared. The -cold flag disables the reuse and
-// constructs a fresh machine per simulation — results are bit-identical
-// either way (golden-tested), so -cold exists only to isolate a suspected
-// reuse bug or to measure the reuse win.
+// simulations — bit-identical to a fresh machine (golden-tested; to rule
+// reuse out, rerun a cell with cmd/bulksim); workload programs are
+// generated once per (app, procs, work, seed) and shared.
 //
 // The -sccheck flag runs the online SC-witness checker (internal/sccheck)
 // alongside every SC-claiming simulation of the sweep; any witness
@@ -110,7 +108,6 @@ func parse(args []string, stderr io.Writer) (*command, bool) {
 		apps      = fs.String("apps", "", "comma-separated subset of applications (default: the experiment's own suite)")
 		procs     = fs.String("procs", "", "comma-separated core counts: the scaling study runs every value; the arbiter ablation uses the first; trace takes one (default: the experiment's own)")
 		par       = fs.Int("parallel", 0, "parallel workers, one warm machine each (default: NumCPU)")
-		cold      = fs.Bool("cold", false, "construct a fresh machine per simulation instead of reusing one warm machine per worker (bit-identical results; reuse-debugging escape hatch)")
 		scchk     = fs.Bool("sccheck", false, "run the online SC-witness checker on every SC-claiming simulation (fails the sweep on a violation)")
 		faults    = fs.String("faults", "none", "fault-injection campaign: "+strings.Join(bulksc.FaultCampaigns(), ", "))
 		faultSeed = fs.Int64("fault-seed", 1, "base seed for the fault-injection schedule")
@@ -161,7 +158,7 @@ func parse(args []string, stderr io.Writer) (*command, bool) {
 		*par = runtime.NumCPU()
 	}
 	c.in = experiments.Inputs{Params: experiments.Params{
-		Work: *work, Seed: *seed, Parallelism: *par, Witness: *scchk, Cold: *cold,
+		Work: *work, Seed: *seed, Parallelism: *par, Witness: *scchk,
 		FaultCampaign: *faults, FaultSeed: *faultSeed,
 	}}
 	if *apps != "" {
@@ -260,13 +257,8 @@ func (c *command) execute(stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Run header: how the sweep will execute, so reported numbers carry
-	// their execution mode.
-	mode := "warm machine reuse (one machine per worker)"
-	if c.in.Cold {
-		mode = "cold (fresh machine per simulation)"
-	}
-	fmt.Fprintf(stdout, "sweep: %d parallel workers, %s\n\n", c.in.Parallelism, mode)
+	// Run header: how many workers the sweep runs on.
+	fmt.Fprintf(stdout, "sweep: %d parallel workers, warm machine reuse (one machine per worker)\n\n", c.in.Parallelism)
 
 	for _, e := range c.selected {
 		ein, _ := e.Resolve(c.in) // c.in is valid, so Resolve cannot fail

@@ -161,31 +161,6 @@ func TestSmallSweepRuns(t *testing.T) {
 	}
 }
 
-// TestColdAndWarmSweepsAgree pins the -cold escape hatch: the same tiny
-// sweep run cold and warm must produce byte-identical reports (the
-// execution-mode header aside), because warm machine reuse is required to
-// be behavior-neutral.
-func TestColdAndWarmSweepsAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep comparison in -short mode")
-	}
-	body := func(args ...string) string {
-		var out, errb bytes.Buffer
-		base := []string{"-exp", "fig9", "-apps", "radix", "-work", "3000", "-parallel", "2"}
-		if code := run(append(base, args...), &out, &errb); code != 0 {
-			t.Fatalf("exit code = %d, stderr: %s", code, errb.String())
-		}
-		// Drop the header line, which names the mode by design.
-		_, rest, _ := strings.Cut(out.String(), "\n\n")
-		return rest
-	}
-	warm := body()
-	cold := body("-cold")
-	if warm != cold {
-		t.Errorf("cold and warm sweeps disagree:\nwarm:\n%s\ncold:\n%s", warm, cold)
-	}
-}
-
 // TestCLIAndServiceAgree runs every catalog experiment through the CLI and
 // through the sweep service and requires the same table text: both are
 // clients of one catalog, so defaults, dispatch and formatting cannot

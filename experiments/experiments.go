@@ -38,16 +38,10 @@ type Params struct {
 	Apps []string // defaults to bulksc.Apps()
 	Work int      // per-thread dynamic instructions (default 120k)
 	Seed int64
-	// Parallelism bounds concurrent simulations (default NumCPU). Each
-	// worker owns one warm bulksc.Runner, so machine construction happens
-	// Parallelism times per sweep, not once per cell.
+	// Parallelism is the number of Workers a sweep runs on when Worker
+	// is nil (default NumCPU). They share one program memo, so machine
+	// construction happens once per Worker, not once per cell.
 	Parallelism int
-	// Cold disables warm machine reuse: every cell constructs a fresh
-	// machine instead of resetting a per-worker Runner in place. Results
-	// are bit-identical either way (that equivalence is golden-tested);
-	// this is the escape hatch for isolating a suspected reuse bug and
-	// for benchmarking the reuse win itself (cmd/sweep -cold).
-	Cold bool
 	// Witness enables the online SC-witness checker (internal/sccheck)
 	// for every SC-claiming run of the sweep (BulkSC and the SC
 	// baseline); a witness violation fails the sweep. Off by default:
@@ -69,17 +63,14 @@ type Params struct {
 	Ctx context.Context
 	// OnCell, when non-nil, is invoked once per successfully completed
 	// cell, with its dispatch index and the sweep's total cell count.
-	// With Worker set, calls arrive serially in dispatch order; in the
-	// parallel path they arrive in completion order, serialized by the
-	// sweep's result lock. The callback must not retain or mutate
-	// Cell.Result.
+	// Calls are serialized; on one Worker they arrive in dispatch order.
+	// The callback must not retain or mutate Cell.Result.
 	OnCell func(Cell)
-	// Worker, when non-nil, runs the whole sweep serially on that
-	// persistent worker (its warm Runner and its cross-sweep program
-	// memo) instead of fanning out across Parallelism fresh workers.
-	// This is the service execution mode: a daemon pool holds one Worker
-	// per slot and parallelizes across jobs, not within them. Cold is
-	// ignored when Worker is set.
+	// Worker, when non-nil, is the sweep's whole pool: every cell runs
+	// serially on that persistent Worker (its warm Runner and its
+	// cross-sweep program memo) and Parallelism is ignored. This is the
+	// service execution mode: a daemon holds one Worker per pool slot
+	// and parallelizes across jobs, not within them.
 	Worker *Worker
 }
 
@@ -113,24 +104,22 @@ func faultSeed(base int64, app, key string) int64 {
 	return base ^ int64(h.Sum64())
 }
 
-// progCache memoizes generated programs per (app, procs, work, seed)
-// within one sweep: a Figure 9 sweep runs 7 machine models over the same
-// program, and regenerating it per cell is pure waste. Programs are
-// immutable once generated, so one instance is safely shared across
-// workers and runs; the per-key once makes concurrent first requests
-// generate exactly once without serializing unrelated generations.
+// progCache memoizes generated programs per (app, procs, work, seed): a
+// Figure 9 sweep runs 7 machine models over the same program, and
+// regenerating it per cell is pure waste. Programs are immutable once
+// generated, so one instance is safely shared across workers and runs;
+// the per-key once makes concurrent first requests generate exactly once
+// without serializing unrelated generations.
 //
-// A zero cap leaves the cache unbounded (the batch-sweep case: one sweep's
-// key set is finite and small). A positive cap bounds it FIFO for the
-// persistent per-Worker memo a long-lived service holds: when a fresh key
-// would exceed the cap, the oldest key is dropped. Eviction only removes
-// the map entry; a goroutine already holding the entry keeps its (still
+// The memo is FIFO-capped at workerProgCap, because a long-lived service
+// Worker sees an unbounded stream of keys: when a fresh key would exceed
+// the cap, the oldest key is dropped. Eviction only removes the map
+// entry; a goroutine already holding the entry keeps its (still
 // immutable) program.
 type progCache struct {
 	mu    sync.Mutex
 	m     map[string]*progEntry
-	cap   int
-	order []string // insertion order, maintained only when cap > 0
+	order []string // insertion order
 }
 
 type progEntry struct {
@@ -139,6 +128,8 @@ type progEntry struct {
 	err  error
 }
 
+func newProgCache() *progCache { return &progCache{m: make(map[string]*progEntry)} }
+
 func (c *progCache) get(app string, procs, work int, seed int64) (*bulksc.Program, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d", app, procs, work, seed)
 	c.mu.Lock()
@@ -146,12 +137,10 @@ func (c *progCache) get(app string, procs, work int, seed int64) (*bulksc.Progra
 	if !ok {
 		e = &progEntry{}
 		c.m[key] = e
-		if c.cap > 0 {
-			c.order = append(c.order, key)
-			if len(c.order) > c.cap {
-				delete(c.m, c.order[0])
-				c.order = c.order[1:]
-			}
+		c.order = append(c.order, key)
+		if len(c.order) > workerProgCap {
+			delete(c.m, c.order[0])
+			c.order = c.order[1:]
 		}
 	}
 	c.mu.Unlock()
@@ -159,18 +148,23 @@ func (c *progCache) get(app string, procs, work int, seed int64) (*bulksc.Progra
 	return e.prog, e.err
 }
 
-// runMatrix executes one simulation per (app, key) pair on a fixed pool of
-// Parallelism workers and returns results indexed [app][key]. Each worker
-// owns one warm bulksc.Runner (unless Params.Cold), so the machine arena
-// is constructed once per worker instead of once per cell, and workloads
-// are memoized per (app, procs, work, seed) instead of regenerated per
-// model.
+// runMatrix executes one simulation per (app, key) pair and returns
+// results indexed [app][key]. The cells run on a pool of Workers, fed in
+// dispatch order (apps outer, keys inner): Params.Worker alone when set,
+// otherwise Parallelism new Workers sharing one program memo. Each Worker
+// resets its warm machine in place between cells, which is bit-identical
+// to constructing a fresh one.
+//
+// No cell starts once Params.Ctx is done, and none starts after a cell
+// has failed; cells already running finish. Because dispatch is in order,
+// every cell before a failing one has run, so the error reported — that
+// of the failing cell with the lowest dispatch index — does not depend on
+// the pool's size.
 func runMatrix(p Params, keys []string, mk func(app, key string) bulksc.Config) (map[string]map[string]*bulksc.Result, error) {
 	p = p.withDefaults()
 	type job struct {
 		app, key string
 		cfg      bulksc.Config
-		index    int // dispatch order, reported through Cell.Index
 	}
 	// Validate the campaign once; per-run plans are built below.
 	if _, err := bulksc.NewFaultPlan(p.FaultCampaign, p.FaultSeed); err != nil {
@@ -192,7 +186,7 @@ func runMatrix(p Params, keys []string, mk func(app, key string) bulksc.Config) 
 			if plan, err := bulksc.NewFaultPlan(p.FaultCampaign, faultSeed(p.FaultSeed, app, key)); err == nil {
 				cfg.Faults = plan
 			}
-			jobs = append(jobs, job{app, key, cfg, len(jobs)})
+			jobs = append(jobs, job{app, key, cfg})
 		}
 	}
 	results := make(map[string]map[string]*bulksc.Result)
@@ -200,101 +194,82 @@ func runMatrix(p Params, keys []string, mk func(app, key string) bulksc.Config) 
 		results[app] = make(map[string]*bulksc.Result)
 	}
 
-	// classify turns one completed simulation into either a stored result
-	// or an error; shared verbatim by the serial and parallel paths so the
-	// service execution mode cannot drift from the batch one.
-	classify := func(j job, res *bulksc.Result, err error) error {
+	var (
+		mu        sync.Mutex // guards everything below, and serializes OnCell
+		next      int        // dispatch index of the next cell to start
+		failed    int        // dispatch index of the lowest failing cell
+		failErr   error
+		cancelErr error
+	)
+	// take hands out the next cell's index, or -1 once every cell has
+	// started or the sweep has failed or been canceled.
+	take := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(jobs) || failErr != nil || cancelErr != nil {
+			return -1
+		}
+		if err := ctxErr(p.Ctx); err != nil {
+			j := jobs[next]
+			cancelErr = fmt.Errorf("experiments: sweep canceled before cell %s/%s: %w", j.app, j.key, err)
+			return -1
+		}
+		next++
+		return next - 1
+	}
+	// finish classifies one completed cell as a stored result or an error.
+	finish := func(i int, res *bulksc.Result, err error) {
+		j := jobs[i]
 		switch {
 		case err != nil:
-			return fmt.Errorf("%s/%s: %w", j.app, j.key, err)
+			err = fmt.Errorf("%s/%s: %w", j.app, j.key, err)
 		case len(res.SCViolations) > 0:
-			return fmt.Errorf("%s/%s: SC violated: %s", j.app, j.key, res.SCViolations[0])
+			err = fmt.Errorf("%s/%s: SC violated: %s", j.app, j.key, res.SCViolations[0])
 		case len(res.WitnessViolations) > 0:
-			return fmt.Errorf("%s/%s: SC witness violated: %s", j.app, j.key, res.WitnessViolations[0])
+			err = fmt.Errorf("%s/%s: SC witness violated: %s", j.app, j.key, res.WitnessViolations[0])
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if failErr == nil || i < failed {
+				failed, failErr = i, err
+			}
+			return
 		}
 		results[j.app][j.key] = res
-		return nil
-	}
-
-	if p.Worker != nil {
-		// Service mode: the whole sweep runs serially on one persistent
-		// worker — its warm machine and its cross-sweep program memo —
-		// with a cancellation check before every cell. Completion order
-		// equals dispatch order, so OnCell streams monotonic progress.
-		for i, j := range jobs {
-			if err := ctxErr(p.Ctx); err != nil {
-				return nil, fmt.Errorf("experiments: sweep canceled before cell %s/%s: %w", j.app, j.key, err)
-			}
-			prog, err := p.Worker.progs.get(j.app, j.cfg.Procs, j.cfg.Work, j.cfg.Seed)
-			var res *bulksc.Result
-			if err == nil {
-				res, err = p.Worker.runner.RunProgram(j.cfg, prog)
-			}
-			if err := classify(j, res, err); err != nil {
-				return nil, err
-			}
-			if p.OnCell != nil {
-				p.OnCell(Cell{App: j.app, Key: j.key, Index: i, Total: len(jobs), Result: res})
-			}
+		if p.OnCell != nil {
+			p.OnCell(Cell{App: j.app, Key: j.key, Index: i, Total: len(jobs), Result: res})
 		}
-		return results, nil
 	}
 
-	var (
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		errs   []error
-		progs  = &progCache{m: make(map[string]*progEntry)}
-		jobsCh = make(chan job)
-	)
-	for w := 0; w < p.Parallelism; w++ {
+	var progs *progCache // shared by the pool's own Workers
+	pool := min(p.Parallelism, len(jobs))
+	if p.Worker != nil {
+		pool = 1
+	} else {
+		progs = newProgCache()
+	}
+	var wg sync.WaitGroup
+	for range pool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var runner *bulksc.Runner
-			if !p.Cold {
-				runner = bulksc.NewRunner()
-			}
-			for j := range jobsCh {
-				prog, err := progs.get(j.app, j.cfg.Procs, j.cfg.Work, j.cfg.Seed)
-				var res *bulksc.Result
-				if err == nil {
-					if runner != nil {
-						res, err = runner.RunProgram(j.cfg, prog)
-					} else {
-						res, err = bulksc.RunProgram(j.cfg, prog)
-					}
+			w := p.Worker
+			for i := take(); i >= 0; i = take() {
+				if w == nil {
+					w = &Worker{runner: bulksc.NewRunner(), progs: progs}
 				}
-				mu.Lock()
-				if cerr := classify(j, res, err); cerr != nil {
-					errs = append(errs, cerr)
-				} else if p.OnCell != nil {
-					p.OnCell(Cell{App: j.app, Key: j.key, Index: j.index, Total: len(jobs), Result: res})
-				}
-				mu.Unlock()
+				res, err := w.run(jobs[i].app, jobs[i].cfg)
+				finish(i, res, err)
 			}
 		}()
 	}
-dispatch:
-	for _, j := range jobs {
-		if p.Ctx != nil {
-			select {
-			case jobsCh <- j:
-			case <-p.Ctx.Done():
-				break dispatch
-			}
-		} else {
-			jobsCh <- j
-		}
-	}
-	close(jobsCh)
 	wg.Wait()
-	if err := ctxErr(p.Ctx); err != nil {
-		return nil, fmt.Errorf("experiments: sweep canceled: %w", err)
+	if failErr != nil {
+		return nil, failErr
 	}
-	if len(errs) > 0 {
-		sort.Slice(errs, func(i, k int) bool { return errs[i].Error() < errs[k].Error() })
-		return nil, errs[0]
+	if cancelErr != nil {
+		return nil, cancelErr
 	}
 	return results, nil
 }

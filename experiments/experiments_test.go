@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -141,46 +143,122 @@ func TestArbScaleSmallSweep(t *testing.T) {
 	}
 }
 
-// TestWarmReuseMatchesCold pins the Runner contract at the sweep level: a
-// mixed sweep — heterogeneous models via Fig9, then heterogeneous machine
-// shapes via ArbScale (different processor and arbiter counts forcing the
-// module-rebuild path) — run through warm per-worker Runners must produce
-// results identical to the same sweep with a fresh machine per simulation.
-// Running under -race (scripts/check.sh) additionally checks the worker
-// pool and the program-generation memoization for data races.
-func TestWarmReuseMatchesCold(t *testing.T) {
+// TestWarmCellsMatchFreshMachines pins the Runner contract at the sweep
+// level: every cell of a mixed sweep — heterogeneous models via Fig9, then
+// heterogeneous machine shapes via ArbScale (different processor and
+// arbiter counts forcing the module-rebuild path) — run on warm Workers
+// must have the determinism hash of the same Config run by bulksc.Run on
+// a fresh machine. It runs once on the sweep's own pool of two Workers and
+// once on one caller-owned Worker that carries its machine from the Fig9
+// sweep into the ArbScale one. Running under -race (scripts/check.sh)
+// additionally checks the pool and the shared program memo for data races.
+func TestWarmCellsMatchFreshMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep comparison")
 	}
-	warm := tinyParams()
-	warm.Parallelism = 2
-	cold := warm
-	cold.Cold = true
+	pool, worker := tinyParams(), tinyParams()
+	pool.Parallelism = 2
+	worker.Worker = NewWorker()
+	for name, p := range map[string]Params{"pool": pool, "worker": worker} {
+		t.Run(name, func(t *testing.T) {
+			type seen struct {
+				cell string
+				cfg  bulksc.Config
+				hash uint64
+			}
+			var cells []seen
+			p.OnCell = func(c Cell) {
+				cells = append(cells, seen{c.App + "/" + c.Key, c.Result.Config, c.Result.DeterminismHash()})
+			}
+			if _, err := Fig9(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ArbScale(p, 8, []int{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if want := len(p.Apps) * (len(Fig9Variants()) + 2); len(cells) != want {
+				t.Fatalf("cells = %d, want %d", len(cells), want)
+			}
+			for _, c := range cells {
+				fresh, err := bulksc.Run(c.cfg)
+				if err != nil {
+					t.Fatalf("%s: fresh run: %v", c.cell, err)
+				}
+				if got := fresh.DeterminismHash(); got != c.hash {
+					t.Errorf("%s: warm hash %016x, fresh machine %016x", c.cell, c.hash, got)
+				}
+			}
+		})
+	}
+}
 
-	wRows, err := Fig9(warm)
-	if err != nil {
-		t.Fatal(err)
+// TestSweepFailureIsDeterministic: a failing cell stops dispatch, and the
+// sweep reports the failing cell with the lowest dispatch index, whatever
+// the pool. An unknown application fails all seven of its Fig9 cells;
+// "sc" is its first in dispatch order.
+func TestSweepFailureIsDeterministic(t *testing.T) {
+	for name, p := range map[string]Params{
+		"parallel-1": {Parallelism: 1},
+		"parallel-2": {Parallelism: 2},
+		"worker":     {Worker: NewWorker()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p.Apps, p.Work = []string{"water-sp", "nope", "radix"}, 2000
+			var cells int
+			p.OnCell = func(Cell) { cells++ }
+			_, err := Fig9(p)
+			if err == nil || !strings.HasPrefix(err.Error(), "nope/sc: ") {
+				t.Fatalf("err = %v, want the nope/sc failure", err)
+			}
+			// The water-sp cells precede the failure; at most one more
+			// cell (the second Worker's) may have been in flight.
+			lo := len(Fig9Variants())
+			if hi := lo + max(p.Parallelism, 1) - 1; cells < lo || cells > hi {
+				t.Errorf("%d cells completed, want %d to %d", cells, lo, hi)
+			}
+		})
 	}
-	cRows, err := Fig9(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FormatFig9(wRows) != FormatFig9(cRows) {
-		t.Errorf("Fig9 warm and cold sweeps disagree:\nwarm:\n%s\ncold:\n%s",
-			FormatFig9(wRows), FormatFig9(cRows))
-	}
+}
 
-	wArb, err := ArbScale(warm, 8, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cArb, err := ArbScale(cold, 8, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FormatArbScale(wArb, []int{1, 2}) != FormatArbScale(cArb, []int{1, 2}) {
-		t.Errorf("ArbScale warm and cold sweeps disagree:\nwarm:\n%s\ncold:\n%s",
-			FormatArbScale(wArb, []int{1, 2}), FormatArbScale(cArb, []int{1, 2}))
+// TestSweepCancellation: no cell starts once the sweep's context is done,
+// whether it was done before dispatch or canceled from OnCell; only cells
+// already running on another Worker may still complete.
+func TestSweepCancellation(t *testing.T) {
+	for name, pool := range map[string]Params{
+		"parallel-2": {Parallelism: 2},
+		"worker":     {Worker: NewWorker()},
+	} {
+		workers := max(pool.Parallelism, 1)
+		t.Run(name+"/before-dispatch", func(t *testing.T) {
+			p := pool
+			p.Apps, p.Work = []string{"radix"}, 2000
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			p.Ctx = ctx
+			var cells int
+			p.OnCell = func(Cell) { cells++ }
+			if _, err := Fig9(p); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if cells != 0 {
+				t.Errorf("%d cells ran after cancellation", cells)
+			}
+		})
+		t.Run(name+"/from-OnCell", func(t *testing.T) {
+			p := pool
+			p.Apps, p.Work = []string{"radix", "fft"}, 2000
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			p.Ctx = ctx
+			var cells int
+			p.OnCell = func(Cell) { cells++; cancel() }
+			if _, err := Fig9(p); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if cells < 1 || cells > workers {
+				t.Errorf("%d cells completed, want 1 to %d", cells, workers)
+			}
+		})
 	}
 }
 

@@ -46,10 +46,6 @@ func TestKeyEquivalences(t *testing.T) {
 			`{"exp":"FIG9","apps":["lu"]}`,
 			`{"exp":"  Fig9 ","apps":["lu"]}`,
 		},
-		"cold execution hint excluded": {
-			`{"exp":"fig10","apps":["fft"],"work":4000}`,
-			`{"exp":"fig10","apps":["fft"],"work":4000,"cold":true}`,
-		},
 		"fields the experiment ignores are cleared": {
 			`{"exp":"fig9","apps":["radix"]}`,
 			`{"exp":"fig9","apps":["radix"],"procs":[8,16]}`,
@@ -136,7 +132,6 @@ func TestKeyCoversEveryRequestField(t *testing.T) {
 		"Seed":     {fig9, func(r *Request) { r.Seed = 17 }, true},
 		"Witness":  {fig9, func(r *Request) { r.Witness = true }, true},
 		"Faults":   {fig9, func(r *Request) { r.Faults = "squash-storm" }, true},
-		"Cold":     {fig9, func(r *Request) { r.Cold = true }, false},
 		"Procs":    {Request{Exp: "scaling", Apps: []string{"radix"}, Work: 4000}, func(r *Request) { r.Procs = []int{8, 32} }, true},
 		"Arbiters": {Request{Exp: "arbiters", Apps: []string{"radix"}, Work: 4000}, func(r *Request) { r.Arbiters = []int{2, 16} }, true},
 		// FaultSeed only matters under an active campaign (it is pinned

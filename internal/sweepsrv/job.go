@@ -8,10 +8,9 @@
 //
 // This file defines the job request model: the JSON surface a client
 // submits, its canonicalization (defaults materialized, fields the chosen
-// experiment ignores cleared, execution hints excluded), the
-// content-addressed cache key derived from the canonical form, and the
-// dispatcher that executes a canonical request through the experiment
-// catalog.
+// experiment ignores cleared), the content-addressed cache key derived
+// from the canonical form, and the dispatcher that executes a canonical
+// request through the experiment catalog.
 package sweepsrv
 
 import (
@@ -59,12 +58,6 @@ type Request struct {
 	// FaultSeed seeds the fault schedule (default 1; pinned to 1 when no
 	// campaign is active, since it is then meaningless).
 	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// Cold is an execution hint, not configuration: run every cell on a
-	// fresh machine instead of the pool worker's warm one. Warm reuse is
-	// bit-identical by contract (golden-tested in internal/core), so
-	// Cold is deliberately EXCLUDED from the cache key: a cold run may
-	// be served from a warm run's cache entry and vice versa.
-	Cold bool `json:"cold,omitempty"`
 }
 
 // Canonicalize validates the request and returns its canonical form: Exp
@@ -91,10 +84,6 @@ func (r Request) Canonicalize() (Request, error) {
 	if c.Faults == "none" {
 		c.FaultSeed = 1 // meaningless without a campaign; pin it
 	}
-
-	// Execution hints are not identity: a cold run is bit-identical to a
-	// warm one (the PR-5 golden contract), so both share one cache key.
-	c.Cold = false
 	return c, nil
 }
 
@@ -136,10 +125,10 @@ type JobOutput struct {
 	Cells int `json:"cells"`
 	// Hash folds every cell's determinism hash (keyed by app and column)
 	// into one order-independent 64-bit value, hex-encoded. For a fixed
-	// canonical request it is bit-stable across warm, cold, serial and
-	// parallel execution — the service's cross-contamination tripwire:
-	// a pool worker whose warm reset leaked state produces a different
-	// hash than the same request run cold.
+	// canonical request it is bit-stable across Workers and across what
+	// ran on them before — the service's cross-contamination tripwire: a
+	// pool worker whose warm reset leaked state produces a different
+	// hash than the same request run on a fresh Worker.
 	Hash string `json:"hash"`
 }
 
@@ -165,8 +154,8 @@ func cellHash(c experiments.Cell) uint64 {
 }
 
 // runExperiment executes a canonical request through the experiments
-// layer. The base Params carry the execution mode (p.Worker for the warm
-// pool slot, p.Ctx for cancellation); the request's semantic fields
+// layer. The base Params carry the execution context (p.Worker, the pool
+// slot's warm Worker, and p.Ctx for cancellation); the request's fields
 // overwrite the rest. onCell, when non-nil, observes every completed cell
 // (already serialized by the experiments layer).
 func runExperiment(req Request, p experiments.Params, onCell func(experiments.Cell)) (*JobOutput, error) {
@@ -182,14 +171,6 @@ func runExperiment(req Request, p experiments.Params, onCell func(experiments.Ce
 	p.Witness = req.Witness
 	p.FaultCampaign = req.Faults
 	p.FaultSeed = req.FaultSeed
-	if req.Cold {
-		// The cold execution hint: fresh machine per cell, bypassing the
-		// pool worker. Serial (Parallelism 1) keeps cell ordering and
-		// resource usage the same as the warm path.
-		p.Worker = nil
-		p.Cold = true
-		p.Parallelism = 1
-	}
 	p.OnCell = func(c experiments.Cell) {
 		out.Cells++
 		fold ^= cellHash(c)

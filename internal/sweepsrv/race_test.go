@@ -21,8 +21,9 @@ import (
 //  3. identical configs always produce the identical job hash regardless of
 //     which warm worker ran them or what ran on that worker before;
 //  4. warm-pool reuse never cross-contaminates: each unique config's served
-//     hash equals the golden hash of the same config run COLD on a fresh
-//     machine, computed outside the server.
+//     hash equals the golden hash of the same config run on a fresh
+//     experiments.Worker, a machine no other job has touched, outside the
+//     server.
 func TestConcurrentMixedLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; the full check gate runs it without -short")
@@ -107,8 +108,8 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		}
 	}
 
-	// Contract 4: the cold goldens. Run each unique config on a throwaway
-	// cold machine, bypassing the server entirely, and compare hashes.
+	// Contract 4: the fresh-machine goldens. Run each unique config on a
+	// new Worker, bypassing the server entirely, and compare hashes.
 	for _, r := range uniq {
 		canon, err := r.Canonicalize()
 		if err != nil {
@@ -118,18 +119,16 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := canon
-		cold.Cold = true
-		out, err := runExperiment(cold, experiments.Params{}, nil)
+		out, err := runExperiment(canon, experiments.Params{Worker: experiments.NewWorker()}, nil)
 		if err != nil {
-			t.Fatalf("cold golden for %+v: %v", r, err)
+			t.Fatalf("fresh-machine golden for %+v: %v", r, err)
 		}
 		set := hashes[key]
 		if len(set) == 0 {
 			t.Fatalf("no served hash recorded for %+v", r)
 		}
 		if !set[out.Hash] {
-			t.Errorf("POOL CONTAMINATION for %+v: warm pool served hash set %v, cold golden is %s",
+			t.Errorf("POOL CONTAMINATION for %+v: warm pool served hash set %v, fresh-machine golden is %s",
 				r, set, out.Hash)
 		}
 	}

@@ -91,10 +91,9 @@ type Event struct {
 // (replayed to late stream subscribers), terminal result bytes, and the
 // cancellation context the experiments layer polls between cells.
 type jobState struct {
-	id   string
-	key  string
-	req  Request // canonical form
-	cold bool    // execution hint preserved from the raw request
+	id  string
+	key string
+	req Request // canonical form
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -203,8 +202,9 @@ func NewServer(cfg Config) *Server {
 
 // worker owns one persistent experiments.Worker for its whole life: the
 // warm machine arena and the memoized programs survive across jobs, which
-// is the entire point of the pool (PR 5's bit-identical warm reset makes
-// the reuse safe; the suite's cold-golden comparisons prove it under load).
+// is the entire point of the pool (the bit-identical warm reset makes the
+// reuse safe; the suite's fresh-Worker golden comparisons prove it under
+// load).
 func (s *Server) worker() {
 	defer s.wg.Done()
 	w := experiments.NewWorker()
@@ -248,10 +248,8 @@ func (s *Server) startJob(js *jobState) bool {
 // completed cell and finishing with the marshaled output (which also
 // becomes the job's cache entry).
 func (s *Server) execute(js *jobState, w *experiments.Worker) {
-	req := js.req
-	req.Cold = js.cold
 	p := experiments.Params{Worker: w, Ctx: js.ctx}
-	out, err := runExperiment(req, p, func(c experiments.Cell) {
+	out, err := runExperiment(js.req, p, func(c experiments.Cell) {
 		s.mu.Lock()
 		s.cells++
 		s.mu.Unlock()
@@ -373,10 +371,10 @@ func (s *Server) registerLocked(js *jobState) {
 	s.jobs[js.id] = js
 }
 
-func newJobState(key string, req Request, cold bool) *jobState {
+func newJobState(key string, req Request) *jobState {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &jobState{
-		key: key, req: req, cold: cold,
+		key: key, req: req,
 		ctx: ctx, cancel: cancel,
 		status: StatusQueued,
 		events: []Event{{Event: "status", Status: StatusQueued}},
@@ -462,7 +460,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// already completed is served from the cache — the job is born
 	// terminal, no queue slot, no Runner invocation.
 	if data, ok := s.cache.Get(key); ok {
-		js := newJobState(key, canon, false)
+		js := newJobState(key, canon)
 		s.registerLocked(js)
 		s.servedFromCache++
 		id := js.id
@@ -471,7 +469,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Key: key, Status: StatusDone, Cache: "hit"})
 		return
 	}
-	js := newJobState(key, canon, raw.Cold)
+	js := newJobState(key, canon)
 	select {
 	case s.queue <- js:
 		s.registerLocked(js)

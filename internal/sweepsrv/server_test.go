@@ -217,9 +217,9 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		t.Fatal("first run executed zero cells?")
 	}
 
-	// Same canonical config: different field order, whitespace, explicit
-	// defaults, and the cold execution hint (excluded from identity).
-	second := fmt.Sprintf(`{ "work": %d, "cold": true, "seed": 1, "apps": ["radix"], "exp": "FIG10" }`, testWork)
+	// Same canonical config: different field order, whitespace and
+	// explicit defaults.
+	second := fmt.Sprintf(`{ "work": %d, "seed": 1, "apps": ["radix"], "exp": "FIG10" }`, testWork)
 	code, sub2, _ := submit(t, ts.URL, second)
 	if code != http.StatusOK {
 		t.Fatalf("second submit: HTTP %d, want 200 (cache hit is already terminal)", code)
@@ -318,6 +318,7 @@ func TestInvalidRequests(t *testing.T) {
 	}{
 		{"malformed json", `{"exp":`},
 		{"unknown field", `{"exp":"fig9","bogus":1}`},
+		{"removed cold hint", `{"exp":"fig9","cold":true}`},
 		{"unknown exp", `{"exp":"fig99"}`},
 		{"unknown app", `{"exp":"fig9","apps":["quake"]}`},
 		{"negative work", `{"exp":"fig9","work":-5}`},
@@ -464,7 +465,7 @@ func TestHealthzAndUnknownIDs(t *testing.T) {
 // finishing job must not yet look done.
 func TestFinishCountsBeforePublishing(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
-	js := newJobState("key", Request{}, false)
+	js := newJobState("key", Request{})
 	srv.mu.Lock()
 	srv.registerLocked(js)
 	go srv.finish(js, StatusDone, "miss", nil, "")

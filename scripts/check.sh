@@ -9,8 +9,8 @@
 # BENCH_core_baseline.json → BENCH_core.json, both written by
 # scripts/perfsnap.sh on one host, after proving that perfdiff rejects
 # three doctored copies of the snapshot), and the race detector over
-# both the parallel sweep fan-out in experiments/ and the litmus × model
-# × fault torture matrix.
+# both the sweep executor's Worker pool in experiments/ and the litmus ×
+# model × fault torture matrix.
 # Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
@@ -78,7 +78,8 @@ echo "== 256-proc scaling smoke =="
 go test -run 'TestBigMachineRadixSmoke|TestBigMachineRadixRecycleSmoke' ./internal/core
 
 # End-to-end offline audit: export a real radix history as NDJSON, require
-# the out-of-process checker to accept it, then corrupt a single record's
+# the out-of-process checker to accept it, both as a chunk replay and as a
+# serializability search over its values, then corrupt a single record's
 # commit order and require it to object. Exercises sweep -exp trace, the
 # history reader, and cmd/scchk's exit discipline in one pass.
 echo "== offline SC audit (sweep -exp trace | scchk) =="
@@ -87,6 +88,7 @@ trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/sweep -exp trace -apps radix -work 4000 \
     -trace-out "$tracedir/radix.ndjson" >/dev/null
 go run ./cmd/scchk -q "$tracedir/radix.ndjson"
+go run ./cmd/scchk -q -search "$tracedir/radix.ndjson"
 # Zero the first chunk's claimed commit order — a total-order violation.
 awk 'done || !/"kind":"chunk"/ { print; next }
      { sub(/"order":[0-9]+/, "\"order\":0"); print; done = 1 }' \
@@ -138,11 +140,13 @@ if [ "$fast" = 1 ]; then
 fi
 
 # The experiments package is where simulations fan out across goroutines:
-# a fixed pool of workers, each reusing one warm machine, sharing memoized
-# workload programs. This pass covers the worker pool, the per-key
-# sync.Once program cache, and the mixed warm-vs-cold parity sweep
-# (TestWarmReuseMatchesCold) under the race detector.
-echo "== go test -race ./experiments (incl. mixed warm sweep) =="
+# the one sweep executor, a pool of Workers, each reusing one warm
+# machine, sharing memoized workload programs. This pass covers the pool's
+# dispatch, failure and cancellation paths (TestSweepFailureIsDeterministic,
+# TestSweepCancellation), the per-key sync.Once program cache, and the
+# per-cell warm-vs-fresh-machine parity sweep on both pool shapes
+# (TestWarmCellsMatchFreshMachines) under the race detector.
+echo "== go test -race ./experiments (incl. warm-vs-fresh parity sweep) =="
 go test -race ./experiments
 
 echo "== litmus torture matrix under -race =="
@@ -150,8 +154,9 @@ go test -race -run 'TestLitmusTortureMatrix|TestLitmusTorture64Proc|TestRCRelaxa
 
 # The sweepd service under the race detector WITHOUT -short: includes the
 # concurrent mixed-config soak (warm-pool cross-contamination tripwire
-# against cold goldens) with its client/server counter reconciliation,
-# the graceful-shutdown drains and the SIGTERM subprocess test.
+# against fresh-Worker goldens) with its client/server counter
+# reconciliation, the graceful-shutdown drains and the SIGTERM subprocess
+# test.
 echo "== go test -race ./internal/sweepsrv ./cmd/sweepd (service soak) =="
 go test -race -count=1 ./internal/sweepsrv ./cmd/sweepd
 
