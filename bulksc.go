@@ -138,11 +138,6 @@ func NewFaultPlan(name string, seed int64) (*FaultPlan, error) {
 	return fault.NewPlan(c, seed), nil
 }
 
-// Timeline is a run's recorded commit/squash/pre-arbitration event stream
-// (enable with Config.RecordTimeline); its Lanes and Summary methods
-// render it.
-type Timeline = core.Timeline
-
 // Run simulates cfg's application on cfg's machine.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 

@@ -12,6 +12,7 @@ import (
 
 	"bulksc"
 	"bulksc/internal/history"
+	"bulksc/internal/history/gk"
 )
 
 func runScchk(t *testing.T, stdin string, args ...string) (int, string, string) {
@@ -215,5 +216,58 @@ func TestSearchMachineExports(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEventModeExportChecksAlike: one radix BulkSC run exported plain and
+// in event mode (commit cycles on chunk records, squash and prearb
+// records between them) gets the same verdicts from -q and -q -search and
+// the same gk.Check counts: the checkers ignore events and commit cycles.
+func TestEventModeExportChecksAlike(t *testing.T) {
+	dir := t.TempDir()
+	type verdict struct{ check, search, chunks, events int }
+	var got [2]verdict
+	for i, events := range []bool{false, true} {
+		path := filepath.Join(dir, fmt.Sprintf("radix-%v.ndjson", events))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := bulksc.Variant("radix", "dypvt")
+		cfg.Work = 1000
+		cfg.TraceWriter, cfg.TraceEvents = f, events
+		_, err = bulksc.Run(cfg)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		got[i].check = run([]string{"-q", path}, &out, &errb)
+		got[i].search = run([]string{"-q", "-search", path}, &out, &errb)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := history.Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := gk.Check(h, gk.Options{})
+		if int(r.Accesses()) != h.Ops() || r.Total() != 0 {
+			t.Errorf("events=%v: gk.Check examined %d of %d ops, %d violations", events, r.Accesses(), h.Ops(), r.Total())
+		}
+		got[i].chunks, got[i].events = r.Chunks(), len(h.Events)
+	}
+	if got[0].check != 0 || got[0].search != 0 {
+		t.Fatalf("plain export: -q exit %d, -q -search exit %d, want 0 and 0", got[0].check, got[0].search)
+	}
+	if got[1].events == 0 {
+		t.Fatal("event-mode export holds no event records")
+	}
+	got[1].events = 0
+	if got[0] != got[1] {
+		t.Errorf("plain export %+v, event-mode export %+v", got[0], got[1])
 	}
 }

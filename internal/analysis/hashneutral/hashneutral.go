@@ -2,7 +2,7 @@
 // enforces the observer contract: code annotated `//sim:observer` — the
 // liveness watchdog, the nil-plan fault hooks, and through the annotated
 // proc.Observer interface the SC-witness checker, the history trace
-// writer, the replay commit log and the timeline — may read simulation
+// writer and the replay commit log — may read simulation
 // state freely but must never mutate it. Today that contract ("hash-neutral: on or off, the
 // determinism hash is bit-identical") rests on 104 dynamic goldens; this
 // pass catches the violation at lint time, before a golden ever runs.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,6 +58,26 @@ func TestProcsBounds(t *testing.T) {
 	cfg.Watchdog = false
 	if _, err := RunProgram(cfg, over); err == nil {
 		t.Fatalf("%d-proc program accepted, want error", MaxProcs+1)
+	}
+}
+
+// TestRunChecksProcsBeforeGenerating: Run refuses a machine size outside
+// [1, MaxProcs] with RunProgram's error, before the generator runs — radix
+// divides by the thread count, and a 2000-thread program is megabytes.
+func TestRunChecksProcsBeforeGenerating(t *testing.T) {
+	r := NewRunner()
+	for _, procs := range []int{0, 2000} {
+		cfg := DefaultConfig("radix")
+		cfg.Procs = procs
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { _, err = r.Run(cfg) })
+		want := fmt.Sprintf("core: %d processors unsupported (max %d)", procs, MaxProcs)
+		if err == nil || err.Error() != want {
+			t.Errorf("procs %d: error %v, want %q", procs, err, want)
+		}
+		if allocs > 10 {
+			t.Errorf("procs %d: refusal allocated %.0f objects; the program was generated", procs, allocs)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // BDMs, shared L2, directory modules, arbiters and network — and runs a
 // workload on them. What a run exports beyond its counters comes from
 // the observers on the processors' one event list (proc.Observer): the
-// replay checker's commit log, the online SC witness, the NDJSON history
-// writer and the timeline.
+// replay checker's commit log, the online SC witness and the NDJSON
+// history writer.
 //
 // This is the layer the public bulksc package and all experiment harnesses
 // sit on.
@@ -116,6 +116,11 @@ type Config struct {
 	// hashes are unaffected). Write errors are surfaced once, at end of
 	// run.
 	TraceWriter io.Writer
+	// TraceEvents puts the TraceWriter export in event mode (BulkSC
+	// only): each chunk record carries its commit cycle ("at"), and every
+	// squash and pre-arbitration grant becomes a "squash" or "prearb"
+	// record, the stream `bulksim -timeline` renders.
+	TraceEvents bool
 	// MaxCycles aborts apparent livelocks; 0 = a generous default.
 	MaxCycles uint64
 	// Faults optionally injects deterministic faults (internal/fault):
@@ -133,10 +138,6 @@ type Config struct {
 	// WatchdogWindow is the no-progress window in cycles before the
 	// watchdog declares livelock; 0 = a generous default (400k cycles).
 	WatchdogWindow uint64
-	// RecordTimeline puts a timeline recorder on the observer list
-	// (BulkSC only): it stamps every commit, squash and pre-arbitration
-	// event with the engine clock into Result.Timeline.
-	RecordTimeline bool
 	// WarmupFrac excludes the first fraction of the committed
 	// instructions from the characterization statistics (caches and
 	// private working sets must reach steady state before Table 3/4
@@ -217,8 +218,6 @@ type Result struct {
 	// examined (also excluded from DeterminismHash).
 	WitnessChunks   int
 	WitnessAccesses uint64
-	// Timeline holds execution events when Config.RecordTimeline was set.
-	Timeline Timeline
 	// FaultCounters reports what Config.Faults actually injected (all
 	// zero when fault-free). Excluded from DeterminismHash: hashes pin
 	// the fault-free execution only.
@@ -277,8 +276,13 @@ type Runner struct {
 // cost as a cold core.Run, subsequent Runs reuse the arena.
 func NewRunner() *Runner { return &Runner{m: newMachine()} }
 
-// Run generates cfg.App and simulates it on the reused machine.
+// Run generates cfg.App and simulates it on the reused machine. The
+// machine size is checked first, so a bad one never reaches the
+// generator.
 func (r *Runner) Run(cfg Config) (*Result, error) {
+	if err := checkProcs(cfg.Procs); err != nil {
+		return nil, err
+	}
 	gen, err := workload.Get(cfg.App)
 	if err != nil {
 		return nil, err
@@ -304,8 +308,8 @@ func (m *machine) runProgram(cfg Config, prog *workload.Program) (*Result, error
 		return nil, fmt.Errorf("core: config has %d processors but program %q has %d threads",
 			cfg.Procs, prog.Name, len(prog.Threads))
 	}
-	if cfg.Procs < 1 || cfg.Procs > MaxProcs {
-		return nil, fmt.Errorf("core: %d processors unsupported (max %d)", cfg.Procs, MaxProcs)
+	if err := checkProcs(cfg.Procs); err != nil {
+		return nil, err
 	}
 	if cfg.NumArbiters < 1 {
 		cfg.NumArbiters = 1
@@ -318,13 +322,20 @@ func (m *machine) runProgram(cfg Config, prog *workload.Program) (*Result, error
 	return m.run(cfg)
 }
 
+// checkProcs refuses machine sizes outside [1, MaxProcs].
+func checkProcs(n int) error {
+	if n < 1 || n > MaxProcs {
+		return fmt.Errorf("core: %d processors unsupported (max %d)", n, MaxProcs)
+	}
+	return nil
+}
+
 // machine is one assembled system. It is built once (newMachine) and then
 // reconfigured in place for every run (Reset): the expensive arenas — the
 // 8 MB L2 tag array, the directory entry slabs, per-processor L1s, maps,
 // FIFOs and the event heap — survive across runs, while every piece of
 // per-run state is scrubbed back to its cold value.
 type machine struct {
-	cfg   Config
 	eng   *sim.Engine
 	net   *network.Network
 	st    *stats.Stats
@@ -382,12 +393,11 @@ type machine struct {
 	//lint:poolsafe watchdog backing storage; startWatchdog re-slices and zeroes it per run
 	wdScratch []uint64
 	// The observers Reset puts on env.Observers: the replay checker's
-	// commit log, the SC witness (kept across runs), the history writer
-	// (rebuilt per run around the caller's writer) and the timeline.
-	log      commitLog
-	witness  *sccheck.Checker
-	tracer   *history.Writer
-	timeline timelineRec
+	// commit log, the SC witness (kept across runs) and the history
+	// writer (rebuilt per run around the caller's writer).
+	log     commitLog
+	witness *sccheck.Checker
+	tracer  *history.Writer
 
 	// watchdogErr is set by the liveness watchdog when it detects a
 	// stall; the engine stop condition checks it every event.
@@ -407,7 +417,6 @@ func newMachine() *machine {
 	m.net = network.New(m.eng, m.st)
 	m.l2 = cache.NewL2(32768, 8) // 8 MB / 8-way / 32 B
 	m.env = m.buildEnv()
-	m.timeline.eng = m.eng
 	return m
 }
 
@@ -438,15 +447,14 @@ func (m *machine) buildModules(n int) {
 // the dependency chain: engine first (drops any undrained events, which
 // may reference pooled protocol records), then the passive state (stats,
 // memory, pages, caches), then the protocol modules, then the per-run
-// wiring. Signature factories are created fresh per run rather than
-// retained: their pools are warm-start allocation state whose reuse could
-// not change behavior but whose recreation is cheap and keeps the
-// cold/warm equivalence argument trivial. Each run's factories are then
-// wrapped by the machine's signature recycler, which substitutes cleared
-// standard Blooms parked by previous runs for fresh allocations — an
-// object-identity substitution the simulation cannot observe.
+// wiring. Each run builds one signature factory, which the directories
+// and the processors share (sig.Factory), rather than retaining one: its
+// recreation is cheap and keeps the cold/warm equivalence argument
+// trivial. The factory is wrapped by the machine's signature recycler,
+// which substitutes cleared standard Blooms parked by previous runs for
+// fresh allocations — an object-identity substitution the simulation
+// cannot observe.
 func (m *machine) Reset(cfg Config) {
-	m.cfg = cfg
 	m.eng.Reset(cfg.Seed)
 	limit := cfg.MaxCycles
 	if limit == 0 {
@@ -499,11 +507,7 @@ func (m *machine) Reset(cfg Config) {
 
 	// The env closures route through m.dirs/m.arbs/m.garb dynamically, so
 	// they survive module rebuilds; only the value fields change per run.
-	m.env.Sigs = sig.NewFactory(cfg.SigKind)
-	if cfg.SigGeometry != nil && cfg.SigKind == sig.KindBloom {
-		m.env.Sigs = sig.NewTunableFactory(*cfg.SigGeometry)
-	}
-	m.env.Sigs = m.sigRec.Factory(m.env.Sigs, stdBloom)
+	m.env.Sigs = sigFactory
 	m.env.NProcs = cfg.Procs
 	m.env.Faults = cfg.Faults
 	m.env.Unfinished = 0 // run counts the processors it starts
@@ -514,9 +518,8 @@ func (m *machine) Reset(cfg Config) {
 	m.convProcs = m.convProcs[:0]
 
 	// The observer list, in delivery order (DESIGN.md §16.7). The commit
-	// log and the timeline were handed to the previous run's Result; they
-	// are dropped, not truncated — truncating would scrub the caller's
-	// slices in place.
+	// log was handed to the previous run's Result; it is dropped, not
+	// truncated — truncating would scrub the caller's slice in place.
 	clear(m.env.Observers)
 	obs := m.env.Observers[:0]
 	bulk := cfg.Model == ModelBulk
@@ -534,15 +537,14 @@ func (m *machine) Reset(cfg Config) {
 	m.tracer = nil
 	if cfg.TraceWriter != nil {
 		m.tracer = history.NewWriter(cfg.TraceWriter)
+		if cfg.TraceEvents && bulk {
+			m.tracer.TraceEvents(m.eng)
+		}
 		m.tracer.Header(history.Header{
 			Model: cfg.Model.String(), Procs: cfg.Procs,
 			App: cfg.App, Seed: cfg.Seed, Work: cfg.Work,
 		})
 		obs = append(obs, m.tracer)
-	}
-	m.timeline.events = nil
-	if cfg.RecordTimeline && bulk {
-		obs = append(obs, &m.timeline)
 	}
 	m.env.Observers = obs
 	m.watchdogErr = nil
@@ -865,10 +867,6 @@ func (m *machine) run(cfg Config) (*Result, error) {
 		if err := m.tracer.Close(); err != nil {
 			return nil, fmt.Errorf("core: %s/%s: trace export: %w", cfg.Model, cfg.App, err)
 		}
-	}
-	if cfg.RecordTimeline {
-		sortTimeline(m.timeline.events)
-		res.Timeline = m.timeline.events
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -64,11 +65,14 @@ func TestOfflineDifferential(t *testing.T) {
 }
 
 // TestTraceHashNeutral proves every observer is pure observation: the
-// same config run with each subset of {TraceWriter, RecordTimeline,
-// Witness} turned on produces the determinism hash and event count of the
-// run with all three off, the witness-on runs agree on the witness hash,
-// and the trace itself is non-trivial. CheckSC stays on throughout: its
-// commit log is part of what DeterminismHash folds.
+// same config run with the history export off, on, or on in event mode,
+// each with the witness off and on, produces the determinism hash and
+// event count of the run with all of them off, the witness-on runs agree
+// on the witness hash, and the export itself is non-trivial. An event-mode
+// export holds the default export's records, stamped with cycles, plus
+// events under BulkSC, and is byte-identical to it under the other models.
+// CheckSC stays on throughout: its commit log is part of what
+// DeterminismHash folds.
 func TestTraceHashNeutral(t *testing.T) {
 	for _, label := range []string{"bulk-dypvt", "sc", "rc"} {
 		for _, m := range goldenModels() {
@@ -76,17 +80,18 @@ func TestTraceHashNeutral(t *testing.T) {
 				continue
 			}
 			var base, witnessed *Result
-			for set := 0; set < 8; set++ {
-				trace, timeline, witness := set&1 != 0, set&2 != 0, set&4 != 0
+			var plain []byte // the default-mode export
+			for set := 0; set < 6; set++ {
+				trace, events, witness := set%3 != 0, set%3 == 2, set >= 3
 				cfg := goldenConfig("radix")
 				m.Mut(&cfg)
 				var buf bytes.Buffer
 				if trace {
 					cfg.TraceWriter = &buf
 				}
-				cfg.RecordTimeline = timeline
+				cfg.TraceEvents = events
 				cfg.Witness = witness
-				name := fmt.Sprintf("%s trace=%v timeline=%v witness=%v", label, trace, timeline, witness)
+				name := fmt.Sprintf("%s trace=%v events=%v witness=%v", label, trace, events, witness)
 				res, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -109,18 +114,41 @@ func TestTraceHashNeutral(t *testing.T) {
 						t.Errorf("%s: other observers changed the witness hash", name)
 					}
 				}
-				if timeline && cfg.Model == ModelBulk && len(res.Timeline) == 0 {
-					t.Errorf("%s: empty timeline", name)
-				}
 				if !trace {
 					continue
 				}
+				data := bytes.Clone(buf.Bytes())
 				h, err := history.Read(&buf)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if h.Ops() == 0 {
 					t.Errorf("%s: empty exported history", name)
+				}
+				switch {
+				case !events:
+					if plain != nil && !bytes.Equal(data, plain) {
+						t.Errorf("%s: default export changed with the witness", name)
+					}
+					plain = data
+				case cfg.Model != ModelBulk:
+					if !bytes.Equal(data, plain) {
+						t.Errorf("%s: event mode changed a %s export", name, cfg.Model)
+					}
+				default:
+					want, err := history.Read(bytes.NewReader(plain))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(h.Events) == 0 {
+						t.Errorf("%s: no event records", name)
+					}
+					for i := range h.Chunks {
+						h.Chunks[i].At = 0
+					}
+					if !reflect.DeepEqual(h.Chunks, want.Chunks) {
+						t.Errorf("%s: event mode changed the chunk records", name)
+					}
 				}
 			}
 		}

@@ -11,11 +11,14 @@ import (
 
 	"bulksc/internal/chunk"
 	"bulksc/internal/mem"
+	"bulksc/internal/sim"
 )
 
 // TestWriterMatchesEncodingJSON pins the writer's byte-identity contract:
 // every Chunk and Access record is exactly what json.Encoder produces for
-// the equivalent ChunkRec or AccessRec, on edge values included.
+// the equivalent ChunkRec or AccessRec, on edge values included, and so is
+// every event-mode chunk, squash and pre-arbitration record, at each of
+// several clock readings.
 func TestWriterMatchesEncodingJSON(t *testing.T) {
 	const max = math.MaxUint64
 	chunks := []*chunk.Chunk{
@@ -40,21 +43,49 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 	var got, want bytes.Buffer
 	w := NewWriter(&got)
 	enc := json.NewEncoder(&want)
-	for _, ch := range chunks {
-		w.CommitChunk(ch)
-		rec := ChunkRec{Kind: KindChunk, Proc: ch.Proc, Seq: ch.Seq, Order: ch.CommitOrder, Ops: []Op{}}
-		for _, a := range ch.Log {
-			rec.Ops = append(rec.Ops, Op{Store: a.IsStore, Addr: uint64(a.Addr), Val: a.Value})
-		}
-		if err := enc.Encode(&rec); err != nil {
-			t.Fatal(err)
+	chunkRecs := func(at uint64) {
+		for _, ch := range chunks {
+			w.CommitChunk(ch)
+			rec := ChunkRec{Kind: KindChunk, Proc: ch.Proc, At: at, Seq: ch.Seq, Order: ch.CommitOrder, Ops: []Op{}}
+			for _, a := range ch.Log {
+				rec.Ops = append(rec.Ops, Op{Store: a.IsStore, Addr: uint64(a.Addr), Val: a.Value})
+			}
+			if err := enc.Encode(&rec); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	chunkRecs(0)
 	for _, a := range accesses {
 		w.Access(a.Proc, a.PO, a.Store, mem.Addr(a.Addr), a.Val, a.Fwd)
 		a.Kind = KindAccess
 		if err := enc.Encode(&a); err != nil {
 			t.Fatal(err)
+		}
+	}
+	eng := sim.NewEngine(0)
+	w.TraceEvents(eng)
+	for _, at := range []sim.Time{0, 17, 1 << 40} {
+		eng.AtCall(at, func(any) {}, nil)
+		eng.Step()
+		chunkRecs(uint64(at))
+		events := []EventRec{
+			{Kind: KindSquash, Proc: 3, Victims: 2, Instrs: 150, Genuine: true},
+			{Kind: KindSquash, Proc: 0, Victims: 1},
+			{Kind: KindSquash, Proc: math.MaxInt, Victims: math.MaxInt, Instrs: math.MinInt},
+			{Kind: KindPreArb, Proc: 5},
+			{Kind: KindPreArb, Proc: -1},
+		}
+		for _, e := range events {
+			if e.Kind == KindSquash {
+				w.Squash(e.Proc, e.Victims, e.Instrs, e.Genuine)
+			} else {
+				w.PreArb(e.Proc)
+			}
+			e.At = uint64(at)
+			if err := enc.Encode(&e); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := w.Close(); err != nil {

@@ -30,6 +30,11 @@
 // kinds and unknown header versions are errors, unknown *fields* are
 // ignored so the format can grow.
 //
+// In event mode (core.Config.TraceEvents) chunk records also carry their
+// commit cycle ("at"), and "squash" and "prearb" records between them
+// carry the run's protocol events, which Read returns in History.Events
+// and the checkers ignore.
+//
 // Export is wired behind core.Config.TraceWriter and `sweep -exp trace
 // -trace-out`; it is pure observation — the writer hooks the same commit
 // and perform instants the online witness checker audits, adds no
@@ -52,6 +57,8 @@ const (
 	KindHeader = "header"
 	KindChunk  = "chunk"
 	KindAccess = "access"
+	KindSquash = "squash"
+	KindPreArb = "prearb"
 )
 
 // Header is the optional first record of a history.
@@ -85,6 +92,8 @@ type ChunkRec struct {
 	Kind string `json:"kind"`
 	// Proc is the committing processor.
 	Proc int `json:"proc"`
+	// At is the commit cycle, written in event mode only.
+	At uint64 `json:"at,omitempty"`
 	// Seq is the chunk's per-processor sequence number (strictly
 	// increasing per processor).
 	Seq uint64 `json:"seq"`
@@ -113,12 +122,26 @@ type AccessRec struct {
 	Fwd bool `json:"fwd,omitempty"`
 }
 
-// History is a fully parsed trace. Chunks and Accesses each preserve file
-// order, which is the claimed commit/perform order respectively.
+// EventRec is one protocol event of an event-mode export: a squash of
+// Victims chunks discarding Instrs executed instructions (Genuine: true
+// sharing rather than signature aliasing), or a pre-arbitration grant.
+type EventRec struct {
+	Kind    string `json:"kind"`
+	Proc    int    `json:"proc"`
+	At      uint64 `json:"at"`
+	Victims int    `json:"victims,omitempty"`
+	Instrs  int    `json:"instrs,omitempty"`
+	Genuine bool   `json:"genuine,omitempty"`
+}
+
+// History is a fully parsed trace. Chunks, Accesses and Events each
+// preserve file order, which for the first two is the claimed commit or
+// perform order.
 type History struct {
 	Header   Header
 	Chunks   []ChunkRec
 	Accesses []AccessRec
+	Events   []EventRec
 }
 
 // Procs returns the processor count: the header's claim when present,
@@ -127,18 +150,17 @@ func (h *History) Procs() int {
 	if h.Header.Procs > 0 {
 		return h.Header.Procs
 	}
-	max := -1
+	n := 0
 	for i := range h.Chunks {
-		if h.Chunks[i].Proc > max {
-			max = h.Chunks[i].Proc
-		}
+		n = max(n, h.Chunks[i].Proc+1)
 	}
 	for i := range h.Accesses {
-		if h.Accesses[i].Proc > max {
-			max = h.Accesses[i].Proc
-		}
+		n = max(n, h.Accesses[i].Proc+1)
 	}
-	return max + 1
+	for i := range h.Events {
+		n = max(n, h.Events[i].Proc+1)
+	}
+	return n
 }
 
 // Ops returns the total operation count across both record shapes.
@@ -157,10 +179,10 @@ func (h *History) Ops() int {
 const MaxProcs = 1 << 16
 
 // validate checks the structural invariants that make a history checkable
-// at all — one record shape, and processor ids in [0, MaxProcs) and inside
-// the header's count when it declares one. Ordering and value obligations
-// are deliberately NOT checked here: those are the checker's verdict, not
-// a parse error.
+// at all — one operation record shape, and processor ids of every record
+// in [0, MaxProcs) and inside the header's count when it declares one.
+// Ordering and value obligations are deliberately NOT checked here: those
+// are the checker's verdict, not a parse error.
 func (h *History) validate() error {
 	if len(h.Chunks) > 0 && len(h.Accesses) > 0 {
 		// The two shapes describe different machines and carry no
@@ -189,6 +211,11 @@ func (h *History) validate() error {
 	}
 	for i := range h.Accesses {
 		if err := check("access", i, h.Accesses[i].Proc); err != nil {
+			return err
+		}
+	}
+	for i := range h.Events {
+		if err := check("event", i, h.Events[i].Proc); err != nil {
 			return err
 		}
 	}

@@ -2,11 +2,13 @@ package history
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bulksc/internal/chunk"
 	"bulksc/internal/mem"
+	"bulksc/internal/sim"
 )
 
 func TestRoundTripChunks(t *testing.T) {
@@ -80,6 +82,55 @@ func TestRoundTripAccesses(t *testing.T) {
 	}
 }
 
+// TestRoundTripEvents: an event-mode export reads back with each chunk's
+// commit cycle and the squash and pre-arbitration records in file order.
+func TestRoundTripEvents(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	eng := sim.NewEngine(0)
+	w.TraceEvents(eng)
+	w.Header(Header{Model: "BulkSC", Procs: 2})
+	eng.AtCall(40, func(any) {}, nil)
+	eng.Step()
+	w.Squash(1, 2, 300, true)
+	w.CommitChunk(&chunk.Chunk{Proc: 0, Seq: 1, CommitOrder: 1,
+		Log: []chunk.AccessRec{{IsStore: true, Addr: 64, Value: 7}}})
+	w.PreArb(1)
+	w.Squash(0, 1, 0, false)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []EventRec{
+		{Kind: KindSquash, Proc: 1, At: 40, Victims: 2, Instrs: 300, Genuine: true},
+		{Kind: KindPreArb, Proc: 1, At: 40},
+		{Kind: KindSquash, Proc: 0, At: 40, Victims: 1},
+	}
+	if !reflect.DeepEqual(h.Events, want) {
+		t.Fatalf("events %+v, want %+v", h.Events, want)
+	}
+	if len(h.Chunks) != 1 || h.Chunks[0].At != 40 || len(h.Chunks[0].Ops) != 1 {
+		t.Fatalf("chunks %+v", h.Chunks)
+	}
+}
+
+// TestProcsCountsEvents: a headerless history's processor count covers
+// the procs its event records name, not only its operation records'.
+func TestProcsCountsEvents(t *testing.T) {
+	h, err := Read(strings.NewReader(`{"kind":"chunk","proc":0,"seq":1,"order":1,"ops":[]}
+{"kind":"squash","proc":3,"at":5,"victims":1}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Procs() != 4 {
+		t.Fatalf("Procs() = %d, want 4", h.Procs())
+	}
+}
+
 // TestExternalHistory feeds a hand-authored headerless trace, the shape an
 // external tool would emit, and checks defaults are applied.
 func TestExternalHistory(t *testing.T) {
@@ -107,7 +158,7 @@ func TestReadErrors(t *testing.T) {
 		{"empty", "", "no operation records"},
 		{"header only", `{"kind":"header","version":1}`, "no operation records"},
 		{"duplicate header", `{"kind":"header","version":1}` + "\n" + `{"kind":"header","version":1}`, "duplicate header"},
-		{"late header", `{"kind":"access","proc":0,"po":1,"addr":0,"val":0}` + "\n" + `{"kind":"header","version":1}`, "header after operation records"},
+		{"late header", `{"kind":"access","proc":0,"po":1,"addr":0,"val":0}` + "\n" + `{"kind":"header","version":1}`, "header after other records"},
 		{"bad version", `{"kind":"header","version":99}`, "unsupported version"},
 		{"zero version", `{"kind":"header","version":0}`, "unsupported version"},
 		{"bad format", `{"kind":"header","version":1,"format":"other"}`, `format "other"`},
@@ -118,6 +169,11 @@ func TestReadErrors(t *testing.T) {
 		{"proc outside header", `{"kind":"header","version":1,"procs":2}` + "\n" + `{"kind":"access","proc":5,"po":1,"addr":0,"val":0}`, "outside header"},
 		{"mixed shapes", `{"kind":"chunk","proc":0,"seq":1,"order":1,"ops":[{"store":true,"addr":0,"val":1}]}` + "\n" + `{"kind":"access","proc":1,"po":1,"addr":0,"val":1}`, "chunk and access records mixed in one history"},
 		{"proc beyond bound", `{"kind":"access","proc":1099511627776,"po":1,"addr":0,"val":0}`, "proc 1099511627776 outside the 65536-processor bound"},
+		{"event negative proc", `{"kind":"prearb","proc":-1,"at":5}` + "\n" + `{"kind":"chunk","proc":0,"seq":1,"order":1,"ops":[]}`, "event record 0: negative proc -1"},
+		{"event proc outside header", `{"kind":"header","version":1,"procs":2}` + "\n" + `{"kind":"chunk","proc":0,"seq":1,"order":1,"ops":[]}` + "\n" + `{"kind":"squash","proc":2,"at":5,"victims":1}`, "event record 0: proc 2 outside header's 2 processors"},
+		{"header after event", `{"kind":"squash","proc":0,"at":5,"victims":1}` + "\n" + `{"kind":"header","version":1}`, "header after other records"},
+		{"malformed event", `{"kind":"squash","proc":0,"at":"soon"}`, "line 1: squash: json"},
+		{"events only", `{"kind":"prearb","proc":0,"at":5}`, "no operation records"},
 		{"header procs beyond bound", `{"kind":"header","version":1,"procs":65537}` + "\n" + `{"kind":"access","proc":0,"po":1,"addr":0,"val":0}`, "above the 65536 bound"},
 	}
 	for _, tc := range cases {

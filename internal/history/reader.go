@@ -20,12 +20,13 @@ const maxLineBytes = 4 << 20
 // defaults (version 1, procs inferred), which is what lets traces authored
 // by other systems check without ceremony.
 //
-// Chunk and access lines exactly as Writer emits them are decoded in place
-// (codec.go); every other line goes through encoding/json, whose result
-// the exact decoder is held to (FuzzHistoryReader). Lines are scanned one
-// at a time whatever r is, but when r has a Len() method, as
-// *bytes.Buffer, *bytes.Reader and *strings.Reader do, the record slice is
-// reserved from it when the first operation record appears.
+// Chunk and access lines exactly as Writer emits them by default are
+// decoded in place (codec.go); every other line, event-mode records
+// included, goes through encoding/json, whose result the exact decoder is
+// held to (FuzzHistoryReader). Lines are scanned one at a time whatever r
+// is, but when r has a Len() method, as *bytes.Buffer, *bytes.Reader and
+// *strings.Reader do, the record slice is reserved from it when the first
+// operation record appears.
 func Read(r io.Reader) (*History, error) {
 	return read(r, true)
 }
@@ -64,8 +65,8 @@ func read(r io.Reader, fast bool) (*History, error) {
 			if sawHeader {
 				return nil, fmt.Errorf("history: line %d: duplicate header", line)
 			}
-			if len(h.Chunks) > 0 || len(h.Accesses) > 0 {
-				return nil, fmt.Errorf("history: line %d: header after operation records", line)
+			if len(h.Chunks) > 0 || len(h.Accesses) > 0 || len(h.Events) > 0 {
+				return nil, fmt.Errorf("history: line %d: header after other records", line)
 			}
 			if err := json.Unmarshal(raw, &h.Header); err != nil {
 				return nil, fmt.Errorf("history: line %d: header: %w", line, err)
@@ -90,6 +91,12 @@ func read(r io.Reader, fast bool) (*History, error) {
 				return nil, fmt.Errorf("history: line %d: access: %w", line, err)
 			}
 			h.Accesses = append(h.Accesses, a)
+		case KindSquash, KindPreArb:
+			var e EventRec
+			if err := json.Unmarshal(raw, &e); err != nil {
+				return nil, fmt.Errorf("history: line %d: %s: %w", line, probe.Kind, err)
+			}
+			h.Events = append(h.Events, e)
 		case "":
 			return nil, fmt.Errorf("history: line %d: record has no \"kind\" field", line)
 		default:

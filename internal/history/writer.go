@@ -7,12 +7,14 @@ import (
 
 	"bulksc/internal/chunk"
 	"bulksc/internal/mem"
+	"bulksc/internal/sim"
 )
 
 // Writer streams a history as NDJSON. It is an observation sink (a
 // proc.Observer, so simlint's hashneutral pass checks it): the simulator
-// calls CommitChunk at each commit instant and Access at each perform
-// instant, and the writer serializes without touching simulation state.
+// calls CommitChunk at each commit instant, Access at each perform
+// instant, and Squash and PreArb at their events, and the writer
+// serializes without touching simulation state.
 // Errors are sticky — the first write failure is retained and every later
 // call becomes a no-op, so the hot hooks never need per-call error
 // handling; the machine surfaces Close's error once, at end of run.
@@ -23,13 +25,17 @@ import (
 // CommitChunk and Access append their records into one reused buffer with
 // the byte-level encoder in codec.go, whose output is byte-identical to
 // json.Encoder's (TestWriterMatchesEncodingJSON); Header, written once,
-// keeps encoding/json. The encode path carries no //sim:hotpath
-// annotation: tracing is opt-in observation, and the allocation
-// discipline applies to the machine, not to its export taps.
+// and every event-mode record keep encoding/json. The encode path carries
+// no //sim:hotpath annotation: tracing is opt-in observation, and the
+// allocation discipline applies to the machine, not to its export taps.
 type Writer struct {
 	bw  *bufio.Writer
 	buf []byte // the record being encoded, reused across records
 	err error
+	// clock is the engine whose cycle event mode stamps on each record;
+	// nil is the default mode, which writes no events.
+	//sim:observes
+	clock *sim.Engine
 }
 
 // NewWriter returns a streaming NDJSON writer over w.
@@ -37,21 +43,39 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w)}
 }
 
+// TraceEvents puts the writer in event mode: from then on each chunk
+// record carries clock's cycle as "at", and squashes and pre-arbitration
+// grants are written as "squash" and "prearb" records.
+func (t *Writer) TraceEvents(clock *sim.Engine) { t.clock = clock }
+
 // Header writes the history header. Version and Format are filled in.
 func (t *Writer) Header(h Header) {
-	if t.err != nil {
-		return
-	}
 	h.Kind = KindHeader
 	h.Version = Version
 	h.Format = Format
-	t.err = json.NewEncoder(t.bw).Encode(&h)
+	t.encode(&h)
+}
+
+// encode writes one record through encoding/json.
+func (t *Writer) encode(rec any) {
+	if t.err == nil {
+		t.err = json.NewEncoder(t.bw).Encode(rec)
+	}
 }
 
 // CommitChunk writes one committed chunk's record from the live chunk
 // state. Call at the commit instant, in commit order.
 func (t *Writer) CommitChunk(ch *chunk.Chunk) {
 	if t.err != nil {
+		return
+	}
+	if t.clock != nil {
+		rec := ChunkRec{Kind: KindChunk, Proc: ch.Proc, At: uint64(t.clock.Now()),
+			Seq: ch.Seq, Order: ch.CommitOrder, Ops: make([]Op, len(ch.Log))}
+		for i, a := range ch.Log {
+			rec.Ops[i] = Op{Store: a.IsStore, Addr: uint64(a.Addr), Val: a.Value}
+		}
+		t.encode(&rec)
 		return
 	}
 	t.buf = appendChunk(t.buf[:0], ch)
@@ -70,9 +94,20 @@ func (t *Writer) Access(proc int, po uint64, store bool, a mem.Addr, v uint64, f
 	_, t.err = t.bw.Write(t.buf)
 }
 
-// Squash and PreArb record nothing: a history holds commits and accesses.
-func (t *Writer) Squash(int, int, int, bool) {}
-func (t *Writer) PreArb(int)                 {}
+// Squash writes a squash record in event mode.
+func (t *Writer) Squash(proc, victims, instrs int, genuine bool) {
+	if t.clock != nil {
+		t.encode(&EventRec{Kind: KindSquash, Proc: proc, At: uint64(t.clock.Now()),
+			Victims: victims, Instrs: instrs, Genuine: genuine})
+	}
+}
+
+// PreArb writes a pre-arbitration record in event mode.
+func (t *Writer) PreArb(proc int) {
+	if t.clock != nil {
+		t.encode(&EventRec{Kind: KindPreArb, Proc: proc, At: uint64(t.clock.Now())})
+	}
+}
 
 // Close flushes buffered records and returns the first error encountered
 // anywhere in the stream. The underlying io.Writer is not closed.
