@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"bulksc/internal/arbiter"
@@ -360,9 +361,9 @@ type machine struct {
 
 	// bulkProcs/convProcs are the processors of the CURRENT run, in id
 	// order; bulkPool/convPool are the per-id processor arenas that
-	// survive across runs (addProc resets and reuses pool[id] when it
-	// exists, so a worker running the same geometry repeatedly never
-	// reconstructs a processor).
+	// survive across runs. Ids arrive as 0, 1, …, so addProc resets and
+	// reuses pool[id] when it exists and otherwise appends; a worker
+	// running the same geometry repeatedly never reconstructs a processor.
 	bulkProcs []*proc.BulkProc
 	convProcs []*proc.ConvProc
 	//lint:poolsafe processor arena; each entry is fully Reset at reacquisition in addProc
@@ -711,15 +712,12 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 			PreArbThreshold: 6,
 		}
 		var p *proc.BulkProc
-		if id < len(m.bulkPool) && m.bulkPool[id] != nil {
+		if id < len(m.bulkPool) {
 			p = m.bulkPool[id]
 			p.Reset(ins, par, opts)
 		} else {
 			p = proc.NewBulkProc(id, m.env, par, opts, ins)
-			for len(m.bulkPool) <= id {
-				m.bulkPool = append(m.bulkPool, nil)
-			}
-			m.bulkPool[id] = p
+			m.bulkPool = append(m.bulkPool, p)
 		}
 		m.bulkProcs = append(m.bulkProcs, p)
 	case ModelSC:
@@ -735,15 +733,12 @@ func (m *machine) addProc(cfg Config, id int, ins []workload.Instr) {
 
 func (m *machine) addConvProc(id int, par proc.Params, model proc.Model, ins []workload.Instr) {
 	var p *proc.ConvProc
-	if id < len(m.convPool) && m.convPool[id] != nil {
+	if id < len(m.convPool) {
 		p = m.convPool[id]
 		p.Reset(ins, par, model)
 	} else {
 		p = proc.NewConvProc(id, m.env, par, model, ins)
-		for len(m.convPool) <= id {
-			m.convPool = append(m.convPool, nil)
-		}
-		m.convPool[id] = p
+		m.convPool = append(m.convPool, p)
 	}
 	m.convProcs = append(m.convProcs, p)
 }
@@ -827,20 +822,13 @@ func (m *machine) run(cfg Config) (*Result, error) {
 	if cfg.Faults != nil {
 		res.FaultCounters = cfg.Faults.Counters()
 	}
-	var last sim.Time
 	for _, p := range m.bulkProcs {
 		res.PerProc = append(res.PerProc, uint64(p.DoneAt()))
-		if p.DoneAt() > last {
-			last = p.DoneAt()
-		}
 	}
 	for _, p := range m.convProcs {
 		res.PerProc = append(res.PerProc, uint64(p.DoneAt()))
-		if p.DoneAt() > last {
-			last = p.DoneAt()
-		}
 	}
-	res.Cycles = uint64(last)
+	res.Cycles = slices.Max(res.PerProc)
 	m.st.Cycles = res.Cycles
 	m.st.CloseWList(res.Cycles)
 	if wu != nil && wu.base != nil {

@@ -12,12 +12,11 @@ import (
 
 // BenchmarkDirectoryReset measures the warm-reuse reset of one directory
 // module holding a realistic population of entries: each iteration fills
-// the module with live lines (recycling the slab and free list built on
-// the first pass) and drains it back to cold shape with Reset. After
-// warmup the fill-and-drain cycle must be allocation-free — the entry
-// slab, bucket arrays and free list are retained arenas — so allocs/op
-// is the regression gate here, mirroring what a sweep worker pays per
-// simulation.
+// the module with live lines (carving entries from the arena built on the
+// first pass) and rewinds it with Reset. After warmup the fill-and-reset
+// cycle must be allocation-free — the entry arena, the table and the
+// bucket lists keep their capacity — so allocs/op is the regression gate
+// here, mirroring what a sweep worker pays per simulation.
 func BenchmarkDirectoryReset(b *testing.B) {
 	eng := sim.NewEngine(1)
 	st := stats.New()

@@ -6,7 +6,6 @@ import (
 	"bulksc/internal/arbiter"
 	"bulksc/internal/chunk"
 	"bulksc/internal/lineset"
-	"bulksc/internal/mem"
 	"bulksc/internal/network"
 	"bulksc/internal/sig"
 	"bulksc/internal/stats"
@@ -98,7 +97,7 @@ func (d *Directory) expand(c *Commit) {
 	mask := c.W.CandidateSets(expansionBuckets)
 	for w, word := range mask {
 		for ; word != 0; word &= word - 1 {
-			d.expandBucket(c, &d.buckets[w<<6|bits.TrailingZeros64(word)])
+			d.expandBucket(c, d.buckets[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
 	d.forwardToCaches(c)
@@ -109,25 +108,22 @@ func (d *Directory) expand(c *Commit) {
 // route by arbiter.RangeOf, so no entry needs an ownership check.
 //
 //sim:hotpath
-func (d *Directory) expandBucket(c *Commit, b *entryMap) {
-	for i, k := range b.keys {
-		if k == 0 {
-			continue
-		}
-		l := mem.Line(k - 1)
-		e := b.vals[i]
-		// Every entry in a candidate bucket is looked up (its tag and
-		// state are read) — Table 4's "Lookups per Commit"; entries
-		// the chunk did not truly write are the aliasing cost. The
-		// full membership test (∈, all banks) then gates the action.
-		// It goes first: W ⊇ TrueW (every exact-set insert also goes
-		// into the signature, and fault amplification only adds), so a
-		// line W rejects was not truly written and needs no TrueW probe.
-		d.st.DirLookups++
+func (d *Directory) expandBucket(c *Commit, b []bucketRef) {
+	// Every entry in a candidate bucket is looked up (its tag and state
+	// are read) — Table 4's "Lookups per Commit"; entries the chunk did
+	// not truly write are the aliasing cost.
+	d.st.DirLookups += uint64(len(b))
+	for _, r := range b {
+		// The full membership test (∈, all banks) gates the action. It
+		// goes first: W ⊇ TrueW (every exact-set insert also goes into
+		// the signature, and fault amplification only adds), so a line W
+		// rejects was not truly written and needs no TrueW probe.
+		l := r.line
 		if !c.W.MayContain(l) {
 			d.st.DirUnnecessary++
 			continue
 		}
+		e := r.e
 		trulyWritten := c.TrueW.Has(l)
 		if !trulyWritten {
 			d.st.DirUnnecessary++
@@ -282,7 +278,7 @@ func (d *Directory) expandPriv(c *Commit) {
 	mask := c.W.CandidateSets(expansionBuckets)
 	for w, word := range mask {
 		for ; word != 0; word &= word - 1 {
-			d.expandPrivBucket(c, &d.buckets[w<<6|bits.TrailingZeros64(word)])
+			d.expandPrivBucket(c, d.buckets[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
 	d.forwardPrivToCaches(c)
@@ -291,16 +287,12 @@ func (d *Directory) expandPriv(c *Commit) {
 // expandPrivBucket walks one candidate bucket of expandPriv.
 //
 //sim:hotpath
-func (d *Directory) expandPrivBucket(c *Commit, b *entryMap) {
-	for i, k := range b.keys {
-		if k == 0 {
+func (d *Directory) expandPrivBucket(c *Commit, b []bucketRef) {
+	for _, r := range b {
+		if !c.W.MayContain(r.line) {
 			continue
 		}
-		l := mem.Line(k - 1)
-		e := b.vals[i]
-		if !c.W.MayContain(l) {
-			continue
-		}
+		e := r.e
 		if !e.dirty && e.sharers.Has(c.Proc) {
 			d.inval.AddSetExcept(&e.sharers, c.Proc)
 			e.sharers.Only(c.Proc, &d.shar)

@@ -17,10 +17,18 @@
 // Entries under a multi-step transaction are marked busy and later
 // requests queue behind them, the standard way real directories serialize
 // racing requests.
+//
+// The DirBDM's buckets are modelled hardware: expansion visits every entry
+// of every candidate bucket and counts each as a lookup (Table 4). The
+// host layout only has to produce the same visits, so a module keeps one
+// flat line→entry table, carves entries in first-touch order from an
+// arena, and lists each bucket's entries for the expansion walk (see
+// Directory).
 package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bulksc/internal/arbiter"
 	"bulksc/internal/cache"
@@ -31,7 +39,6 @@ import (
 	"bulksc/internal/sharerset"
 	"bulksc/internal/sig"
 	"bulksc/internal/sim"
-	"bulksc/internal/slab"
 	"bulksc/internal/stats"
 )
 
@@ -108,12 +115,11 @@ type CachePort interface {
 }
 
 // entry is one directory entry: a sparse sharer set plus the dirty/owner
-// state. Entries are recycled through the directory's free list; their
-// pointers must stay stable while a transaction is in flight (multi-event
-// paths like readShared keep the entry on their readTxn across network
-// hops), which is why buckets hold *entry rather than inline values and
-// why only non-busy entries are ever displaced. Every path that frees an entry (remove,
-// drainBuckets) must Clear its sharer set first so overflow bitmaps return
+// state. Entries are carved from the module's arena in first-touch order
+// and never move, because a transaction in flight holds its entry across
+// network hops (readTxn.e) and only non-busy entries are ever displaced.
+// Reset rewinds the arena; the displacement path (remove) parks entries on
+// a free list. Both Clear the sharer set first so overflow bitmaps return
 // to the module's arena.
 type entry struct {
 	line    mem.Line
@@ -128,195 +134,37 @@ type entry struct {
 	lru     uint64 // recency for the directory-cache variant
 }
 
-// entryMap is an open-addressed map from line to *entry — one per
-// expansion bucket. Same idiom as package lineset: linear probing over a
-// flat key array (line+1, 0 marks empty), Fibonacci hashing, tombstone-free
-// backward-shift deletion, growth at 75% load. Compared to the Go map it
-// replaces, lookups touch one flat array, inserts don't allocate per
-// bucket-chain node, and iteration (the DirBDM expansion walk) is slot
-// order — deterministic for a fixed history.
-type entryMap struct {
-	keys []uint64
-	vals []*entry
-	n    int
-	//lint:poolsafe machine-lifetime recycler wiring to the owning module's arena; storage source only
-	ar *emArena
+// slot is one line→entry table slot; key is line+1, so 0 marks empty.
+type slot struct {
+	key uint64
+	e   *entry
 }
 
-// emArena recycles the power-of-two backing arrays of a module's 512
-// entryMap buckets across warm machine resets (and across within-run
-// growth). Capacity trajectories are untouched — reset still restores
-// every bucket to its cold shape — the arena only lets the re-growth draw
-// zeroed, size-matched arrays from recycled storage instead of the
-// allocator. One arena per Directory, shared by its buckets.
-type emArena struct {
-	keys slab.Pool[uint64]
-	vals slab.Pool[*entry]
+// bucketRef is one entry of an expansion-bucket list. The line sits
+// beside the pointer so the expansion walk tests membership without
+// touching the entry.
+type bucketRef struct {
+	line mem.Line
+	e    *entry
 }
 
-// getKeys/getVals/put are nil-receiver-safe so a zero-value entryMap
-// (tests, future callers outside a Directory) degrades to plain
-// allocation.
-//
-//sim:pool acquire
-func (a *emArena) getKeys(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
-	return a.keys.Get(n)
-}
-
-//sim:pool acquire
-func (a *emArena) getVals(n int) []*entry {
-	if a == nil {
-		return make([]*entry, n)
-	}
-	return a.vals.Get(n)
-}
-
-//sim:pool release
-func (a *emArena) put(keys []uint64, vals []*entry) {
-	if a == nil {
-		return
-	}
-	a.keys.Put(keys)
-	a.vals.Put(vals)
-}
-
-// emMinSlots keeps first allocation small: entries spread over 512 buckets,
-// so most buckets hold only a handful of lines.
-const emMinSlots = 8
-
-func emHash(key uint64, mask int) int {
-	return int((key*0x9e3779b97f4a7c15)>>33) & mask
-}
-
-//sim:hotpath
-func (m *entryMap) get(l mem.Line) *entry {
-	if m.n == 0 {
-		return nil
-	}
-	mask := len(m.keys) - 1
-	k := uint64(l) + 1
-	for i := emHash(k, mask); ; i = (i + 1) & mask {
-		v := m.keys[i]
-		if v == k {
-			return m.vals[i]
-		}
-		if v == 0 {
-			return nil
-		}
-	}
-}
-
-//sim:hotpath
-func (m *entryMap) put(l mem.Line, e *entry) {
-	if m.keys == nil {
-		m.keys = m.ar.getKeys(emMinSlots)
-		m.vals = m.ar.getVals(emMinSlots)
-	} else if m.n*4 >= len(m.keys)*3 {
-		m.grow()
-	}
-	mask := len(m.keys) - 1
-	k := uint64(l) + 1
-	for i := emHash(k, mask); ; i = (i + 1) & mask {
-		v := m.keys[i]
-		if v == k {
-			m.vals[i] = e
-			return
-		}
-		if v == 0 {
-			m.keys[i] = k
-			m.vals[i] = e
-			m.n++
-			return
-		}
-	}
-}
-
-//sim:hotpath
-func (m *entryMap) del(l mem.Line) bool {
-	if m.n == 0 {
-		return false
-	}
-	mask := len(m.keys) - 1
-	k := uint64(l) + 1
-	i := emHash(k, mask)
-	for {
-		v := m.keys[i]
-		if v == 0 {
-			return false
-		}
-		if v == k {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	m.keys[i] = 0
-	m.vals[i] = nil
-	m.n--
-	// Backward-shift compaction keeps probe chains tombstone-free.
-	j := i
-	for {
-		j = (j + 1) & mask
-		v := m.keys[j]
-		if v == 0 {
-			return true
-		}
-		home := emHash(v, mask)
-		if (j-home)&mask >= (j-i)&mask {
-			m.keys[i] = v
-			m.vals[i] = m.vals[j]
-			m.keys[j] = 0
-			m.vals[j] = nil
-			i = j
-		}
-	}
-}
-
-// reset returns the bucket to its cold shape. Bit-identity across warm
-// reuse requires the table's *capacity history* to match a cold run's,
-// because the DirBDM expansion walk and displaceOne iterate buckets in
-// slot order and slot = hash & (len-1): a retained grown table would place
-// the next run's entries at different slots than cold growth would,
-// reordering expansion visits and with them the whole event stream. A
-// bucket still at its first-allocation size is zeroed in place (a zeroed
-// 8-slot table is indistinguishable from a fresh one); a grown bucket
-// parks its arrays in the module's arena so the next run re-walks the
-// cold growth history from recycled storage instead of the allocator.
-func (m *entryMap) reset() {
-	if len(m.keys) == emMinSlots {
-		clear(m.keys)
-		clear(m.vals)
-	} else if m.keys != nil {
-		m.ar.put(m.keys, m.vals)
-		m.keys = nil
-		m.vals = nil
-	}
-	m.n = 0
-}
-
-func (m *entryMap) grow() {
-	oldK, oldV := m.keys, m.vals
-	m.keys = m.ar.getKeys(len(oldK) * 2)
-	m.vals = m.ar.getVals(len(oldK) * 2)
-	mask := len(m.keys) - 1
-	for j, k := range oldK {
-		if k == 0 {
-			continue
-		}
-		for i := emHash(k, mask); ; i = (i + 1) & mask {
-			if m.keys[i] == 0 {
-				m.keys[i] = k
-				m.vals[i] = oldV[j]
-				break
-			}
-		}
-	}
-	m.ar.put(oldK, oldV)
-}
+const (
+	minTableSlots = 256 // initial table size, a power of two
+	entryBlock    = 256 // entries per arena block
+	fibMul        = 0x9e3779b97f4a7c15
+)
 
 // Directory is one directory module (plus its slice of the shared L2).
+//
+// Its entries live in three structures. The table maps a line to its
+// entry: open addressing with linear probing, grouped Fibonacci hashing
+// (see home), growth at 75% load and tombstone-free backward-shift
+// deletion. The arena hands out entries in
+// first-touch order from pointer-stable blocks. The 512 bucket lists hold
+// every entry of each expansion bucket for the DirBDM walk. No simulated
+// state depends on the order a bucket list or the table holds its
+// entries (DESIGN §11), so all three keep their grown capacity across
+// Reset.
 type Directory struct {
 	//lint:poolsafe stable identity fixed at construction
 	ID int
@@ -329,19 +177,17 @@ type Directory struct {
 	//lint:poolsafe immutable machine-lifetime references wired at construction
 	l2 *cache.L2
 
-	ports   []CachePort
-	buckets []entryMap
-	// emar recycles bucket backing arrays across growth and warm resets;
-	// every bucket points at it (see emArena).
-	//lint:poolsafe size-class storage recycler; recycled arrays are zeroed and identity-neutral
-	emar emArena
-	free []*entry // recycled entries (see entry doc on pointer stability)
-	// slab batch-allocates fresh entries. Directory entries are long-lived
-	// (one per tracked line) and pointer-stable, so they cannot be pooled
-	// while alive — but carving them out of block allocations cuts the
-	// allocator calls for a cold sweep by the slab size.
-	//lint:poolsafe allocation reservoir; handed-out entries are fully reinitialized by getOrCreate
-	slab []entry
+	ports []CachePort
+	table []slot
+	// shift is 64 − log2(len(table)).
+	//lint:poolsafe follows the table's retained size; Reset clears the slots, not the capacity
+	shift   uint
+	buckets [expansionBuckets][]bucketRef
+	// blocks is the entry arena; used counts the entries carved from it.
+	//lint:poolsafe pointer-stable entry storage; Reset rewinds used and newEntry reinitializes every entry it hands out
+	blocks []*[entryBlock]entry
+	used   int
+	free   []*entry // entries the displacement path removed
 	//lint:poolsafe recycled waiter-slice capacity; slices are emptied before being pushed
 	wsFree [][]func(e *entry)
 	//lint:poolsafe recycled transaction records; every field is overwritten at reuse
@@ -392,18 +238,15 @@ type Directory struct {
 
 // New returns directory module id, fronting l2.
 func New(id int, eng *sim.Engine, net *network.Network, st *stats.Stats, l2 *cache.L2) *Directory {
-	d := &Directory{
-		ID:      id,
-		eng:     eng,
-		net:     net,
-		st:      st,
-		l2:      l2,
-		buckets: make([]entryMap, expansionBuckets),
+	return &Directory{
+		ID:    id,
+		eng:   eng,
+		net:   net,
+		st:    st,
+		l2:    l2,
+		table: make([]slot, minTableSlots),
+		shift: 64 - uint(bits.TrailingZeros(minTableSlots)),
 	}
-	for i := range d.buckets {
-		d.buckets[i].ar = &d.emar
-	}
-	return d
 }
 
 // AttachPorts wires the processor cache ports and sizes the sharer-set
@@ -415,38 +258,23 @@ func (d *Directory) AttachPorts(ports []CachePort) {
 	d.inval.Configure(len(ports))
 }
 
-// drainBuckets recycles every live entry into the free list and returns
-// each bucket to its cold shape (see entryMap.reset for the bit-identity
-// argument). The drain walk is slot order — deterministic — though the
-// order only decides which recycled pointer serves which future line;
-// getOrCreate reinitializes every field of a recycled entry, so pointer
-// identity never reaches simulated state.
-func drainBuckets(buckets []entryMap, free []*entry, ar *sharerset.Arena) []*entry {
-	for bi := range buckets {
-		b := &buckets[bi]
-		if b.n > 0 {
-			for i, k := range b.keys {
-				if k != 0 {
-					e := b.vals[i]
-					e.sharers.Clear(ar)
-					free = append(free, e)
-				}
-			}
-		}
-		b.reset()
-	}
-	return free
-}
-
-// Reset returns the module to its just-constructed state in place: live
-// entries are recycled onto the free list (their pointers stay valid for
-// the next run's getOrCreate, which reinitializes them fully), buckets
-// return to cold shape, the committing list and per-run configuration
-// (ports, SigFactory, MaxEntries) are detached, and the LRU clock
-// restarts. The entry slab and the transaction/waiter pools are retained —
-// they are allocation reservoirs whose contents are overwritten at reuse.
+// Reset returns the module to its just-constructed state in place: every
+// entry's sharer set is cleared, the arena rewinds, the table and bucket
+// lists empty without giving up their capacity, the committing list and
+// per-run configuration (ports, SigFactory, MaxEntries) are detached, and
+// the LRU clock restarts. The transaction and waiter pools are retained;
+// their contents are overwritten at reuse.
 func (d *Directory) Reset() {
-	d.free = drainBuckets(d.buckets, d.free, &d.shar)
+	for i := 0; i < d.used; i++ {
+		d.blocks[i/entryBlock][i%entryBlock].sharers.Clear(&d.shar)
+	}
+	d.used = 0
+	clear(d.free)
+	d.free = d.free[:0]
+	clear(d.table)
+	for b := range d.buckets {
+		d.buckets[b] = d.buckets[b][:0]
+	}
 	d.inval.Reset()
 	clear(d.committing) // release commit records before truncating
 	d.committing = d.committing[:0]
@@ -457,48 +285,116 @@ func (d *Directory) Reset() {
 	d.tick = 0
 }
 
-func (d *Directory) bucketOf(l mem.Line) int { return int(uint64(l) & (expansionBuckets - 1)) }
+func bucketOf(l mem.Line) int { return int(uint64(l) & (expansionBuckets - 1)) }
 
-func (d *Directory) find(l mem.Line) *entry { return d.buckets[d.bucketOf(l)].get(l) }
+// slotOf returns the table slot holding key, or the empty slot where it
+// would go.
+//
+//sim:hotpath
+func (d *Directory) slotOf(key uint64) int {
+	mask := len(d.table) - 1
+	for i := d.home(key); ; i = (i + 1) & mask {
+		if k := d.table[i].key; k == key || k == 0 {
+			return i
+		}
+	}
+}
 
+// home is key's home slot. Keys are hashed in aligned groups of eight:
+// Fibonacci hashing picks a group's block and the low bits place each key
+// within it, so a run of consecutive lines shares host cache lines.
+func (d *Directory) home(key uint64) int {
+	return int(((key>>3)*fibMul)>>d.shift)&^7 | int(key&7)
+}
+
+func (d *Directory) find(l mem.Line) *entry { return d.table[d.slotOf(uint64(l)+1)].e }
+
+//sim:hotpath
 func (d *Directory) getOrCreate(l mem.Line) *entry {
-	b := &d.buckets[d.bucketOf(l)]
-	if e := b.get(l); e != nil {
+	key := uint64(l) + 1
+	i := d.slotOf(key)
+	if e := d.table[i].e; e != nil {
 		return e
 	}
 	if d.MaxEntries > 0 && d.numEntries >= d.MaxEntries {
 		d.displaceOne()
+		i = d.slotOf(key)
 	}
-	var e *entry
-	if n := len(d.free); n > 0 {
-		e = d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		ws := e.waiters[:0]
-		*e = entry{line: l, waiters: ws}
-	} else {
-		if len(d.slab) == 0 {
-			d.slab = make([]entry, 256)
-		}
-		e = &d.slab[0]
-		d.slab = d.slab[1:]
-		e.line = l
+	if (d.numEntries+1)*4 > len(d.table)*3 {
+		d.grow()
+		i = d.slotOf(key)
 	}
-	b.put(l, e)
+	e := d.newEntry(l)
+	d.table[i] = slot{key, e}
+	b := bucketOf(l)
+	d.buckets[b] = append(d.buckets[b], bucketRef{l, e})
 	d.numEntries++
 	d.tick++
 	e.lru = d.tick
 	return e
 }
 
-func (d *Directory) remove(l mem.Line) {
-	b := &d.buckets[d.bucketOf(l)]
-	if e := b.get(l); e != nil {
-		b.del(l)
-		d.numEntries--
-		e.sharers.Clear(&d.shar)
-		d.free = append(d.free, e)
+// newEntry hands out a fresh entry for l: a displaced one if any, else the
+// next one in the arena.
+func (d *Directory) newEntry(l mem.Line) *entry {
+	var e *entry
+	if n := len(d.free); n > 0 {
+		e = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		b := d.used / entryBlock
+		if b == len(d.blocks) {
+			d.blocks = append(d.blocks, new([entryBlock]entry))
+		}
+		e = &d.blocks[b][d.used%entryBlock]
+		d.used++
 	}
+	*e = entry{line: l}
+	return e
+}
+
+// grow doubles the table and rehashes every key into it.
+func (d *Directory) grow() {
+	old := d.table
+	d.table = make([]slot, 2*len(old))
+	d.shift--
+	for _, s := range old {
+		if s.key != 0 {
+			d.table[d.slotOf(s.key)] = s
+		}
+	}
+}
+
+// remove deletes e from the table and its bucket list and parks it on the
+// free list. Only the directory-cache displacement path removes entries.
+func (d *Directory) remove(e *entry) {
+	mask := len(d.table) - 1
+	i := d.slotOf(uint64(e.line) + 1)
+	d.table[i] = slot{}
+	// Backward-shift deletion keeps probe chains tombstone-free.
+	for j := (i + 1) & mask; d.table[j].key != 0; j = (j + 1) & mask {
+		home := d.home(d.table[j].key)
+		if (j-home)&mask >= (j-i)&mask {
+			d.table[i] = d.table[j]
+			d.table[j] = slot{}
+			i = j
+		}
+	}
+	b := bucketOf(e.line)
+	list := d.buckets[b]
+	for j := range list {
+		if list[j].e == e {
+			last := len(list) - 1
+			list[j] = list[last]
+			list[last] = bucketRef{}
+			d.buckets[b] = list[:last]
+			break
+		}
+	}
+	d.numEntries--
+	e.sharers.Clear(&d.shar)
+	d.free = append(d.free, e)
 }
 
 // Entries returns the number of directory entries, for tests.
@@ -507,11 +403,9 @@ func (d *Directory) Entries() int { return d.numEntries }
 // ForEachLine calls f with the line of every entry the module holds, in
 // bucket order, for tests.
 func (d *Directory) ForEachLine(f func(l mem.Line)) {
-	for bi := range d.buckets {
-		for _, k := range d.buckets[bi].keys {
-			if k != 0 {
-				f(mem.Line(k - 1))
-			}
+	for _, list := range d.buckets {
+		for _, r := range list {
+			f(r.line)
 		}
 	}
 }
@@ -894,20 +788,9 @@ func (d *Directory) Evicted(proc int, l mem.Line) {}
 // chunks) and invalidation; dirty copies are written back.
 func (d *Directory) displaceOne() {
 	var victim *entry
-	for bi := range d.buckets {
-		b := &d.buckets[bi]
-		if b.n == 0 {
-			continue
-		}
-		for i, k := range b.keys {
-			if k == 0 {
-				continue
-			}
-			e := b.vals[i]
-			if e.busy {
-				continue
-			}
-			if victim == nil || e.lru < victim.lru {
+	for _, list := range d.buckets {
+		for _, r := range list {
+			if e := r.e; !e.busy && (victim == nil || e.lru < victim.lru) {
 				victim = e
 			}
 		}
@@ -931,7 +814,7 @@ func (d *Directory) displaceOne() {
 		d.st.Writebacks++
 		d.l2.Install(l)
 	}
-	d.remove(l)
+	d.remove(victim)
 }
 
 // evictArriveCB delivers a displacement signature to one sharer, which

@@ -79,7 +79,7 @@ func (a *Arena) put(w []uint64) {
 // Set is one sparse sharer set. The zero value is an empty set. A Set
 // that overflowed holds arena storage until Clear or Only releases it;
 // owners must route every teardown through one of those (the directory
-// does so in remove/drainBuckets) or the words leak out of the arena.
+// does so in remove and Reset) or the words leak out of the arena.
 type Set struct {
 	ovf    []uint64          // overflow bitmap; nil while inline
 	inline [InlineCap]uint16 // sorted ascending; first n valid

@@ -17,10 +17,11 @@
 // monomorphic 4-ary overflow heap. A wheel record is only {callback,
 // payload} (24 bytes): its slot fixes its cycle and FIFO order fixes its
 // sequence. Only heap records carry (time, seq). Drained slot arrays go
-// onto a LIFO spare stack and the next slot to fill takes the most recent
-// one, so the few live slots reuse cache-hot storage. Both tiers are
-// allocation-free in steady state: slot arrays and the heap slice are the
-// pool, and append reuses their capacity.
+// onto a LIFO spare stack unzeroed (every record is overwritten before it
+// is read again; Reset zeroes them) and the next slot to fill takes the
+// most recent one, so the few live slots reuse cache-hot storage. Both
+// tiers are allocation-free in steady state: slot arrays and the heap
+// slice are the pool, and append reuses their capacity.
 //
 // There is one callback form: an event is a typed callback func(any) and
 // its payload word (AtCall/AfterCall). Schedulers reuse one long-lived
@@ -99,7 +100,7 @@ type Engine struct {
 	// slots[t&wheelMask] holds the events scheduled for cycle t, for t in
 	// [now, now+wheelSize).
 	slots [wheelSize]slot
-	// spare is a LIFO stack of drained, zeroed slot arrays. A slot that
+	// spare is a LIFO stack of drained slot arrays. A slot that
 	// receives its first event takes the most recently drained array, so
 	// the few live slots cycle through cache-hot storage instead of
 	// touching each of the wheelSize slots' arrays once per revolution.
@@ -187,20 +188,23 @@ func (e *Engine) Pending() int { return e.wcount + len(e.heap) }
 // (core.Runner) pays no event-queue reallocation. Leftover events are
 // dropped: Run can stop with events still queued (the all-procs-done
 // condition), and a recycled engine must not fire a previous run's
-// callbacks. Occupied slots' records are zeroed, so dead callbacks and
-// payloads are released to the GC, and their arrays move to the spare
-// stack; the RNG is re-seeded so the next run draws the exact stream a
-// cold NewEngine would — the determinism contract of warm reuse.
+// callbacks. Occupied slots' arrays move to the spare stack and every
+// spare array is zeroed over its full capacity, so dead callbacks and
+// payloads are released to the GC; the RNG is re-seeded so the next run
+// draws the exact stream a cold NewEngine would — the determinism
+// contract of warm reuse.
 func (e *Engine) Reset(seed int64) {
 	for w, word := range e.occ {
 		for word != 0 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			clear(e.slots[i].recs) // release callbacks/payloads held by the records
 			e.spare = append(e.spare, e.slots[i].recs[:0])
 			e.slots[i] = slot{}
 		}
 		e.occ[w] = 0
+	}
+	for _, recs := range e.spare {
+		clear(recs[:cap(recs)]) // release callbacks/payloads held by dead records
 	}
 	e.wcount = 0
 	clear(e.heap) // release callbacks/payloads from any undrained events
@@ -267,8 +271,11 @@ func (e *Engine) wheelNext() Time {
 }
 
 // popWheel removes and returns the head of cycle t's FIFO slot. A fully
-// drained slot's records are zeroed, so its array retains no dead
-// callbacks or payloads, and the array goes onto the spare stack.
+// drained slot's array goes onto the spare stack as it is: its records are
+// dead but not zeroed. None is read again before it is overwritten, since
+// the next slot to adopt the array appends from index 0 and head bounds
+// every read. Reset zeroes the spare arrays, so a parked machine retains
+// no dead callbacks or payloads.
 //
 //sim:hotpath
 func (e *Engine) popWheel(t Time) call {
@@ -277,7 +284,6 @@ func (e *Engine) popWheel(t Time) call {
 	c := sl.recs[sl.head]
 	sl.head++
 	if sl.head == len(sl.recs) {
-		clear(sl.recs) // release callbacks/payloads held by the records
 		e.spare = append(e.spare, sl.recs[:0])
 		*sl = slot{}
 		e.occ[i>>6] &^= 1 << uint(i&63)

@@ -1,6 +1,6 @@
 // Package slab provides a size-class recycler for the power-of-two
 // backing arrays behind the simulator's open-addressed tables (package
-// lineset's sets and maps, the directory's entryMap buckets).
+// lineset's sets and maps).
 //
 // The warm-reuse bit-identity contract (DESIGN.md §11) forbids carrying a
 // table's *capacity* across runs — slot-order iteration depends on it —

@@ -8,9 +8,10 @@
 # (scripts/perfdiff.sh on the checked-in snapshot pair
 # BENCH_core_baseline.json → BENCH_core.json, both written by
 # scripts/perfsnap.sh on one host, after proving that perfdiff rejects
-# three doctored copies of the snapshot), and the race detector over
-# both the sweep executor's Worker pool in experiments/ and the litmus ×
-# model × fault torture matrix.
+# three doctored copies of the snapshot, followed by a warning that names
+# the snapshot's commits and counts the non-test Go files changed since),
+# and the race detector over both the sweep executor's Worker pool in
+# experiments/ and the litmus × model × fault torture matrix.
 # Run from the repository root (or via `make check`).
 #
 # Usage: scripts/check.sh [-fast]
@@ -133,6 +134,21 @@ done
 
 echo "== perfdiff BENCH_core_baseline.json -> BENCH_core.json =="
 ./scripts/perfdiff.sh BENCH_core_baseline.json BENCH_core.json
+
+# A warning, not a gate: the snapshot pair above was measured at the
+# commits it records, so name them and count the non-test Go files the
+# tree has changed since. A large count means the gate re-read old data.
+echo "== perf snapshot age (warning only) =="
+echo "BENCH_core_baseline.json commit: $(jq -r '.commit' BENCH_core_baseline.json)"
+snap=$(jq -r '.commit' BENCH_core.json)
+echo "BENCH_core.json commit: $snap"
+snap=${snap%-dirty}
+if git cat-file -e "$snap^{commit}" 2>/dev/null; then
+    changed=$(git diff --name-only "$snap" -- '*.go' | grep -cv '_test\.go$' || true)
+else
+    changed=unknown
+fi
+echo "non-test .go files changed since the snapshot: $changed"
 
 if [ "$fast" = 1 ]; then
     echo "check: green (-fast: race passes skipped)"
