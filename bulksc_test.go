@@ -84,15 +84,21 @@ func TestAppListsConsistent(t *testing.T) {
 }
 
 func TestLitmusConstructors(t *testing.T) {
-	for name, prog := range map[string]*bulksc.Program{
-		"sb":   bulksc.StoreBuffering(4),
-		"mp":   bulksc.MessagePassing(4),
-		"iriw": bulksc.IRIW(4),
-		"lock": bulksc.DekkerLock(5, 4),
-		"co":   bulksc.CoherenceOrder(10),
+	for name, tc := range map[string]struct {
+		prog    *bulksc.Program
+		threads int
+	}{
+		"sb":   {bulksc.StoreBuffering(4), 2},
+		"mp":   {bulksc.MessagePassing(4), 2},
+		"lb":   {bulksc.LoadBuffering(4), 2},
+		"wrc":  {bulksc.WRC(4), 3},
+		"corr": {bulksc.CoRR(4), 2},
+		"iriw": {bulksc.IRIW(4), 4},
+		"lock": {bulksc.DekkerLock(5, 4), 4},
+		"co":   {bulksc.CoherenceOrder(10), 4},
 	} {
-		if len(prog.Threads) == 0 {
-			t.Errorf("%s: empty program", name)
+		if len(tc.prog.Threads) != tc.threads {
+			t.Errorf("%s: %d threads, want %d", name, len(tc.prog.Threads), tc.threads)
 		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 
 	"bulksc"
 	"bulksc/internal/history"
+	"bulksc/internal/history/explore"
 	"bulksc/internal/history/gk"
+	"bulksc/internal/workload"
 )
 
 func runScchk(t *testing.T, stdin string, args ...string) (int, string, string) {
@@ -182,40 +184,61 @@ func TestPipeInputUnsized(t *testing.T) {
 }
 
 // TestSearchMachineExports runs -search on histories the simulator
-// exports, not hand-written ones: the store-buffering litmus test over a
-// range of paddings and seeds. RC lets both loads pass the other thread's
-// store, so every export must be found unserializable; SC and BulkSC must
-// be serializable on every export.
+// exports, not hand-written ones: every litmus suite kernel under sc, rc,
+// sc++ and dypvt over a range of paddings and seeds. -search must find an
+// export unserializable exactly when the outcome it records (explore's
+// Observed) lies outside the kernel's enumerated SC outcomes: RC, and
+// SC++ (ROADMAP item 12), let both SB loads pass the other thread's store.
 func TestSearchMachineExports(t *testing.T) {
 	dir := t.TempDir()
-	for _, tc := range []struct {
-		variant string
-		want    int
-	}{{"rc", 1}, {"sc", 0}, {"dypvt", 0}} {
-		for pad := 0; pad <= 27; pad += 3 {
-			for seed := int64(1); seed <= 5; seed++ {
-				path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d.ndjson", tc.variant, pad, seed))
-				f, err := os.Create(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := bulksc.Variant("", tc.variant)
-				cfg.Work, cfg.Procs, cfg.Seed, cfg.WarmupFrac = 0, 0, seed, 0
-				cfg.TraceWriter = f
-				_, err = bulksc.RunProgram(cfg, bulksc.StoreBuffering(pad))
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					t.Fatalf("%s pad %d seed %d: %v", tc.variant, pad, seed, err)
-				}
-				var out, errb bytes.Buffer
-				if code := run([]string{"-q", "-search", path}, &out, &errb); code != tc.want {
-					t.Errorf("%s pad %d seed %d: exit %d, want %d (stderr %q)",
-						tc.variant, pad, seed, code, tc.want, errb.String())
+	unserializable := map[string]int{}
+	for _, k := range workload.LitmusSuite() {
+		p, err := explore.FromProgram(k.Build(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := explore.Explore(p, explore.ModelSC, explore.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, variant := range []string{"sc", "rc", "sc++", "dypvt"} {
+			for pad := 0; pad <= 27; pad += 3 {
+				for seed := int64(1); seed <= 5; seed++ {
+					label := fmt.Sprintf("%s/%s pad %d seed %d", k.Name, variant, pad, seed)
+					path := filepath.Join(dir, fmt.Sprintf("%s-%s-%d-%d.ndjson", k.Name, variant, pad, seed))
+					var buf bytes.Buffer
+					cfg := bulksc.Variant("", variant)
+					cfg.Work, cfg.Procs, cfg.Seed, cfg.WarmupFrac = 0, 0, seed, 0
+					cfg.TraceWriter = &buf
+					if _, err := bulksc.RunProgram(cfg, k.Build(pad)); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					h, err := history.Read(&buf)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					o, err := p.Observed(h)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					want := 0
+					if !sc.Has(o.Key()) {
+						want = 1
+						unserializable[k.Name+"/"+variant]++
+					}
+					var out, errb bytes.Buffer
+					if code := run([]string{"-q", "-search", path}, &out, &errb); code != want {
+						t.Errorf("%s: outcome %s, exit %d, want %d (stderr %q)", label, o.Key(), code, want, errb.String())
+					}
 				}
 			}
 		}
+	}
+	if want := map[string]int{"SB/rc": 50, "SB/sc++": 50}; !reflect.DeepEqual(unserializable, want) {
+		t.Errorf("unserializable exports per kernel/variant = %v, want %v", unserializable, want)
 	}
 }
 

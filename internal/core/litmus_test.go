@@ -1,174 +1,194 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
-	"bulksc/internal/mem"
+	"bulksc/internal/history"
+	"bulksc/internal/history/explore"
 	"bulksc/internal/workload"
 )
 
-// litmusOutcome extracts the committed values the reader threads observed
-// for the given addresses, from the replay logs, in per-thread program
-// order.
-func litmusOutcome(res *Result, proc int, addrs []mem.Addr) []uint64 {
-	var vals []uint64
-	for _, ch := range res.Commits {
-		if ch.Proc != proc {
-			continue
-		}
-		for _, rec := range ch.Log {
-			if rec.IsStore {
-				continue
-			}
-			for _, a := range addrs {
-				if rec.Addr.Align() == a.Align() {
-					vals = append(vals, rec.Value)
-				}
-			}
-		}
+// The litmus oracle judges the machine by outcome sets. A litmus suite
+// run (workload.LitmusSuite) exports its history; explore.FromProgram
+// derives the kernel's enumerable program and Observed reads the outcome
+// the run reached. That outcome must lie in the set explore enumerates
+// for the model the variant claims: ModelRC for rc, ModelSC for every
+// other variant.
+
+// litmusGaps pins, by variant and kernel, the one outcome a variant
+// reaches outside the model it claims. SC++ claims SC, but its loads keep
+// the values they read at dispatch across a SHiQ rollback (ROADMAP item
+// 12), so on SB it reaches RC's relaxed outcome in every run, and its
+// witness findings are the same bug. Each entry must keep showing: the
+// fix deletes it, and the witness then holds SC++ to SC as well.
+var litmusGaps = map[string]map[string]string{"sc++": {"SB": "0:[0] 1:[0]"}}
+
+// claimedModel is the model whose outcome set bounds a variant's.
+func claimedModel(variant string) explore.Model {
+	if variant == "rc" {
+		return explore.ModelRC
 	}
-	return vals
+	return explore.ModelSC
 }
 
-func runLitmus(t *testing.T, model ModelKind, prog *workload.Program, seed int64) *Result {
+// litmusKernel is one suite kernel's derived program, its SC and RC
+// outcome sets, and the outcomes each variant reached.
+type litmusKernel struct {
+	prog    *explore.Program
+	sets    map[explore.Model]*explore.Result
+	reached map[string]map[string]bool
+}
+
+// litmusOracle judges machine runs; it is safe for parallel subtests.
+// When the test ends it logs each variant's coverage of its claimed
+// outcome sets and fails if a pinned gap stopped showing, or if a model
+// allowing outcomes SC forbids was claimed but none was reached.
+type litmusOracle struct {
+	mu      sync.Mutex
+	kernels map[string]*litmusKernel
+}
+
+func newLitmusOracle(t *testing.T) *litmusOracle {
+	o := &litmusOracle{kernels: map[string]*litmusKernel{}}
+	t.Cleanup(func() { o.report(t) })
+	return o
+}
+
+// run runs prog on cfg with its history exported and judges the run: the
+// replay checker must hold; a variant claiming SC without a pinned gap
+// must leave the witness clean; a suite kernel's outcome must lie in the
+// claimed model's set or be the pinned gap; and an outcome SC forbids
+// must show in the witness as a program-order finding.
+func (o *litmusOracle) run(t *testing.T, label, variant, kernel string, cfg Config, prog *workload.Program) {
 	t.Helper()
-	cfg := Config{
-		Model:       model,
-		Procs:       len(prog.Threads),
-		Work:        1000,
-		Seed:        seed,
-		ChunkSize:   1000,
-		MaxChunks:   2,
-		RSigOpt:     true,
-		Dypvt:       true,
-		NumArbiters: 1,
-		CheckSC:     model == ModelBulk,
-		Witness:     true,
-	}
+	var buf bytes.Buffer
+	cfg.TraceWriter = &buf
 	res, err := RunProgram(cfg, prog)
 	if err != nil {
-		t.Fatalf("litmus run failed: %v", err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	// The witness checker is an unconditional oracle for the SC-claiming
-	// models; RC and SC++ genuinely relax store→load order, so their
-	// findings are informative, not failures.
-	if model == ModelBulk || model == ModelSC {
-		if len(res.WitnessViolations) > 0 {
-			t.Fatalf("%s witness violations: %v", model, res.WitnessViolations)
-		}
+	if len(res.SCViolations) > 0 {
+		t.Fatalf("%s: replay checker: %s", label, res.SCViolations[0])
 	}
-	return res
+	model := claimedModel(variant)
+	if _, gap := litmusGaps[variant]; model == explore.ModelSC && !gap && len(res.WitnessViolations) > 0 {
+		t.Fatalf("%s: witness: %s", label, res.WitnessViolations[0])
+	}
+	if !slices.ContainsFunc(workload.LitmusSuite(), func(k workload.Litmus) bool { return k.Name == kernel }) {
+		return // not enumerable: the checkers above judge it alone
+	}
+	p, err := explore.FromProgram(prog)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	h, err := history.Read(&buf)
+	if err != nil {
+		t.Fatalf("%s: export: %v", label, err)
+	}
+	got, err := p.Observed(h)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	key := got.Key()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	k := o.kernel(t, kernel, p)
+	if !k.sets[model].Has(key) && key != litmusGaps[variant][kernel] {
+		t.Fatalf("%s: outcome %s is outside %s's outcomes %v", label, key, model, k.sets[model].Keys())
+	}
+	if !k.sets[explore.ModelSC].Has(key) && !slices.ContainsFunc(res.WitnessViolations, func(v string) bool {
+		return strings.Contains(v, "program-order")
+	}) {
+		t.Fatalf("%s: outcome %s is not SC, yet the witness found no program-order violation", label, key)
+	}
+	if k.reached[variant] == nil {
+		k.reached[variant] = map[string]bool{}
+	}
+	k.reached[variant][key] = true
 }
 
-// TestLitmusSBBulkSC: under BulkSC, the store-buffering relaxation
-// (r0 = r1 = 0) must never be observable, over many timing seeds and
-// paddings. Store values are 1 in this encoding? — stores write tokens;
-// "zero" means the load observed the initial value.
-func TestLitmusSBBulkSC(t *testing.T) {
-	for pad := 0; pad < 30; pad += 3 {
-		for seed := int64(1); seed <= 5; seed++ {
-			prog := workload.StoreBuffering(pad)
-			res := runLitmus(t, ModelBulk, prog, seed)
-			if len(res.SCViolations) > 0 {
-				t.Fatalf("pad=%d seed=%d: %s", pad, seed, res.SCViolations[0])
+// kernel returns the named kernel, enumerating it on first use; every
+// later run must derive the same program.
+func (o *litmusOracle) kernel(t *testing.T, name string, p *explore.Program) *litmusKernel {
+	t.Helper()
+	if k := o.kernels[name]; k != nil {
+		if !reflect.DeepEqual(k.prog.Threads, p.Threads) {
+			t.Fatalf("%s derived %v, earlier %v", name, p.Threads, k.prog.Threads)
+		}
+		return k
+	}
+	k := &litmusKernel{prog: p, sets: map[explore.Model]*explore.Result{}, reached: map[string]map[string]bool{}}
+	for _, m := range []explore.Model{explore.ModelSC, explore.ModelRC} {
+		r, err := explore.Explore(p, m, explore.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		k.sets[m] = r
+	}
+	o.kernels[name] = k
+	return k
+}
+
+func (o *litmusOracle) report(t *testing.T) {
+	for _, v := range tortureModels {
+		m := claimedModel(v)
+		var cells []string
+		reached, total := 0, 0
+		for _, s := range workload.LitmusSuite() {
+			k := o.kernels[s.Name]
+			if k == nil || k.reached[v] == nil {
+				continue
 			}
-			r0 := litmusOutcome(res, 0, []mem.Addr{workload.LitmusY})
-			r1 := litmusOutcome(res, 1, []mem.Addr{workload.LitmusX})
-			if len(r0) == 0 || len(r1) == 0 {
-				t.Fatalf("pad=%d seed=%d: missing observations", pad, seed)
+			in, relaxed := 0, false
+			for key := range k.reached[v] {
+				if k.sets[m].Has(key) {
+					in++
+				}
+				relaxed = relaxed || !k.sets[explore.ModelSC].Has(key)
 			}
-			if r0[0] == 0 && r1[0] == 0 {
-				t.Fatalf("pad=%d seed=%d: SB relaxation (0,0) observed under BulkSC", pad, seed)
+			reached, total = reached+in, total+len(k.sets[m].Outcomes)
+			cell := fmt.Sprintf("%s %d/%d", s.Name, in, len(k.sets[m].Outcomes))
+			if gap := litmusGaps[v][s.Name]; gap != "" {
+				if !k.reached[v][gap] {
+					t.Errorf("%s/%s never reached its pinned gap %s: delete the entry", v, s.Name, gap)
+				}
+				cell += " +gap"
 			}
+			cells = append(cells, cell)
+			if !relaxed && !k.sets[m].SubsetOf(k.sets[explore.ModelSC]) {
+				t.Errorf("%s/%s: %s allows outcomes SC forbids, but the machine reached none", v, s.Name, m)
+			}
+		}
+		if len(cells) > 0 {
+			t.Logf("coverage %-5s claims %-2s: %2d/%d outcomes reached (%s)", v, m, reached, total, strings.Join(cells, ", "))
 		}
 	}
 }
 
-// TestLitmusSBRCWeak: the RC baseline must be able to exhibit the SB
-// relaxation for at least one timing — otherwise it is not modeling a
-// relaxed machine and the paper's comparison would be vacuous. The witness
-// checker makes the relaxation directly observable: RC performs loads at
-// dispatch while stores drain from the buffer, so the drained store arrives
-// at the witness after younger loads — a program-order violation.
-func TestLitmusSBRCWeak(t *testing.T) {
-	relaxed := false
-	for pad := 0; pad < 30 && !relaxed; pad += 3 {
-		for seed := int64(1); seed <= 5; seed++ {
-			prog := workload.StoreBuffering(pad)
-			res := runLitmus(t, ModelRC, prog, seed)
-			for _, v := range res.WitnessViolations {
-				if strings.Contains(v, "program-order") {
-					relaxed = true
+// TestLitmusOracle runs every suite kernel under every variant, fault
+// free, at every pad 0–39 and seeds 1–5, and judges each run by the
+// outcome oracle. With -v it prints each variant's coverage.
+func TestLitmusOracle(t *testing.T) {
+	o := newLitmusOracle(t)
+	for _, k := range workload.LitmusSuite() {
+		t.Run(k.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, variant := range tortureModels {
+				for pad := 0; pad < 40; pad++ {
+					for seed := int64(1); seed <= 5; seed++ {
+						prog := k.Build(pad)
+						o.run(t, fmt.Sprintf("%s/%s pad=%d seed=%d", k.Name, variant, pad, seed),
+							variant, k.Name, tortureConfig(variant, len(prog.Threads), seed), prog)
+					}
 				}
 			}
-			if relaxed {
-				break
-			}
-		}
-	}
-	if !relaxed {
-		t.Fatal("RC never exhibited the store-buffer relaxation; the baseline is not relaxed")
-	}
-}
-
-// TestLitmusSBSCBaselineStrict: the serialized SC baseline must never trip
-// the witness checker — perform order embeds program order by construction.
-// (runLitmus asserts the absence of witness violations for ModelSC.)
-func TestLitmusSBSCBaselineStrict(t *testing.T) {
-	for pad := 0; pad < 30; pad += 6 {
-		for seed := int64(1); seed <= 3; seed++ {
-			res := runLitmus(t, ModelSC, workload.StoreBuffering(pad), seed)
-			if res.WitnessAccesses == 0 {
-				t.Fatalf("pad=%d seed=%d: witness checker observed no accesses", pad, seed)
-			}
-		}
-	}
-}
-
-// TestLitmusMPBulkSC: message passing — if the reader sees the flag (y),
-// it must see the data (x).
-func TestLitmusMPBulkSC(t *testing.T) {
-	for pad := 0; pad < 40; pad += 2 {
-		for seed := int64(1); seed <= 3; seed++ {
-			prog := workload.MessagePassing(pad)
-			res := runLitmus(t, ModelBulk, prog, seed)
-			if len(res.SCViolations) > 0 {
-				t.Fatalf("pad=%d seed=%d: %s", pad, seed, res.SCViolations[0])
-			}
-			obs := litmusOutcome(res, 1, []mem.Addr{workload.LitmusY, workload.LitmusX})
-			if len(obs) < 2 {
-				t.Fatalf("pad=%d seed=%d: missing observations", pad, seed)
-			}
-			// Program order on T1: load y then load x.
-			if obs[0] != 0 && obs[1] == 0 {
-				t.Fatalf("pad=%d seed=%d: MP violation: saw flag but not data", pad, seed)
-			}
-		}
-	}
-}
-
-// TestLitmusIRIWBulkSC: independent readers must not observe the two
-// writes in opposite orders.
-func TestLitmusIRIWBulkSC(t *testing.T) {
-	for pad := 0; pad < 40; pad += 4 {
-		for seed := int64(1); seed <= 3; seed++ {
-			prog := workload.IRIW(pad)
-			res := runLitmus(t, ModelBulk, prog, seed)
-			if len(res.SCViolations) > 0 {
-				t.Fatalf("pad=%d seed=%d: %s", pad, seed, res.SCViolations[0])
-			}
-			t2 := litmusOutcome(res, 2, []mem.Addr{workload.LitmusX, workload.LitmusY})
-			t3 := litmusOutcome(res, 3, []mem.Addr{workload.LitmusY, workload.LitmusX})
-			if len(t2) < 2 || len(t3) < 2 {
-				t.Fatalf("pad=%d seed=%d: missing observations", pad, seed)
-			}
-			// T2: r0=x, r1=y. T3: r2=y, r3=x. Forbidden: x before y at T2
-			// while y before x at T3.
-			if t2[0] != 0 && t2[1] == 0 && t3[0] != 0 && t3[1] == 0 {
-				t.Fatalf("pad=%d seed=%d: IRIW violation under BulkSC", pad, seed)
-			}
-		}
+		})
 	}
 }
 
@@ -197,81 +217,11 @@ func TestLitmusLockMutualExclusion(t *testing.T) {
 
 // TestLitmusCoherenceOrder: all committed observations of a single hot
 // word must be consistent with one total order (validated by the replay
-// checker).
+// checker and the witness).
 func TestLitmusCoherenceOrder(t *testing.T) {
+	o := newLitmusOracle(t)
 	for seed := int64(1); seed <= 5; seed++ {
-		prog := workload.CoherenceOrder(40)
-		res := runLitmus(t, ModelBulk, prog, seed)
-		if len(res.SCViolations) > 0 {
-			t.Fatalf("seed=%d: %s", seed, res.SCViolations[0])
-		}
-	}
-}
-
-// TestLitmusSCBaselineSB: the SC baseline forbids the SB relaxation by
-// construction (serialized perform order); validate via the architectural
-// memory: after the run, both stores are in memory, and serialization is
-// engine-enforced. This is a smoke check that SC litmus runs complete.
-func TestLitmusSCBaselineSB(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		prog := workload.StoreBuffering(8)
-		res := runLitmus(t, ModelSC, prog, seed)
-		if res.Cycles == 0 {
-			t.Fatal("SC litmus did not run")
-		}
-	}
-}
-
-// TestLitmusLBBulkSC: the load-buffering relaxation (both loads observing
-// the other thread's store) must never commit.
-func TestLitmusLBBulkSC(t *testing.T) {
-	for pad := 0; pad < 24; pad += 3 {
-		for seed := int64(1); seed <= 3; seed++ {
-			prog := workload.LoadBuffering(pad)
-			res := runLitmus(t, ModelBulk, prog, seed)
-			if len(res.SCViolations) > 0 {
-				t.Fatalf("pad=%d seed=%d: %s", pad, seed, res.SCViolations[0])
-			}
-			r0 := litmusOutcome(res, 0, []mem.Addr{workload.LitmusX})
-			r1 := litmusOutcome(res, 1, []mem.Addr{workload.LitmusY})
-			if len(r0) > 0 && len(r1) > 0 && r0[0] != 0 && r1[0] != 0 {
-				t.Fatalf("pad=%d seed=%d: LB relaxation observed", pad, seed)
-			}
-		}
-	}
-}
-
-// TestLitmusWRCBulkSC: causality must be transitive under SC.
-func TestLitmusWRCBulkSC(t *testing.T) {
-	for pad := 0; pad < 24; pad += 4 {
-		for seed := int64(1); seed <= 3; seed++ {
-			prog := workload.WRC(pad)
-			res := runLitmus(t, ModelBulk, prog, seed)
-			if len(res.SCViolations) > 0 {
-				t.Fatalf("pad=%d seed=%d: %s", pad, seed, res.SCViolations[0])
-			}
-			t1 := litmusOutcome(res, 1, []mem.Addr{workload.LitmusX})
-			t2 := litmusOutcome(res, 2, []mem.Addr{workload.LitmusY, workload.LitmusX})
-			if len(t1) > 0 && len(t2) >= 2 && t1[0] != 0 && t2[0] != 0 && t2[1] == 0 {
-				t.Fatalf("pad=%d seed=%d: WRC causality violated", pad, seed)
-			}
-		}
-	}
-}
-
-// TestLitmusCoRRBulkSC: a reader must never see a value then an older one.
-func TestLitmusCoRRBulkSC(t *testing.T) {
-	for pad := 0; pad < 24; pad += 2 {
-		for seed := int64(1); seed <= 3; seed++ {
-			prog := workload.CoRR(pad)
-			res := runLitmus(t, ModelBulk, prog, seed)
-			if len(res.SCViolations) > 0 {
-				t.Fatalf("pad=%d seed=%d: %s", pad, seed, res.SCViolations[0])
-			}
-			obs := litmusOutcome(res, 1, []mem.Addr{workload.LitmusX})
-			if len(obs) >= 2 && obs[0] != 0 && obs[1] == 0 {
-				t.Fatalf("pad=%d seed=%d: CoRR violated (saw new then old)", pad, seed)
-			}
-		}
+		o.run(t, fmt.Sprintf("seed=%d", seed), "dypvt", "CoherenceOrder",
+			tortureConfig("dypvt", 4, seed), workload.CoherenceOrder(40))
 	}
 }

@@ -3,7 +3,10 @@
 // simulator's sampled confidence ("no seed ever produced a non-SC
 // outcome") into proved confidence ("no interleaving of this program
 // can"), in the spirit of Qadeer's "Verifying Sequential Consistency by
-// Model Checking".
+// Model Checking". It keeps no kernels of its own: FromProgram derives a
+// program from the machine's litmus programs (workload.LitmusSuite), and
+// Observed reads the outcome a machine run reached from its history
+// export, so the machine is judged against the enumerated outcome sets.
 //
 // Three models are explored:
 //
@@ -47,11 +50,14 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"bulksc/internal/history"
+	"bulksc/internal/workload"
 )
 
 // Op is one memory operation of a litmus thread. Val is the value written
@@ -67,6 +73,105 @@ type Op struct {
 type Program struct {
 	Name    string
 	Threads [][]Op
+}
+
+// maxThreadOps caps a thread's ops: Bulk enumerates 2^(n-1) chunkings.
+const maxThreadOps = 16
+
+// FromProgram derives the litmus program a machine program runs: each
+// thread's loads and stores to the words two or more threads touch, in
+// program order, every store writing 1. Private words (stack work,
+// LitmusOut lines) drop out, and so do trailing threads left with no ops
+// (workload.PadThreads fillers), so a padded run derives its kernel's
+// program and Observed rejects a filler that loads a shared word.
+// FromProgram rejects what would make outcomes more than 0/1 flags, or
+// chunkings too many to enumerate: acquire, release, barrier and I/O
+// instructions, a shared word stored more than once, and a thread with
+// more than 16 shared ops.
+func FromProgram(wp *workload.Program) (*Program, error) {
+	owner := map[uint64]int{} // word → its one thread, or -1 once shared
+	for t, ins := range wp.Threads {
+		for _, in := range ins {
+			switch a := uint64(in.Addr); in.Kind {
+			case workload.OpAcquire, workload.OpRelease, workload.OpBarrier, workload.OpIO:
+				return nil, fmt.Errorf("explore: %s thread %d has a %s instruction", wp.Name, t, in.Kind)
+			case workload.OpLoad, workload.OpStore:
+				if o, ok := owner[a]; !ok {
+					owner[a] = t
+				} else if o != t {
+					owner[a] = -1
+				}
+			}
+		}
+	}
+	p := &Program{Name: wp.Name, Threads: make([][]Op, len(wp.Threads))}
+	stored := map[uint64]bool{}
+	for t, ins := range wp.Threads {
+		for _, in := range ins {
+			op := Op{Addr: uint64(in.Addr)}
+			if (in.Kind != workload.OpLoad && in.Kind != workload.OpStore) || owner[op.Addr] != -1 {
+				continue
+			}
+			if in.Kind == workload.OpStore {
+				if stored[op.Addr] {
+					return nil, fmt.Errorf("explore: %s stores word %#x more than once", wp.Name, op.Addr)
+				}
+				stored[op.Addr] = true
+				op.Store, op.Val = true, 1
+			}
+			p.Threads[t] = append(p.Threads[t], op)
+		}
+		if n := len(p.Threads[t]); n > maxThreadOps {
+			return nil, fmt.Errorf("explore: %s thread %d has %d shared ops; the cap is %d", wp.Name, t, n, maxThreadOps)
+		}
+	}
+	for len(p.Threads) > 0 && len(p.Threads[len(p.Threads)-1]) == 0 {
+		p.Threads = p.Threads[:len(p.Threads)-1]
+	}
+	return p, nil
+}
+
+// Observed reads the outcome a machine export of p's program recorded:
+// each thread's loads of p's shared words in program order (chunk records
+// in per-processor commit order, or access records sorted by PO), a
+// nonzero value read as 1. It fails unless every thread observed exactly
+// as many shared loads as p issues.
+func (p *Program) Observed(h *history.History) (Outcome, error) {
+	shared, want := map[uint64]bool{}, make([]int, len(p.Threads))
+	for t, ops := range p.Threads {
+		for _, op := range ops {
+			shared[op.Addr] = true
+			if !op.Store {
+				want[t]++
+			}
+		}
+	}
+	var accs []history.AccessRec
+	for _, c := range h.Chunks { // file order is commit order
+		for _, op := range c.Ops {
+			accs = append(accs, history.AccessRec{Proc: c.Proc, PO: uint64(len(accs)), Store: op.Store, Addr: op.Addr, Val: op.Val})
+		}
+	}
+	accs = append(accs, h.Accesses...)
+	slices.SortStableFunc(accs, func(a, b history.AccessRec) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.PO, b.PO))
+	})
+	o := Outcome{Loads: make([][]uint64, len(p.Threads))}
+	for _, a := range accs {
+		if a.Store || !shared[a.Addr] {
+			continue
+		}
+		if a.Proc >= len(p.Threads) {
+			return Outcome{}, fmt.Errorf("explore: proc %d loads a shared word; %s has %d threads", a.Proc, p.Name, len(p.Threads))
+		}
+		o.Loads[a.Proc] = append(o.Loads[a.Proc], min(a.Val, 1))
+	}
+	for t, n := range want {
+		if len(o.Loads[t]) != n {
+			return Outcome{}, fmt.Errorf("explore: thread %d observed %d shared loads; %s issues %d", t, len(o.Loads[t]), p.Name, n)
+		}
+	}
+	return o, nil
 }
 
 // Model selects the operational semantics to enumerate.
@@ -105,9 +210,9 @@ func (o Outcome) Key() string {
 
 // Options tune Explore.
 type Options struct {
-	// POR disables sleep-set pruning when false... it is ON by default
-	// only through DefaultOptions; the zero Options explores the full
-	// interleaving tree (the cross-validation baseline).
+	// POR turns on sleep-set pruning. DefaultOptions sets it; the zero
+	// Options explores the full interleaving tree, the baseline the
+	// tests cross-validate the reduction against.
 	POR bool
 	// MaxStates bounds visited states; 0 = DefaultMaxStates.
 	MaxStates int
@@ -179,37 +284,20 @@ func Explore(prog *Program, model Model, opt Options) (*Result, error) {
 	if opt.MaxStates <= 0 {
 		opt.MaxStates = DefaultMaxStates
 	}
-	res := &Result{}
-	seen := map[string]Outcome{}
-
-	switch model {
-	case ModelSC, ModelBulk:
-		// One enumeration per chunking. ModelSC is the singleton chunking.
-		err := forEachChunking(prog, model, func(units [][][]Op) error {
-			res.Chunkings++
-			e := &enumerator{opt: opt, res: res, seen: seen, units: units}
-			return e.run()
-		})
-		if err != nil {
-			return nil, err
-		}
-	case ModelRC:
-		res.Chunkings = 1
-		e := &enumerator{opt: opt, res: res, seen: seen, rc: true}
-		e.units = make([][][]Op, len(prog.Threads))
-		for t, ops := range prog.Threads {
-			e.units[t] = make([][]Op, len(ops))
-			for i := range ops {
-				e.units[t][i] = ops[i : i+1]
-			}
-		}
-		if err := e.run(); err != nil {
-			return nil, err
-		}
-	default:
+	if model < ModelSC || model > ModelRC {
 		return nil, fmt.Errorf("explore: unknown model %d", int(model))
 	}
-
+	res := &Result{}
+	seen := map[string]Outcome{}
+	// One enumeration per chunking; SC and RC run only the singleton one.
+	err := forEachChunking(prog, model == ModelBulk, func(units [][][]Op) error {
+		res.Chunkings++
+		e := &enumerator{opt: opt, res: res, seen: seen, units: units, rc: model == ModelRC}
+		return e.run()
+	})
+	if err != nil {
+		return nil, err
+	}
 	keys := make([]string, 0, len(seen))
 	for k := range seen { // collected below and sorted: deterministic output
 		keys = append(keys, k)
@@ -221,11 +309,11 @@ func Explore(prog *Program, model Model, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// forEachChunking enumerates every partition of each thread's ops into
-// contiguous chunks (2^(n-1) compositions per thread) and calls fn with
-// the per-thread unit lists. ModelSC uses only the all-singletons
-// partition.
-func forEachChunking(prog *Program, model Model, fn func([][][]Op) error) error {
+// forEachChunking calls fn with the per-thread unit lists of every
+// partition of each thread's ops into contiguous chunks (2^(n-1)
+// compositions per thread), or of the all-singletons partition alone
+// when chunked is false.
+func forEachChunking(prog *Program, chunked bool, fn func([][][]Op) error) error {
 	units := make([][][]Op, len(prog.Threads))
 	var rec func(t int) error
 	rec = func(t int) error {
@@ -234,22 +322,18 @@ func forEachChunking(prog *Program, model Model, fn func([][][]Op) error) error 
 		}
 		ops := prog.Threads[t]
 		n := len(ops)
-		if model == ModelSC {
-			us := make([][]Op, n)
-			for i := range ops {
-				us[i] = ops[i : i+1]
-			}
-			units[t] = us
-			return rec(t + 1)
-		}
-		if n > 16 {
-			return fmt.Errorf("explore: thread %d has %d ops; chunk enumeration caps at 16", t, n)
+		if chunked && n > maxThreadOps {
+			return fmt.Errorf("explore: thread %d has %d ops; chunk enumeration caps at %d", t, n, maxThreadOps)
 		}
 		if n == 0 {
 			units[t] = nil
 			return rec(t + 1)
 		}
-		for cuts := 0; cuts < 1<<(n-1); cuts++ {
+		first, all := 0, 1<<(n-1)-1 // all: a cut between every two ops
+		if !chunked {
+			first = all
+		}
+		for cuts := first; cuts <= all; cuts++ {
 			var us [][]Op
 			start := 0
 			for i := 1; i < n; i++ {
@@ -373,7 +457,7 @@ func (e *enumerator) apply(t trans) func() {
 	if t.drain {
 		b := e.bufs[th][0]
 		e.bufs[th] = e.bufs[th][1:]
-		old, had := e.mem[b.addr]
+		old := e.mem[b.addr] // an unwritten word reads 0, so 0 restores it
 		e.mem[b.addr] = b.val
 		e.trace = append(e.trace, step{
 			proc: th, drain: true, po: b.po,
@@ -382,11 +466,7 @@ func (e *enumerator) apply(t trans) func() {
 		bufs := e.bufs[th]
 		return func() {
 			e.trace = e.trace[:len(e.trace)-1]
-			if had {
-				e.mem[b.addr] = old
-			} else {
-				delete(e.mem, b.addr)
-			}
+			e.mem[b.addr] = old
 			e.bufs[th] = append([]bufEntry{b}, bufs...)
 		}
 	}
@@ -396,11 +476,7 @@ func (e *enumerator) apply(t trans) func() {
 	doneBefore := e.done[th]
 	loadsBefore := len(e.loads[th])
 	bufsBefore := len(e.bufs[th])
-	type memUndo struct {
-		addr, val uint64
-		had       bool
-	}
-	var undos []memUndo
+	var undos []Op             // overwritten words, with their old values
 	var wbuf map[uint64]uint64 // the chunk's own buffered stores
 	rec := step{proc: th, ops: make([]Op, 0, len(unit))}
 	for _, op := range unit {
@@ -446,8 +522,7 @@ func (e *enumerator) apply(t trans) func() {
 	if !e.rc {
 		for _, op := range unit {
 			if op.Store {
-				old, had := e.mem[op.Addr]
-				undos = append(undos, memUndo{op.Addr, old, had})
+				undos = append(undos, Op{Addr: op.Addr, Val: e.mem[op.Addr]})
 				e.mem[op.Addr] = op.Val
 			}
 		}
@@ -456,11 +531,7 @@ func (e *enumerator) apply(t trans) func() {
 	return func() {
 		e.trace = e.trace[:len(e.trace)-1]
 		for i := len(undos) - 1; i >= 0; i-- {
-			if undos[i].had {
-				e.mem[undos[i].addr] = undos[i].val
-			} else {
-				delete(e.mem, undos[i].addr)
-			}
+			e.mem[undos[i].Addr] = undos[i].Val
 		}
 		e.bufs[th] = e.bufs[th][:bufsBefore]
 		e.loads[th] = e.loads[th][:loadsBefore]

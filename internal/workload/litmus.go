@@ -6,12 +6,11 @@ import "bulksc/internal/mem"
 // BulkSC (and the SC baseline) only ever produce sequentially consistent
 // outcomes, and that the RC baseline is genuinely weaker.
 //
-// Each program uses dedicated heap words; the final memory/register state
-// is inspected by the consistency tests through the access logs.
+// Each program uses dedicated heap words. The tests read what each load
+// observed from the machine's history export (internal/history/explore
+// derives the outcome from the program and the export).
 
-// LitmusX and LitmusY are the two shared words used by the two-variable
-// tests; LitmusR is where observer threads store what they read, one line
-// per (thread, slot).
+// LitmusX and LitmusY are the two shared words of the litmus tests.
 var (
 	litmusRegion = NewRegion(slotLitmus, 0, 4096)
 	// LitmusX and LitmusY live on different cache lines.
@@ -19,11 +18,24 @@ var (
 	LitmusY = litmusRegion.Word(64)
 )
 
-// LitmusOut returns the address where thread t publishes its slot-th
-// observed value. Each (t, slot) gets its own cache line so result
-// publication never interferes with the test.
+// LitmusOut returns a private word of thread t, one cache line per
+// (t, slot), so a store to it never interferes with the test.
 func LitmusOut(t, slot int) mem.Addr {
 	return litmusRegion.Word(1024 + (t*8+slot)*4)
+}
+
+// Litmus names one pad-parameterized litmus builder.
+type Litmus struct {
+	Name  string
+	Build func(pad int) *Program
+}
+
+// LitmusSuite lists the litmus tests whose outcomes are flag vectors:
+// plain loads and stores, each shared word stored once. It is the one
+// kernel list; explore.FromProgram derives each one's enumerable form.
+func LitmusSuite() []Litmus {
+	return []Litmus{{"SB", StoreBuffering}, {"MP", MessagePassing}, {"LB", LoadBuffering},
+		{"WRC", WRC}, {"CoRR", CoRR}, {"IRIW", IRIW}}
 }
 
 // StoreBuffering is the SB litmus test:
@@ -39,7 +51,7 @@ func StoreBuffering(pad int) *Program {
 		if b.Tid() == 0 {
 			b.Store(LitmusX)
 			b.Load(LitmusY)
-			b.Store(LitmusOut(0, 0)) // publishes r0 (value wired by proc log)
+			b.Store(LitmusOut(0, 0)) // private token store: unread, kept so the program stays the same
 		} else {
 			b.Store(LitmusY)
 			b.Load(LitmusX)

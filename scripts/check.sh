@@ -99,8 +99,16 @@ if go run ./cmd/scchk -q "$tracedir/corrupt.ndjson"; then
     exit 1
 fi
 
-echo "== litmus enumeration smoke (exhaustive, POR) =="
-go test -run 'TestForbiddenUnreachable|TestRCExhibitsSB' ./internal/history/explore
+# The enumeration proves the suite's outcome sets; the outcome oracle
+# then requires every machine variant's litmus outcomes to lie in the set
+# of the model it claims, and prints how much of each set it reached.
+echo "== litmus enumeration smoke (exhaustive, POR) and the outcome oracle =="
+go test -run 'TestForbiddenUnreachable|TestRCExhibitsSB|TestFromProgram|TestObservedRoundTrip' ./internal/history/explore
+oracle=$(go test -short -v -run 'TestLitmusOracle' ./internal/core) || {
+    echo "$oracle" >&2
+    exit 1
+}
+echo "$oracle" | grep 'coverage'
 
 # The benchmark's own tests: every perfbench workload in short mode,
 # including sweepd-open's open-loop generator against an in-process
