@@ -64,8 +64,8 @@ func newLitmusOracle(t *testing.T) *litmusOracle {
 // replay checker must hold; a variant claiming SC without a pinned gap
 // must leave the witness clean; a suite kernel's outcome must lie in the
 // claimed model's set or be the pinned gap; and an outcome SC forbids
-// must show in the witness as a program-order finding.
-func (o *litmusOracle) run(t *testing.T, label, variant, kernel string, cfg Config, prog *workload.Program) {
+// must show in the witness as a program-order finding. It returns the run.
+func (o *litmusOracle) run(t *testing.T, label, variant, kernel string, cfg Config, prog *workload.Program) *Result {
 	t.Helper()
 	var buf bytes.Buffer
 	cfg.TraceWriter = &buf
@@ -81,7 +81,7 @@ func (o *litmusOracle) run(t *testing.T, label, variant, kernel string, cfg Conf
 		t.Fatalf("%s: witness: %s", label, res.WitnessViolations[0])
 	}
 	if !slices.ContainsFunc(workload.LitmusSuite(), func(k workload.Litmus) bool { return k.Name == kernel }) {
-		return // not enumerable: the checkers above judge it alone
+		return res // not enumerable: the checkers above judge it alone
 	}
 	p, err := explore.FromProgram(prog)
 	if err != nil {
@@ -111,6 +111,7 @@ func (o *litmusOracle) run(t *testing.T, label, variant, kernel string, cfg Conf
 		k.reached[variant] = map[string]bool{}
 	}
 	k.reached[variant][key] = true
+	return res
 }
 
 // kernel returns the named kernel, enumerating it on first use; every
@@ -190,6 +191,74 @@ func TestLitmusOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runSB runs the SB kernel under variant at each pad in pads and seeds
+// 1..seeds, judged by o.
+func runSB(t *testing.T, o *litmusOracle, variant string, pads []int, seeds int64, check func(string, *Result)) {
+	t.Helper()
+	for _, pad := range pads {
+		for seed := int64(1); seed <= seeds; seed++ {
+			label := fmt.Sprintf("SB/%s pad=%d seed=%d", variant, pad, seed)
+			prog := workload.StoreBuffering(pad)
+			res := o.run(t, label, variant, "SB", tortureConfig(variant, len(prog.Threads), seed), prog)
+			if check != nil {
+				check(label, res)
+			}
+		}
+	}
+}
+
+// padsBy returns the pads 0, step, 2*step, ... below 30.
+func padsBy(step int) []int {
+	var pads []int
+	for pad := 0; pad < 30; pad += step {
+		pads = append(pads, pad)
+	}
+	return pads
+}
+
+// TestLitmusSBBulkSC: under BulkSC the store-buffering relaxation
+// (r0 = r1 = 0) must never be observable: every outcome the machine
+// reaches on SB lies in SC's outcome set.
+func TestLitmusSBBulkSC(t *testing.T) {
+	runSB(t, newLitmusOracle(t), "dypvt", padsBy(3), 5, nil)
+}
+
+// TestLitmusSBRCWeak: the RC baseline must reach SB's relaxed outcome for
+// at least one timing, and show it in the witness as a program-order
+// finding — otherwise it is not modeling a relaxed machine and the
+// paper's comparison would be vacuous.
+func TestLitmusSBRCWeak(t *testing.T) {
+	o := newLitmusOracle(t)
+	runSB(t, o, "rc", padsBy(3), 5, nil)
+	k := o.kernels["SB"]
+	for key := range k.reached["rc"] {
+		if !k.sets[explore.ModelSC].Has(key) {
+			return
+		}
+	}
+	t.Fatal("RC never exhibited the store-buffer relaxation; the baseline is not relaxed")
+}
+
+// TestLitmusSBSCBaselineStrict: the serialized SC baseline must never trip
+// the witness checker — perform order embeds program order by
+// construction — and the witness must have observed the run.
+func TestLitmusSBSCBaselineStrict(t *testing.T) {
+	runSB(t, newLitmusOracle(t), "sc", padsBy(6), 3, func(label string, res *Result) {
+		if res.WitnessAccesses == 0 {
+			t.Fatalf("%s: witness checker observed no accesses", label)
+		}
+	})
+}
+
+// TestLitmusSCBaselineSB is a smoke check that SC litmus runs complete.
+func TestLitmusSCBaselineSB(t *testing.T) {
+	runSB(t, newLitmusOracle(t), "sc", []int{8}, 3, func(label string, res *Result) {
+		if res.Cycles == 0 {
+			t.Fatalf("%s: SC litmus did not run", label)
+		}
+	})
 }
 
 // TestLitmusLockMutualExclusion: chunked test-and-set must provide mutual
